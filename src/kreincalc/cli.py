@@ -309,9 +309,8 @@ def _mu_of(args):
 def _cmd_calculus(problem: Problem, args) -> dict:
     pair, fact = _factorize(problem)
     phi = problem.jet_function(pair)
-    mu = _mu_of(args)
-    dec = decompose(pair, phi, mu)
-    mat = apply_calculus(fact, phi, mu)
+    dec = decompose(pair, phi, _mu_of(args))
+    mat = apply_calculus(fact, dec)
     return {
         "spectrum": _spectrum_payload(pair.report),
         "results": {

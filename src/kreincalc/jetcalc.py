@@ -10,10 +10,25 @@ the calculus evaluates phi on the relation as
 
 using the Gram factorization q(A) = T T^+.  The result does not depend on
 the choice of decomposition.
+
+The rational part s is the Hermite interpolant of phi's jet entries below
+the top one at the critical points, held in pole-residue form
+
+    s = b_0 + b_1 (z - mu)^(-1) + ... + b_(m-1) (z - mu)^(-(m-1))
+
+with m the total critical degree and mu a base point in the resolvent set.
+The basis jets have closed forms, so the decomposition finds no roots, and
+s(A) is a Horner sum in R = (A - mu)^(-1).  The base point mu = INF stands
+for the polynomial basis z^j, with R = A; it needs a bounded relation.
+Everything that does not depend on phi (the base point, the critical
+points, the basis and q jets at every spectral point, the interpolation
+matrix and R) is a plan built once per pair and base point and cached on
+the pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +44,9 @@ from .errors import (
 from .krein import DefinitizablePair, Factorization
 from .rational import Polynomial, RationalFunction
 from .relations import INF, as_point, conj_point, is_inf, point_sort_key
-from .spectral import rational_apply
+# rational_apply is unused here but stays a module attribute: the tracing
+# test in bench/test_bench.py checks that this binding is wrapped
+from .spectral import rational_apply, resolvent_at  # noqa: F401
 from .tolerances import JET_INVERT_TOL, POINT_MATCH_TOL
 
 # -- jet arithmetic ---------------------------------------------------------
@@ -167,22 +184,108 @@ def q_jets(pair: DefinitizablePair) -> JetFunction:
 # -- decomposition ---------------------------------------------------------
 
 
+def _basis_jets(mu, w, m: int, order: int) -> np.ndarray:
+    """Taylor jets at w of the pole-residue basis (z - mu)^(-j), j < m.
+
+    Column j holds jet entries 0..order of the j-th basis function; for
+    mu = INF the basis is z^j instead.  Entry k of (z - mu)^(-j) at a finite
+    w is (-1)^k C(j+k-1, k) (w - mu)^(-j-k); at INF, entry l is
+    C(l-1, l-j) mu^(l-j) for l >= j >= 1; entry k of z^j is C(j, k) w^(j-k).
+    """
+    out = np.zeros((order + 1, m), dtype=complex)
+    if m == 0:
+        return out
+    if is_inf(mu):
+        w = complex(w)
+        for j in range(m):
+            for k in range(min(j, order) + 1):
+                out[k, j] = math.comb(j, k) * w ** (j - k)
+        return out
+    out[0, 0] = 1.0
+    if is_inf(w):
+        for j in range(1, m):
+            for k in range(j, order + 1):
+                out[k, j] = math.comb(k - 1, k - j) * mu ** (k - j)
+        return out
+    t = 1.0 / (complex(w) - mu)
+    for j in range(1, m):
+        for k in range(order + 1):
+            out[k, j] = (-1) ** k * math.comb(j + k - 1, k) * t ** (j + k)
+    return out
+
+
+class _CalculusPlan:
+    """The part of the calculus on one pair that does not depend on phi.
+
+    Holds the base point, the critical points, the basis and q jets at every
+    spectral point (through entry d(w)), and the Hermite interpolation matrix
+    (entries below d(w) at the critical points).  The resolvent
+    R = (A - mu)^(-1) (A itself for mu = INF) is built on first use.
+    """
+
+    __slots__ = ("pair", "mu", "critical", "size", "basis", "q_jets", "matrix", "_resolvent")
+
+    def __init__(self, pair: DefinitizablePair, mu):
+        degrees = pair.degrees
+        self.pair = pair
+        self.mu = mu
+        self.critical = pair.critical_points
+        self.size = sum(degrees[w] for w in self.critical)  # total critical degree m
+        self.basis = {w: _basis_jets(mu, w, self.size, degrees[w]) for w in pair.points}
+        self.q_jets = {w: pair.q.jet_at(w, degrees[w]) for w in pair.points}
+        rows = [self.basis[w][: degrees[w]] for w in self.critical]
+        self.matrix = np.vstack(rows) if rows else np.zeros((0, 0), dtype=complex)
+        self._resolvent = None
+
+    def resolvent(self) -> np.ndarray:
+        if self._resolvent is None:
+            self._resolvent = resolvent_at(self.pair.relation, self.mu, self.pair.report)
+        return self._resolvent
+
+
+def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
+    """The pair's cached plan for base point mu (None: the default point)."""
+    key = None if mu is None else as_point(mu)
+    plans = pair._calculus_plans
+    if key not in plans:
+        point = _default_mu(pair) if key is None else key
+        if pair.report.distance_to(point) <= 1e-9:
+            raise ValidationError("base point mu must lie in the resolvent set")
+        plans[key] = _CalculusPlan(pair, point)
+    return plans[key]
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """phi = (jets of s) + g * (jets of q) along the spectrum."""
+    """phi = (jets of s) + g * (jets of q) along the spectrum.
+
+    The rational part is s = sum of coeffs[j] (z - base_point)^(-j), or of
+    coeffs[j] z^j when base_point is INF.
+    """
 
     pair: DefinitizablePair
-    s: RationalFunction
+    coeffs: np.ndarray
     g: dict
-    base_point: object = None
+    base_point: object
+    _plan: _CalculusPlan = field(repr=False)
+
+    @property
+    def s(self) -> RationalFunction:
+        """The rational part as a normalized RationalFunction, built on demand."""
+        if is_inf(self.base_point):
+            return RationalFunction(Polynomial(self.coeffs))
+        shift = Polynomial([-self.base_point, 1.0])
+        num = Polynomial.zero()
+        for c in self.coeffs:
+            num = num * shift + Polynomial([c])
+        den = Polynomial.from_roots([self.base_point] * max(self.coeffs.size - 1, 0))
+        return RationalFunction(num, den)
 
     def assemble(self) -> JetFunction:
-        out: dict = {}
-        for w in self.pair.points:
-            d = self.pair.degrees[w]
-            jet = self.s.jet_at(w, d) + self.g[w] * self.pair.q.jet_at(w, d)
-            out[w] = jet
-        return JetFunction(self.pair, out)
+        plan = self._plan
+        return JetFunction(self.pair, {
+            w: plan.basis[w] @ self.coeffs + self.g[w] * plan.q_jets[w] for w in self.pair.points
+        })
 
 
 def _default_mu(pair: DefinitizablePair) -> complex:
@@ -207,59 +310,36 @@ def _default_mu(pair: DefinitizablePair) -> complex:
 def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decomposition:
     """Split phi = s + g q with s rational with a single pole at mu.
 
-    The rational part is the solution of the Hermite interpolation problem
-    matching the first d(w) jet entries of phi at every critical point, taken
-    from the span of z^i / (z - mu)^(m-1), i < m, where m is the total
-    critical degree.  g is then the quotient (phi - s)/q, with the limit
-    value at each critical point.
+    The rational part solves the Hermite interpolation problem that matches
+    the first d(w) jet entries of phi at every critical point, in the
+    pole-residue basis (z - mu)^(-j), j < m, where m is the total critical
+    degree; the basis jets have closed forms, so no root is found.  mu must
+    lie in the resolvent set and defaults to a point on the imaginary axis
+    outside the spectrum and the zeros of q.  mu = INF gives the polynomial
+    basis z^j and needs a bounded relation.  g is then the quotient
+    (phi - s)/q, with the limit value at each critical point.
+
+    Everything that does not depend on phi is a plan built on the first call
+    for the pair and mu and cached on the pair.
     """
     if phi.pair is not pair and phi.pair.points != pair.points:
         raise ValidationError("jet function does not belong to this pair")
-    crit = [w for w in pair.points if pair.degrees[w] > 0]
-    m = sum(pair.degrees[w] for w in crit)
-    if mu is None:
-        mu = _default_mu(pair)
-    mu = complex(mu)
-    if pair.report.distance_to(mu) <= 1e-9:
-        raise ValidationError("base point mu must lie in the resolvent set")
-    if m == 0:
-        s = RationalFunction(Polynomial.zero())
+    plan = _plan(pair, mu)
+    vec = np.array([phi.values[w][j] for w in plan.critical for j in range(pair.degrees[w])], dtype=complex)
+    if vec.size == 0 or float(np.max(np.abs(vec))) <= 1e-12 * max(1.0, phi.max_abs()):
+        # interpolation data is pure roundoff; the exact solution is zero
+        coeffs = np.zeros(plan.size, dtype=complex)
     else:
-        den = Polynomial.from_roots([mu] * (m - 1))
-        basis = [RationalFunction(Polynomial.monomial(i), den) for i in range(m)]
-        rows = []
-        rhs = []
-        for w in crit:
-            d = pair.degrees[w]
-            jets = [e.jet_at(w, d - 1) for e in basis]
-            for j in range(d):
-                rows.append([jet[j] for jet in jets])
-                rhs.append(phi.values[w][j])
-        mat = np.array(rows, dtype=complex)
-        vec = np.array(rhs, dtype=complex)
-        if float(np.max(np.abs(vec))) <= 1e-12 * max(1.0, phi.max_abs()):
-            # interpolation data is pure roundoff; the exact solution is zero
-            s = RationalFunction(Polynomial.zero())
-        else:
-            try:
-                coeffs = np.linalg.solve(mat, vec)
-            except np.linalg.LinAlgError as exc:
-                raise InconsistencyError("interpolation system is singular") from exc
-            s = RationalFunction(Polynomial(coeffs), den)
+        try:
+            coeffs = np.linalg.solve(plan.matrix, vec)
+        except np.linalg.LinAlgError as exc:
+            raise InconsistencyError("interpolation system is singular") from exc
     g: dict = {}
     for w in pair.points:
         d = pair.degrees[w]
-        if d == 0:
-            sval = s(w)
-            qval = pair.q(w)
-            if is_inf(sval) or is_inf(qval):
-                raise InconsistencyError("rational part acquired a pole on the spectrum")
-            g[w] = complex((complex(phi.values[w][0]) - complex(sval)) / complex(qval))
-        else:
-            h_top = complex(phi.values[w][d]) - complex(s.jet_at(w, d)[d])
-            q_top = complex(pair.q.jet_at(w, d)[d])
-            g[w] = h_top / q_top
-    dec = Decomposition(pair=pair, s=s, g=g, base_point=mu)
+        s_top = plan.basis[w][d] @ coeffs
+        g[w] = complex((phi.values[w][d] - s_top) / plan.q_jets[w][d])
+    dec = Decomposition(pair=pair, coeffs=coeffs, g=g, base_point=plan.mu, _plan=plan)
     resid = (dec.assemble() - phi).max_abs()
     if resid > 1e-7 * max(1.0, phi.max_abs()):
         raise InconsistencyError("decomposition failed to reassemble the jet function")
@@ -267,42 +347,10 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
 
 
 def decompose_polynomial(pair: DefinitizablePair, phi: JetFunction) -> Decomposition:
-    """Variant with a polynomial rational part; needs a bounded relation."""
+    """decompose with mu = INF: a polynomial rational part; needs a bounded relation."""
     if pair.report.inf_multiplicity() > 0:
         raise NotBoundedError("polynomial decomposition needs infinity in the resolvent set")
-    crit = [w for w in pair.points if pair.degrees[w] > 0]
-    m = sum(pair.degrees[w] for w in crit)
-    if m == 0:
-        s = RationalFunction(Polynomial.zero())
-    else:
-        basis = [RationalFunction(Polynomial.monomial(i)) for i in range(m)]
-        rows = []
-        rhs = []
-        for w in crit:
-            d = pair.degrees[w]
-            jets = [e.jet_at(w, d - 1) for e in basis]
-            for j in range(d):
-                rows.append([jet[j] for jet in jets])
-                rhs.append(phi.values[w][j])
-        vec = np.array(rhs, dtype=complex)
-        if float(np.max(np.abs(vec))) <= 1e-12 * max(1.0, phi.max_abs()):
-            s = RationalFunction(Polynomial.zero())
-        else:
-            coeffs = np.linalg.solve(np.array(rows, dtype=complex), vec)
-            s = RationalFunction(Polynomial(coeffs))
-    g: dict = {}
-    for w in pair.points:
-        d = pair.degrees[w]
-        if d == 0:
-            g[w] = complex((complex(phi.values[w][0]) - complex(s(w))) / complex(pair.q(w)))
-        else:
-            h_top = complex(phi.values[w][d]) - complex(s.jet_at(w, d)[d])
-            g[w] = h_top / complex(pair.q.jet_at(w, d)[d])
-    dec = Decomposition(pair=pair, s=s, g=g, base_point=None)
-    resid = (dec.assemble() - phi).max_abs()
-    if resid > 1e-7 * max(1.0, phi.max_abs()):
-        raise InconsistencyError("polynomial decomposition failed to reassemble")
-    return dec
+    return decompose(pair, phi, mu=INF)
 
 
 def omega_kernel_check(pair: DefinitizablePair, s: RationalFunction, g: dict) -> bool:
@@ -316,8 +364,9 @@ def omega_kernel_check(pair: DefinitizablePair, s: RationalFunction, g: dict) ->
     for w in pair.points:
         if w not in g:
             raise ValidationError(f"missing g value at spectral point {w}")
-    dec = Decomposition(pair=pair, s=s, g=g, base_point=None)
-    assembled = dec.assemble()
+    assembled = JetFunction(pair, {
+        w: s.jet_at(w, pair.degrees[w]) + g[w] * pair.q.jet_at(w, pair.degrees[w]) for w in pair.points
+    })
     scale = max(1.0, assembled.max_abs(), float(np.max(np.abs(s.num.coeffs))))
     direct = assembled.max_abs() <= 1e-9 * scale
     criterion = True
@@ -340,16 +389,30 @@ def omega_kernel_check(pair: DefinitizablePair, s: RationalFunction, g: dict) ->
 # -- the calculus -----------------------------------------------------------
 
 
-def apply_calculus(fact: Factorization, phi: JetFunction, mu=None) -> np.ndarray:
-    """Evaluate a jet function on the relation: s(A) + T (integral of g) T^+."""
+def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
+    """Evaluate a jet function on the relation: s(A) + T (integral of g) T^+.
+
+    phi is a JetFunction on fact.pair, or its Decomposition from decompose,
+    which is then used as it is.  s(A) is the Horner sum
+    b_0 + R (b_1 + R (b_2 + ...)) in R = (A - mu)^(-1).
+    """
     pair = fact.pair
-    dec = decompose(pair, phi, mu)
-    s_matrix = rational_apply(dec.s, pair.relation, pair.report)
+    if isinstance(phi, Decomposition):
+        if phi.pair is not pair:
+            raise ValidationError("decomposition does not belong to this pair")
+        dec = phi
+    else:
+        dec = decompose(pair, phi, mu)
+    n = pair.space.dim
+    eye = np.eye(n, dtype=complex)
+    s_matrix = np.zeros((n, n), dtype=complex)
+    if dec.coeffs.size:
+        s_matrix = dec.coeffs[-1] * eye
+        for c in dec.coeffs[-2::-1]:
+            s_matrix = c * eye + dec._plan.resolvent() @ s_matrix
     if fact.rank == 0:
         return s_matrix
-    values: dict = {}
-    for atom_point, _ in fact.measure.atoms:
-        values[atom_point] = dec.g[pair.resolve(atom_point, tol=1e-6)]
+    values = {p: dec.g[w] for (p, _), w in zip(fact.measure.atoms, fact.atom_points)}
     integral = fact.measure.integrate(values)
     return s_matrix + fact.factor @ integral @ fact.factor_adjoint
 

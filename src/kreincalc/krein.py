@@ -10,6 +10,7 @@ self-adjoint relation there whose spectral measure drives the calculus.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,10 +123,6 @@ class GramSpace:
         sq, isq = self._abs_parts()
         return float(np.linalg.norm(sq @ np.asarray(mat, dtype=complex) @ isq, 2))
 
-    def hilbert_vector_norm(self, x) -> float:
-        sq, _ = self._abs_parts()
-        return float(np.linalg.norm(sq @ np.asarray(x, dtype=complex).ravel()))
-
 
 def map_adjoint(mat: np.ndarray, domain: GramSpace, codomain: GramSpace) -> np.ndarray:
     """Adjoint of T: domain -> codomain, i.e. G_dom^{-1} T* G_cod."""
@@ -145,6 +142,8 @@ class DefinitizablePair:
     points: tuple[object, ...]
     degrees: dict
     diagnostics: dict = field(default_factory=dict)
+    # calculus plans by base point, built and read by jetcalc
+    _calculus_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def critical_points(self) -> tuple[object, ...]:
@@ -274,15 +273,6 @@ class SpectralMeasure:
     dim: int
     atoms: tuple[tuple[object, np.ndarray], ...]
 
-    def projector_at(self, z, tol: float = POINT_MATCH_TOL) -> np.ndarray:
-        z = as_point(z)
-        for p, proj in self.atoms:
-            if (is_inf(p) and is_inf(z)) or (
-                not is_inf(p) and not is_inf(z) and abs(complex(p) - z) <= tol
-            ):
-                return proj
-        return np.zeros((self.dim, self.dim), dtype=complex)
-
     def integrate(self, values: dict) -> np.ndarray:
         """Sum of values[point] * projector over all atoms (including infinity)."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -377,6 +367,11 @@ class Factorization:
     def factor_product(self) -> np.ndarray:
         """T^+ T on the factor space."""
         return self.factor_adjoint @ self.factor
+
+    @functools.cached_property
+    def atom_points(self) -> tuple[object, ...]:
+        """The spectral point of the pair at each atom of the measure."""
+        return tuple(self.pair.resolve(p, tol=1e-6) for p, _ in self.measure.atoms)
 
 
 def gram_factorize(pair: DefinitizablePair, psd_cutoff: float = PSD_CUTOFF) -> Factorization:

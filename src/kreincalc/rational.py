@@ -89,10 +89,11 @@ def _series_divide(num, den, length: int) -> np.ndarray:
 class Polynomial:
     """Polynomial with ascending complex coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_clustered")
 
     def __init__(self, coeffs):
         self.coeffs = _trim(coeffs)
+        self._clustered = None  # clustered_roots() at the default tolerance
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -200,7 +201,12 @@ class Polynomial:
         derivative jet at the mean vanishes through order m - 1; otherwise
         it is regrouped at a tighter radius, and groups still failing at the
         base radius decay into singletons.
+
+        The result at the default tolerance is computed once per polynomial.
         """
+        default = tol == ROOT_CLUSTER_TOL
+        if default and self._clustered is not None:
+            return list(self._clustered)
         eps = float(np.finfo(float).eps)
         out: list[tuple[complex, int]] = []
         work: list[tuple[float, list[complex]]] = [(0.05, list(self.roots()))]
@@ -219,6 +225,8 @@ class Polynomial:
                 else:
                     out.extend((complex(r), 1) for r in members)
         out.sort(key=lambda t: (t[0].real, t[0].imag))
+        if default:
+            self._clustered = tuple(out)
         return out
 
     def max_abs_coeff(self) -> float:

@@ -318,10 +318,6 @@ class LinearRelation:
             raise ValidationError("graph columns need matching n x k shapes")
         return cls(x.shape[0], Subspace.from_spanning(np.vstack([x, y]), 2 * x.shape[0], rank_tol))
 
-    @classmethod
-    def zero_relation(cls, n: int) -> "LinearRelation":
-        return cls(n, Subspace.zero(2 * n))
-
     def graph_columns(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.space_dim
         return self.graph.basis[:n, :], self.graph.basis[n:, :]

@@ -158,11 +158,6 @@ def resolvent_at(rel: LinearRelation, lam, report: SpectrumReport | None = None)
     return rel.moebius(MoebiusMap.resolvent_map(complex(lam))).operator_matrix()
 
 
-def is_regular_type(rel: LinearRelation, lam) -> bool:
-    """Points of regular type; here exactly the trivial-kernel points."""
-    return rel.kernel(lam).dim == 0
-
-
 def rational_apply(
     func: RationalFunction,
     rel: LinearRelation,

@@ -34,6 +34,9 @@ from kreincalc import (
     verify_definitizing,
 )
 
+from kreincalc import jetcalc
+from kreincalc.jetcalc import _basis_jets
+
 from helpers import random_definitizable, random_real_rational
 
 
@@ -46,6 +49,40 @@ def running_pair():
 
 def running_fact():
     return gram_factorize(running_pair())
+
+
+def conjugate_pair_pair():
+    """diag(i, -i) on the flip Krein space; q = z^2 + 1 has total degree 2."""
+    space = GramSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    rel = LinearRelation.from_operator(np.diag([1.0j, -1.0j]))
+    return verify_definitizing(space, rel, RationalFunction(Polynomial([1.0, 0.0, 1.0])))
+
+
+def degree_ten_pair():
+    """Five conjugate pairs killed by q, plus the real points -3 and 3.5.
+
+    Each pair is a block diag(lam, conj lam) on the flip Gram matrix, the
+    real points carry the sign of q, and everything is conjugated by
+    S = I + 0.3 N(0, 1).  Returns the pair, the nonreal points and the
+    planted projection S^-1 diag(1, 1, 0, ..., 0) S onto the first pair.
+    """
+    lams = [-2 + 0.5j, -1 + 1j, 0.7j, 1 + 1.2j, 2 + 0.6j]
+    q = RationalFunction(Polynomial.from_roots([z for lam in lams for z in (lam, np.conj(lam))]))
+    diag, gram = [], np.zeros((12, 12))
+    for k, lam in enumerate(lams):
+        diag += [lam, np.conj(lam)]
+        gram[2 * k, 2 * k + 1] = gram[2 * k + 1, 2 * k] = 1.0
+    for i, t in enumerate((-3.0, 3.5)):
+        diag.append(t)
+        gram[10 + i, 10 + i] = np.sign(complex(q(t)).real)
+    s = np.eye(12) + 0.3 * np.random.default_rng(7).normal(size=(12, 12))
+    s_inv = np.linalg.inv(s)
+    pair = verify_definitizing(
+        GramSpace(s.conj().T @ gram @ s),
+        LinearRelation.from_operator(s_inv @ np.diag(diag) @ s),
+        q,
+    )
+    return pair, lams, s_inv @ np.diag([1.0, 1.0] + [0.0] * 10) @ s
 
 
 class TestJetPrimitives:
@@ -216,6 +253,36 @@ class TestDecompose:
         with pytest.raises(NotBoundedError):
             decompose_polynomial(pair, JetFunction.one(pair))
 
+    def test_basis_jets_match_rational_jets(self):
+        order, m = 3, 5
+        for mu in (2.0j, -1.5 + 0.5j):
+            for w in (0.0, 1.0, -0.7 + 0.3j, INF):
+                got = _basis_jets(mu, w, m, order)
+                for j in range(m):
+                    den = Polynomial.from_roots([mu] * j)
+                    want = RationalFunction(Polynomial.one(), den).jet_at(w, order)
+                    assert np.allclose(got[:, j], want, rtol=1e-12, atol=1e-12), (mu, w, j)
+        for w in (0.0, 1.0, -0.7 + 0.3j):
+            got = _basis_jets(INF, w, m, order)
+            for j in range(m):
+                want = RationalFunction(Polynomial.monomial(j)).jet_at(w, order)
+                assert np.allclose(got[:, j], want, rtol=1e-12, atol=1e-12), (w, j)
+
+    def test_base_point_at_infinity_is_the_polynomial_variant(self):
+        rng = np.random.default_rng(57)
+        for trial in range(10):
+            pair = random_definitizable(rng, allow_jordan=True).verify()
+            phi = JetFunction(pair, {
+                w: rng.normal(size=pair.degrees[w] + 1)
+                + 1j * rng.normal(size=pair.degrees[w] + 1)
+                for w in pair.points})
+            dec = decompose(pair, phi, mu=INF)
+            assert (dec.assemble() - phi).max_abs() < 1e-7 * max(1.0, phi.max_abs())
+            assert dec.s.den.degree == 0
+            poly = decompose_polynomial(pair, phi)
+            assert np.allclose(dec.coeffs, poly.coeffs, rtol=1e-12, atol=1e-12), trial
+            assert all(abs(dec.g[w] - poly.g[w]) <= 1e-12 * max(1.0, abs(poly.g[w])) for w in pair.points)
+
     def test_polynomial_variant_reassembles_with_polynomial_part(self):
         pair = running_pair()
         phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
@@ -313,6 +380,43 @@ class TestApplyCalculus:
         rhs = apply_calculus(fact, a) + 3.0 * apply_calculus(fact, b)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_plan_is_built_once_per_pair(self, monkeypatch):
+        calls = []
+        real = jetcalc.resolvent_at
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jetcalc, "resolvent_at", counting)
+        fact = gram_factorize(conjugate_pair_pair())
+        pair = fact.pair
+        phi = JetFunction(pair, {w: [1.0, 2.0] for w in pair.points})
+        first = apply_calculus(fact, phi)
+        second = apply_calculus(fact, 3.0 * phi)
+        assert len(calls) == 1
+        assert np.allclose(second, 3.0 * first, atol=1e-12)
+
+    def test_accepts_a_decomposition(self):
+        fact = running_fact()
+        phi = JetFunction.from_points(fact.pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
+        dec = decompose(fact.pair, phi)
+        assert np.allclose(apply_calculus(fact, dec), apply_calculus(fact, phi), atol=1e-12)
+        with pytest.raises(ValidationError):
+            apply_calculus(gram_factorize(running_pair()), dec)
+
+    def test_eight_simple_zeros_on_a_diagonal(self):
+        # q(A) vanishes only up to round-off here; the calculus must still
+        # be right, which a split eight-fold pole at mu once broke
+        t = np.arange(1.0, 9.0)
+        pair = verify_definitizing(
+            GramSpace.standard(8), LinearRelation.from_operator(np.diag(t)),
+            RationalFunction(Polynomial.from_roots(list(t))))
+        phi = JetFunction(pair, {w: [np.exp(complex(w).real), 0.5] for w in pair.points})
+        got = apply_calculus(gram_factorize(pair), phi)
+        want = np.diag(np.exp(t))
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
     def test_base_point_independence(self):
         rng = np.random.default_rng(54)
         for trial in range(10):
@@ -363,6 +467,13 @@ class TestProjections:
                 comm = proj @ r_matrix - r_matrix @ proj
                 assert np.linalg.norm(comm) < 1e-6 * max(1.0, np.linalg.norm(r_matrix))
             assert np.allclose(total, np.eye(n), atol=1e-7)
+
+    def test_degree_ten_projection(self):
+        # five conjugate pairs of simple zeros: total critical degree 10
+        pair, lams, want = degree_ten_pair()
+        assert sum(pair.degrees.values()) == 10
+        got = spectral_projection(gram_factorize(pair), [lams[0], np.conj(lams[0])])
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_projection_reproduces_eigenspace_dimension(self):
         fact = running_fact()
