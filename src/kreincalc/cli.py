@@ -217,8 +217,7 @@ def _cmd_adjoint(problem: Problem, args) -> dict:
 
 def _cmd_definitize(problem: Problem, args) -> dict:
     pair = problem.pair()
-    h = pair.space.gram @ pair.q_matrix
-    eigvals = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    eigvals = pair.psd_eig[0]
     kept = eigvals > PSD_CUTOFF * max(float(np.max(np.abs(eigvals))), 1.0)
     diagnostics = dict(pair.diagnostics)
     diagnostics["psd_margin"] = float(np.min(eigvals[kept])) if np.any(kept) else 0.0

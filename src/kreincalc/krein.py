@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InconsistencyError,
@@ -40,6 +39,7 @@ from .relations import (
     diagonal_preimage,
     is_inf,
     point_sort_key,
+    require_finite,
 )
 from .spectral import SpectrumReport, rational_apply, resolvent_at, spectrum
 from .tolerances import (
@@ -63,6 +63,7 @@ class GramSpace:
         gram = np.asarray(gram, dtype=complex)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValidationError("Gram matrix must be square")
+        require_finite(gram, "Gram matrix")
         scale = max(float(np.linalg.norm(gram)), 1.0)
         if float(np.linalg.norm(gram - gram.conj().T)) > HERMITIAN_TOL * scale:
             raise ValidationError("Gram matrix must be Hermitian")
@@ -98,15 +99,19 @@ class GramSpace:
         scale = max(1.0, float(np.linalg.norm(mat)))
         return float(np.linalg.norm(mat - self.adjoint_of(mat))) <= tol * scale
 
-    def is_positive(self, mat: np.ndarray, tol: float = PSD_TOL) -> bool:
-        """[Bx, x] >= 0 for all x, i.e. G B is Hermitian positive semidefinite."""
+    def is_positive(self, mat: np.ndarray, tol: float = PSD_TOL, eigvals: np.ndarray | None = None) -> bool:
+        """[Bx, x] >= 0 for all x, i.e. G B is Hermitian positive semidefinite.
+
+        ``eigvals``, when given, are the eigenvalues of the Hermitian part of
+        G B, already computed by the caller.
+        """
         h = self.gram @ np.asarray(mat, dtype=complex)
         scale = float(np.linalg.norm(h))
         if float(np.linalg.norm(h - h.conj().T)) > tol * max(1.0, scale):
             return False
         if h.shape[0] == 0:
             return True
-        w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+        w = np.linalg.eigvalsh((h + h.conj().T) / 2.0) if eigvals is None else eigvals
         # floor the scale so a numerically vanishing matrix counts as psd
         return bool(np.min(w) >= -tol * max(scale, 1.0))
 
@@ -142,6 +147,8 @@ class DefinitizablePair:
     points: tuple[object, ...]
     degrees: dict
     diagnostics: dict = field(default_factory=dict)
+    # eigh of the Hermitian part of G q(A): (eigenvalues, eigenvectors)
+    psd_eig: tuple = field(default=None, repr=False)
     # calculus plans by base point, built and read by jetcalc
     _calculus_plans: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -204,7 +211,9 @@ def verify_definitizing(
     if not adj.same_as(rel):
         raise NotSelfAdjointError("relation is not self-adjoint in this Krein space")
     q_matrix = rational_apply(q, rel, report)  # raises when a pole meets the spectrum
-    if not space.is_positive(q_matrix, psd_tol):
+    hermitian_part = space.gram @ q_matrix
+    psd_eig = np.linalg.eigh((hermitian_part + hermitian_part.conj().T) / 2.0)
+    if not space.is_positive(q_matrix, psd_tol, eigvals=psd_eig[0]):
         raise NotPositiveError("[q(A)x, x] takes negative values")
     degrees: dict = {}
     for w, _ in report.points:
@@ -221,7 +230,6 @@ def verify_definitizing(
             raise InconsistencyError(
                 "critical spectrum is not symmetric under conjugation"
             )
-    hermitian_part = space.gram @ q_matrix
     diagnostics = {
         "self_adjoint_residual": float(np.linalg.norm(rel.graph.projector() - adj.graph.projector())),
         "hermitian_residual": float(np.linalg.norm(hermitian_part - hermitian_part.conj().T)),
@@ -235,6 +243,7 @@ def verify_definitizing(
         points=tuple(w for w, _ in report.points),
         degrees=degrees,
         diagnostics=diagnostics,
+        psd_eig=tuple(psd_eig),
     )
 
 
@@ -304,6 +313,7 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
     if not dom.same_as(mul.complement()):
         raise InconsistencyError("domain is not the orthogonal complement of the multivalued part")
     atoms: list[tuple[object, np.ndarray]] = []
+    points: list[tuple[object, int]] = []
     k = dom.dim
     if k > 0:
         x, y = rel.graph_columns()
@@ -330,8 +340,10 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
         for gi, idx in groups.items():
             vecs = dom.basis @ eigvecs[:, idx]
             atoms.append((complex(centers[gi]), vecs @ vecs.conj().T))
+            points.append((complex(centers[gi]), len(idx)))
     if mul.dim > 0:
         atoms.append((INF, mul.basis @ mul.basis.conj().T))
+        points.append((INF, mul.dim))
     atoms.sort(key=lambda t: point_sort_key(t[0]))
     measure = SpectralMeasure(r, tuple(atoms))
     if float(np.linalg.norm(measure.total() - np.eye(r))) > 1e-8 * max(1.0, float(np.sqrt(r))):
@@ -341,7 +353,8 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
     for p, proj in measure.atoms:
         if not is_inf(p):
             recon += proj / (complex(p) - probe)
-    if float(np.linalg.norm(recon - resolvent_at(rel, probe))) > 1e-8 * max(1.0, float(np.linalg.norm(recon))):
+    own_report = SpectrumReport(r, tuple(points))
+    if float(np.linalg.norm(recon - resolvent_at(rel, probe, own_report))) > 1e-8 * max(1.0, float(np.linalg.norm(recon))):
         raise InconsistencyError("spectral measure does not reproduce the resolvent")
     return measure
 
@@ -384,9 +397,7 @@ def gram_factorize(pair: DefinitizablePair, psd_cutoff: float = PSD_CUTOFF) -> F
     """
     g = pair.space.gram
     n = pair.space.dim
-    h = g @ pair.q_matrix
-    h = (h + h.conj().T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(h)
+    eigvals, eigvecs = pair.psd_eig
     scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
     # floored scale: rounding noise in a numerically vanishing q(A) is not rank
     keep = eigvals > psd_cutoff * max(scale, 1.0)

@@ -21,13 +21,14 @@ from .errors import (
     SingularMoebiusError,
     ValidationError,
 )
-from .relations import INF, MoebiusMap, Point, as_point, is_inf
+from .relations import INF, MoebiusMap, Point, as_point, is_inf, require_finite
 from .tolerances import COEFF_TRIM_TOL, REALNESS_TOL, ROOT_CLUSTER_TOL
 
 
 def _trim(coeffs) -> np.ndarray:
     """Drop trailing coefficients that are negligible against the largest."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+    require_finite(c, "polynomial coefficients")
     if c.size == 0:
         return np.zeros(1, dtype=complex)
     scale = float(np.max(np.abs(c)))

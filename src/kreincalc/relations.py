@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NotBoundedError, SingularMoebiusError, ValidationError
+from .errors import InconsistencyError, NotBoundedError, SingularMoebiusError, ValidationError
 from .tolerances import CONTAINMENT_TOL, RANK_TOL, SUBSPACE_EQ_TOL
 
 
@@ -99,6 +98,42 @@ def _sv_cutoff(s: np.ndarray, rank_tol: float) -> float:
     return rank_tol * max(top, 1.0)
 
 
+def require_finite(values, name: str) -> None:
+    """Reject NaN and infinite entries; numpy's LAPACK calls do not check."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} must be finite")
+
+
+def stable_svd(mat: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """``np.linalg.svd`` that retries on the R factor of a QR when LAPACK fails.
+
+    The retry factors the tall orientation (``mat`` or its adjoint) as Q R and
+    takes the SVD of the square triangle R, whose singular values are those of
+    ``mat``; a second failure is a typed InconsistencyError.
+    """
+    try:
+        return np.linalg.svd(mat, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        require_finite(mat, "matrix")
+    wide = mat.shape[0] < mat.shape[1]
+    tall = mat.conj().T if wide else mat
+    k = tall.shape[1]
+    q, r = np.linalg.qr(tall, mode="complete" if full_matrices else "reduced")
+    try:
+        res = np.linalg.svd(r[:k], compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise InconsistencyError("SVD did not converge, not even on the R factor of a QR") from exc
+    if not compute_uv:
+        return res
+    u_r, s, vh = res
+    u = q[:, :k] @ u_r
+    if full_matrices:
+        u = np.hstack([u, q[:, k:]])
+    if wide:  # mat = tall^H = vh^H diag(s) u^H
+        return vh.conj().T, s, u.conj().T
+    return u, s, vh
+
+
 def orthonormal_columns(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column span, rank decided by singular values."""
     mat = np.asarray(mat, dtype=complex)
@@ -107,7 +142,7 @@ def orthonormal_columns(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarr
     n, k = mat.shape
     if k == 0:
         return np.zeros((n, 0), dtype=complex)
-    u, s, _ = scipy.linalg.svd(mat, full_matrices=False)
+    u, s, _ = stable_svd(mat)
     rank = int(np.sum(s > _sv_cutoff(s, rank_tol)))
     return u[:, :rank]
 
@@ -120,7 +155,7 @@ def null_space(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     if n == 0:
         return np.eye(k, dtype=complex)
-    _, s, vh = scipy.linalg.svd(mat, full_matrices=True)
+    _, s, vh = stable_svd(mat, full_matrices=True)
     rank = int(np.sum(s > _sv_cutoff(s, rank_tol)))
     return vh[rank:, :].conj().T
 
@@ -306,6 +341,7 @@ class LinearRelation:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError("operator matrix must be square")
+        require_finite(mat, "operator matrix")
         n = mat.shape[0]
         stacked = np.vstack([np.eye(n, dtype=complex), mat])
         return cls(n, Subspace.from_spanning(stacked, 2 * n))
@@ -316,6 +352,8 @@ class LinearRelation:
         y = np.asarray(y, dtype=complex)
         if x.shape != y.shape or x.ndim != 2:
             raise ValidationError("graph columns need matching n x k shapes")
+        require_finite(x, "graph column block X")
+        require_finite(y, "graph column block Y")
         return cls(x.shape[0], Subspace.from_spanning(np.vstack([x, y]), 2 * x.shape[0], rank_tol))
 
     def graph_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +418,7 @@ class LinearRelation:
         if n == 0:
             return np.zeros((0, 0), dtype=complex)
         x, y = self.graph_columns()
-        u, s, vh = scipy.linalg.svd(x)
+        u, s, vh = stable_svd(x)
         if s.size == 0 or s[-1] <= _sv_cutoff(s, rank_tol):
             raise NotBoundedError("relation is not an everywhere-defined operator")
         return y @ (vh.conj().T @ np.diag(1.0 / s) @ u.conj().T)

@@ -318,6 +318,36 @@ class TestInputForms:
         assert np.allclose(imags, [-1.0, 1.0], atol=1e-9)
 
 
+class TestNonFiniteInput:
+    def test_nan_in_operator_is_a_validation_error(self, tmp_path):
+        base = json.loads((FIXTURES / "running.json").read_text())
+        base["relation"]["operator"][0][1] = float("nan")
+        problem = tmp_path / "nan.json"
+        problem.write_text(json.dumps(base))
+        rc, doc = run_cli("definitize", "--input", str(problem))
+        assert rc == 2
+        assert doc["error"]["code"] == "validation"
+        assert "finite" in doc["error"]["message"]
+
+    def test_infinite_q_coefficient_is_a_validation_error(self, tmp_path):
+        base = json.loads((FIXTURES / "running.json").read_text())
+        base["q"]["num"] = [float("inf")]
+        problem = tmp_path / "inf_q.json"
+        problem.write_text(json.dumps(base))
+        rc, doc = run_cli("definitize", "--input", str(problem))
+        assert rc == 2
+        assert doc["error"]["code"] == "validation"
+        assert "finite" in doc["error"]["message"]
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kreincalc.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "kreincalc.cli", "norm-f",

@@ -59,6 +59,10 @@ class TestGramSpace:
         with pytest.raises(ValidationError):
             GramSpace(np.diag([1.0, 0.0]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="finite"):
+            GramSpace(np.diag([1.0, np.nan]))
+
     def test_inner_product_symmetry(self):
         rng = np.random.default_rng(31)
         g = random_gram(rng, 4)
@@ -316,6 +320,28 @@ class TestGramFactorize:
         assert np.allclose(fact.gram_product, np.diag([1.0, 0.0]), atol=1e-12)
         assert np.allclose(fact.theta.operator_matrix(), [[1.0]])
         assert fact.diagnostics["psd_margin"] > 0.99
+
+    def test_one_eigendecomposition_of_g_q_a(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        planted = random_definitizable(rng, allow_mul=True)
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(mat, *args, _real=real, **kwargs):
+                seen.append(np.array(mat))
+                return _real(mat, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        pair = planted.verify()
+        h = pair.space.gram @ pair.q_matrix
+        h = (h + h.conj().T) / 2.0
+        fact = gram_factorize(pair)
+        assert sum(np.array_equal(m, h) for m in seen) == 1
+        eigvals, eigvecs = pair.psd_eig
+        assert np.allclose(eigvecs @ np.diag(eigvals) @ eigvecs.conj().T, h, atol=1e-10)
+        kept = eigvals[eigvals > 1e-10 * max(float(np.max(np.abs(eigvals))), 1.0)]
+        assert fact.diagnostics["psd_margin"] == (float(np.min(kept)) if kept.size else 0.0)
 
     def test_factorization_identity_random(self):
         rng = np.random.default_rng(39)

@@ -12,6 +12,7 @@ from kreincalc import (
     Polynomial,
     RationalFunction,
     SingularMoebiusError,
+    ValidationError,
     chordal_distance,
     moebius_scalar,
     rational_from_scalar,
@@ -26,6 +27,14 @@ finite_coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False).filter(
 
 
 class TestPolynomial:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_coefficients_rejected(self, bad):
+        # an infinite coefficient must not be trimmed into the zero polynomial
+        with pytest.raises(ValidationError, match="finite"):
+            Polynomial([1.0, bad])
+        with pytest.raises(ValidationError, match="finite"):
+            Polynomial([bad])
+
     def test_evaluation_matches_horner_oracle(self):
         p = Polynomial([1.0, -2.0, 0.5, 3.0])
         z = 0.7 - 1.1j

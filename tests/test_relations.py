@@ -5,6 +5,7 @@ import pytest
 
 from kreincalc import (
     INF,
+    InconsistencyError,
     LinearRelation,
     MoebiusMap,
     NotBoundedError,
@@ -14,6 +15,7 @@ from kreincalc import (
     diagonal_image,
     diagonal_preimage,
 )
+from kreincalc.relations import null_space, stable_svd
 
 from helpers import random_invertible, random_operator, random_relation
 
@@ -251,6 +253,71 @@ class TestLinearRelation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             LinearRelation.from_graph_columns(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = bad
+        with pytest.raises(ValidationError):
+            LinearRelation.from_operator(mat)
+        with pytest.raises(ValidationError):
+            LinearRelation.from_graph_columns(np.eye(3), mat)
+        with pytest.raises(ValidationError):
+            LinearRelation.from_graph_columns(mat, np.eye(3))
+
+
+class TestStableSvd:
+    @staticmethod
+    def failing_once(monkeypatch, times=1):
+        real = np.linalg.svd
+        left = [times]
+
+        def svd(*args, **kwargs):
+            if left[0] > 0:
+                left[0] -= 1
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_retry_on_the_r_factor_matches_the_direct_svd(self, monkeypatch, shape, full):
+        rng = np.random.default_rng(17)
+        mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mat[:, -1] = mat[:, 0]  # rank deficient
+        want_u, want_s, want_vh = np.linalg.svd(mat, full_matrices=full)
+        self.failing_once(monkeypatch)
+        u, s, vh = stable_svd(mat, full_matrices=full)
+        assert u.shape == want_u.shape and vh.shape == want_vh.shape
+        assert np.allclose(s, want_s, atol=1e-12)
+        k = s.size
+        assert np.allclose(u[:, :k] @ np.diag(s) @ vh[:k], mat, atol=1e-12)
+        assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
+        assert np.allclose(vh @ vh.conj().T, np.eye(vh.shape[0]), atol=1e-12)
+
+    def test_retry_without_vectors(self, monkeypatch):
+        mat = np.arange(12.0).reshape(3, 4) + 1j
+        want = np.linalg.svd(mat, compute_uv=False)
+        self.failing_once(monkeypatch)
+        assert np.allclose(stable_svd(mat, compute_uv=False), want, atol=1e-12)
+
+    def test_null_space_survives_one_failure(self, monkeypatch):
+        mat = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        self.failing_once(monkeypatch)
+        basis = null_space(mat)
+        assert basis.shape == (3, 2)
+        assert np.allclose(mat @ basis, 0.0, atol=1e-12)
+
+    def test_second_failure_is_typed(self, monkeypatch):
+        self.failing_once(monkeypatch, times=2)
+        with pytest.raises(InconsistencyError):
+            stable_svd(np.eye(3))
+
+    def test_failure_on_non_finite_input_is_a_validation_error(self, monkeypatch):
+        self.failing_once(monkeypatch)
+        with pytest.raises(ValidationError):
+            stable_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_diagonal_image_and_preimage():

@@ -1,5 +1,8 @@
 """Spectrum computation, resolvents and the rational calculus."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,19 +10,100 @@ from kreincalc import (
     INF,
     LinearRelation,
     MoebiusMap,
+    NotBoundedError,
     NotInResolventSetError,
     PoleMeetsSpectrumError,
     Polynomial,
     PreconditionError,
     RationalFunction,
+    SpectrumReport,
     chordal_distance,
     in_resolvent_set,
     rational_apply,
     resolvent_at,
     spectrum,
 )
+from kreincalc.rational import cluster_values
+from kreincalc.tolerances import SPECTRUM_CLUSTER_TOL
 
-from helpers import match_point_sets, random_operator, random_rational, random_relation
+from helpers import (
+    match_point_sets,
+    random_operator,
+    random_proper_relation,
+    random_rational,
+    random_relation,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _block_diag(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[at : at + k, at : at + k] = b
+        at += k
+    return out
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def weierstrass_pencil(rng, finite, chains, mix):
+    """Relation whose pencil (Y, X) has a planted Weierstrass form.
+
+    ``finite`` lists (point, Jordan block size); ``chains`` lists the lengths
+    of the Jordan chains at infinity.  The canonical pair
+    X0 = I + N_inf, Y0 = J_fin + I is moved to P X0 Q, P Y0 Q by unitary P, Q
+    (``mix="unitary"``) or permutations, which keep its zeros exact
+    (``mix="permutation"``).  Returns the relation and the planted points.
+    """
+    fin = [p * np.eye(k) + np.eye(k, k, 1) for p, k in finite]
+    inf = [np.eye(k, k, 1) for k in chains]
+    nf, ni = sum(k for _, k in finite), sum(chains)
+    x0 = _block_diag(np.eye(nf), *inf)
+    y0 = _block_diag(*fin, np.eye(ni))
+    n = nf + ni
+    if mix == "unitary":
+        p, q = _unitary(rng, n), _unitary(rng, n)
+    else:
+        p, q = np.eye(n)[rng.permutation(n)], np.eye(n)[rng.permutation(n)]
+    planted = [(complex(pt), k) for pt, k in finite]
+    if ni:
+        planted.append((INF, ni))
+    return LinearRelation.from_graph_columns(p @ x0 @ q, p @ y0 @ q), planted
+
+
+def qz_points(rel):
+    """The spectrum by scipy's QZ with the same infinity test and clustering."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    x, y = rel.graph_columns()
+    alpha, beta = scipy_linalg.eig(y, x, right=False, homogeneous_eigvals=True)
+    finite, inf_count = [], 0
+    for a, b in zip(alpha.ravel(), beta.ravel()):
+        if abs(b) <= 1e-10 * max(abs(a), abs(b), 1.0):
+            inf_count += 1
+        else:
+            finite.append(complex(a / b))
+    out = list(cluster_values(finite, SPECTRUM_CLUSTER_TOL))
+    return out + [(INF, inf_count)] if inf_count else out
+
+
+def assert_same_points(got, want, tol):
+    """Equal multiplicities, and each point within tol of its partner."""
+    assert sorted(m for _, m in got) == sorted(m for _, m in want)
+    rest = list(want)
+    for p, m in got:
+        same_kind = [t for t in rest if (t[0] is INF) == (p is INF) and t[1] == m]
+        assert same_kind, (got, want)
+        partner = min(same_kind, key=lambda t: 0.0 if p is INF else abs(complex(t[0]) - p))
+        if p is not INF:
+            assert abs(complex(partner[0]) - p) <= tol, (got, want)
+        rest.remove(partner)
 
 
 class TestSpectrum:
@@ -95,6 +179,53 @@ class TestSpectrum:
             assert match_point_sets(want, mapped.points, tol=1e-7)
 
 
+# finite Jordan 2-blocks, conjugate pairs, multivalued parts and chains at infinity
+PENCIL_SPECS = [
+    ([(1.5, 1), (-0.5 + 1j, 1), (-0.5 - 1j, 1), (2.0, 2), (-1.0, 1)], [1, 1]),
+    ([(0.3, 2), (-2.0, 2), (1 + 0.5j, 1), (1 - 0.5j, 1), (2.5, 1)], [1]),
+    ([(-1.2, 1), (0.4, 2), (2.2 + 0.7j, 1), (2.2 - 0.7j, 1)], []),
+    ([(0.7, 1), (0.1, 2), (-2.6, 1)], [2, 1]),
+]
+
+
+class TestPencilSolver:
+    @pytest.mark.parametrize("spec", range(len(PENCIL_SPECS)))
+    def test_agrees_with_scipy_qz(self, spec):
+        finite, chains = PENCIL_SPECS[spec]
+        # QZ deflates a chain at infinity only while its zeros stay exact
+        mixes = ["permutation"] if any(k > 1 for k in chains) else ["permutation", "unitary"]
+        for mix in mixes:
+            rng = np.random.default_rng(100 + spec)
+            for _ in range(8):
+                rel, planted = weierstrass_pencil(rng, finite, chains, mix)
+                got = spectrum(rel).points
+                assert_same_points(got, qz_points(rel), tol=1e-10)
+                assert_same_points(got, planted, tol=1e-7)
+
+    def test_chains_at_infinity_survive_unitary_mixing(self):
+        # rounding splits the nu of a chain at infinity by about sqrt(eps),
+        # far above the 1e-10 infinity test; the rank decisions on
+        # (Y - lam0 X)^{-1} X still count the whole chain
+        rng = np.random.default_rng(7)
+        for finite, chains in PENCIL_SPECS:
+            for _ in range(10):
+                rel, planted = weierstrass_pencil(rng, finite, chains, "unitary")
+                assert_same_points(spectrum(rel).points, planted, tol=1e-7)
+
+    def test_nilpotent_block_is_a_chain_at_infinity(self):
+        # X = [[0, 1], [0, 0]], Y = I: both pencil eigenvalues are infinite,
+        # and the eigenvectors alone see only one of them
+        rel = LinearRelation.from_graph_columns(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        assert spectrum(rel).points == ((INF, 2),)
+
+    @pytest.mark.parametrize("name", ["critical-981", "critical-3804"])
+    def test_planted_jordan_pairs_stay_double(self, name):
+        case = json.loads((FIXTURES / "jordan_pencils.json").read_text())["cases"][name]
+        x, y = (np.array(case[k])[..., 0] + 1j * np.array(case[k])[..., 1] for k in ("X", "Y"))
+        planted = [(INF if p == "inf" else complex(*p), m) for p, m in case["points"]]
+        assert_same_points(spectrum(LinearRelation.from_graph_columns(x, y)).points, planted, tol=1e-7)
+
+
 class TestResolvent:
     def test_resolvent_matches_matrix_inverse(self):
         rng = np.random.default_rng(23)
@@ -117,6 +248,22 @@ class TestResolvent:
         rel = LinearRelation.from_graph_columns(x, y)
         got = resolvent_at(rel, 0.0)
         assert np.allclose(got, np.diag([1.0, 0.0]))
+
+    def test_matches_moebius_image_with_multivalued_part(self):
+        rng = np.random.default_rng(31)
+        for n in (3, 5, 8):
+            rel = random_proper_relation(rng, n, with_mul=True)
+            assert rel.mul().dim > 0
+            for lam in (0.4 + 1.1j, -2.0 + 0.3j):
+                want = rel.moebius(MoebiusMap.resolvent_map(lam)).operator_matrix()
+                assert np.allclose(resolvent_at(rel, lam), want, atol=1e-9 * max(1.0, np.linalg.norm(want)))
+
+    def test_unbounded_resolvent_raises_even_with_a_wrong_report(self):
+        rel = LinearRelation.from_operator(np.diag([1.0, 2.0]))
+        wrong = SpectrumReport(2, ((5.0, 2),))
+        for lam in (2.0, 2.0 + 1e-12):  # exactly singular, and ||R|| = 1e12
+            with pytest.raises(NotBoundedError):
+                resolvent_at(rel, lam, wrong)
 
     def test_point_in_spectrum_rejected(self):
         rel = LinearRelation.from_operator(np.diag([1.0, 2.0]))
