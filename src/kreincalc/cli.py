@@ -20,21 +20,26 @@ import sys
 
 import numpy as np
 
-from .errors import InconsistencyError, KreinCalcError, PreconditionError, ValidationError
+from .errors import KreinCalcError, ValidationError
 from .jetcalc import JetFunction, apply_calculus, decompose, embed_rational, norm_f, spectral_projection
 from .krein import GramSpace, gram_factorize, theta_op, verify_definitizing, xi
 from .rational import Polynomial, RationalFunction
 from .relations import INF, LinearRelation, is_inf
 from .spectral import rational_apply, spectrum
-from .tolerances import PSD_CUTOFF, PSD_TOL, RANK_TOL
+from .tolerances import PSD_TOL, RANK_TOL
 
 # -- JSON decoding -----------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    # JSON true and false decode to bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _decode_scalar(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(t, (int, float)) for t in value):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(t) for t in value):
         return complex(value[0], value[1])
     raise ValidationError(f"expected a number or [re, im] pair, got {value!r}")
 
@@ -217,10 +222,6 @@ def _cmd_adjoint(problem: Problem, args) -> dict:
 
 def _cmd_definitize(problem: Problem, args) -> dict:
     pair = problem.pair()
-    eigvals = pair.psd_eig[0]
-    kept = eigvals > PSD_CUTOFF * max(float(np.max(np.abs(eigvals))), 1.0)
-    diagnostics = dict(pair.diagnostics)
-    diagnostics["psd_margin"] = float(np.min(eigvals[kept])) if np.any(kept) else 0.0
     return {
         "spectrum": _spectrum_payload(pair.report),
         "results": {
@@ -230,7 +231,7 @@ def _cmd_definitize(problem: Problem, args) -> dict:
             ],
             "critical_points": [_encode_point(w) for w in pair.critical_points],
         },
-        "diagnostics": diagnostics,
+        "diagnostics": dict(pair.diagnostics),
     }
 
 

@@ -47,7 +47,8 @@ from .relations import INF, as_point, conj_point, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import rational_apply, resolvent_at  # noqa: F401
-from .tolerances import JET_INVERT_TOL, POINT_MATCH_TOL
+from .tolerances import (BASE_POINT_CLEARANCE, BASE_POINT_TOL, IDENTITY_TOL, JET_INVERT_TOL, JET_ZERO_TOL,
+                         KERNEL_VALUE_TOL, ROUNDOFF_TOL)
 
 # -- jet arithmetic ---------------------------------------------------------
 
@@ -61,11 +62,11 @@ def jet_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[: a.size]
 
 
-def jet_invert(a: np.ndarray, tol: float = JET_INVERT_TOL) -> np.ndarray:
+def jet_invert(a: np.ndarray) -> np.ndarray:
     """Convolution inverse; exists iff the leading entry is nonzero."""
     a = np.asarray(a, dtype=complex).ravel()
     scale = max(1.0, float(np.max(np.abs(a))))
-    if abs(a[0]) <= tol * scale:
+    if abs(a[0]) <= JET_INVERT_TOL * scale:
         raise JetNotInvertibleError("jet has (numerically) vanishing leading entry")
     out = np.zeros(a.size, dtype=complex)
     out[0] = 1.0 / a[0]
@@ -249,7 +250,7 @@ def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
     plans = pair._calculus_plans
     if key not in plans:
         point = _default_mu(pair) if key is None else key
-        if pair.report.distance_to(point) <= 1e-9:
+        if pair.report.distance_to(point) <= BASE_POINT_TOL:
             raise ValidationError("base point mu must lie in the resolvent set")
         plans[key] = _CalculusPlan(pair, point)
     return plans[key]
@@ -298,8 +299,8 @@ def _default_mu(pair: DefinitizablePair) -> complex:
             radius = max(radius, abs(complex(z)))
     mu = 1j * (1.0 + radius)
     for _ in range(8):
-        clear = abs(mu.imag) > 1e-6 and all(
-            is_inf(w) or abs(mu - complex(w)) > 1e-6 for w in pair.points
+        clear = abs(mu.imag) > BASE_POINT_CLEARANCE and all(
+            is_inf(w) or abs(mu - complex(w)) > BASE_POINT_CLEARANCE for w in pair.points
         )
         if clear:
             return mu
@@ -326,7 +327,7 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
         raise ValidationError("jet function does not belong to this pair")
     plan = _plan(pair, mu)
     vec = np.array([phi.values[w][j] for w in plan.critical for j in range(pair.degrees[w])], dtype=complex)
-    if vec.size == 0 or float(np.max(np.abs(vec))) <= 1e-12 * max(1.0, phi.max_abs()):
+    if vec.size == 0 or float(np.max(np.abs(vec))) <= ROUNDOFF_TOL * max(1.0, phi.max_abs()):
         # interpolation data is pure roundoff; the exact solution is zero
         coeffs = np.zeros(plan.size, dtype=complex)
     else:
@@ -341,7 +342,7 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
         g[w] = complex((phi.values[w][d] - s_top) / plan.q_jets[w][d])
     dec = Decomposition(pair=pair, coeffs=coeffs, g=g, base_point=plan.mu, _plan=plan)
     resid = (dec.assemble() - phi).max_abs()
-    if resid > 1e-7 * max(1.0, phi.max_abs()):
+    if resid > IDENTITY_TOL * max(1.0, phi.max_abs()):
         raise InconsistencyError("decomposition failed to reassemble the jet function")
     return dec
 
@@ -368,17 +369,17 @@ def omega_kernel_check(pair: DefinitizablePair, s: RationalFunction, g: dict) ->
         w: s.jet_at(w, pair.degrees[w]) + g[w] * pair.q.jet_at(w, pair.degrees[w]) for w in pair.points
     })
     scale = max(1.0, assembled.max_abs(), float(np.max(np.abs(s.num.coeffs))))
-    direct = assembled.max_abs() <= 1e-9 * scale
+    direct = assembled.max_abs() <= JET_ZERO_TOL * scale
     criterion = True
     for w in pair.points:
         d = pair.degrees[w]
         s_jet = s.jet_at(w, d)
         q_jet = pair.q.jet_at(w, d)
-        if d > 0 and float(np.max(np.abs(s_jet[:d]))) > 1e-9 * scale:
+        if d > 0 and float(np.max(np.abs(s_jet[:d]))) > JET_ZERO_TOL * scale:
             criterion = False
             break
         expected = -complex(s_jet[d]) / complex(q_jet[d])
-        if abs(g[w] - expected) > 1e-8 * max(1.0, abs(expected)):
+        if abs(g[w] - expected) > KERNEL_VALUE_TOL * max(1.0, abs(expected)):
             criterion = False
             break
     if direct != criterion:
@@ -442,7 +443,7 @@ def spectral_projection(fact: Factorization, delta, mu=None) -> np.ndarray:
     """The calculus applied to the indicator of delta; a bounded projection."""
     proj = apply_calculus(fact, indicator(fact.pair, delta), mu)
     resid = float(np.linalg.norm(proj @ proj - proj))
-    if resid > 1e-7 * max(1.0, float(np.linalg.norm(proj)) ** 2):
+    if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(proj)) ** 2):
         raise InconsistencyError("spectral projection failed to be idempotent")
     return proj
 

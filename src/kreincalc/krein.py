@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .rational import RationalFunction
+from .rational import RationalFunction, _cluster_members
 from .relations import (
     INF,
     LinearRelation,
@@ -42,16 +42,9 @@ from .relations import (
     require_finite,
 )
 from .spectral import SpectrumReport, rational_apply, resolvent_at, spectrum
-from .tolerances import (
-    COMMUTANT_TOL,
-    HERMITIAN_TOL,
-    POINT_MATCH_TOL,
-    PSD_CUTOFF,
-    PSD_TOL,
-    RANK_TOL,
-    REALNESS_TOL,
-    SPECTRUM_CLUSTER_TOL,
-)
+from .tolerances import (ATOM_MATCH_TOL, COMMUTANT_TOL, FACTOR_TOL, HERMITIAN_TOL, IDENTITY_TOL, MEASURE_TOL,
+                         POINT_MATCH_TOL, PSD_CUTOFF, PSD_TOL, RANK_TOL, REALNESS_TOL, ROUNDOFF_TOL,
+                         SPECTRUM_CLUSTER_TOL)
 
 
 class GramSpace:
@@ -93,11 +86,6 @@ class GramSpace:
         """Adjoint of an operator matrix: G^{-1} B* G."""
         mat = np.asarray(mat, dtype=complex)
         return np.linalg.solve(self.gram, mat.conj().T @ self.gram)
-
-    def is_self_adjoint(self, mat: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-        mat = np.asarray(mat, dtype=complex)
-        scale = max(1.0, float(np.linalg.norm(mat)))
-        return float(np.linalg.norm(mat - self.adjoint_of(mat))) <= tol * scale
 
     def is_positive(self, mat: np.ndarray, tol: float = PSD_TOL, eigvals: np.ndarray | None = None) -> bool:
         """[Bx, x] >= 0 for all x, i.e. G B is Hermitian positive semidefinite.
@@ -156,12 +144,6 @@ class DefinitizablePair:
     def critical_points(self) -> tuple[object, ...]:
         return tuple(w for w in self.points if self.degrees[w] > 0)
 
-    def degree_of(self, w) -> int:
-        return self.degrees[self.resolve(w)]
-
-    def jet_length(self, w) -> int:
-        return self.degree_of(w) + 1
-
     def resolve(self, z, tol: float = POINT_MATCH_TOL):
         """Match z against the canonical spectral points."""
         z = as_point(z)
@@ -186,6 +168,11 @@ def symmetrize_definitizing(q: RationalFunction) -> RationalFunction:
     return q + q.sharp()
 
 
+def _is_real_point(w) -> bool:
+    """Infinity, or a point whose imaginary part is below REALNESS_TOL (relative)."""
+    return is_inf(w) or abs(complex(w).imag) <= REALNESS_TOL * max(1.0, abs(complex(w)))
+
+
 def verify_definitizing(
     space: GramSpace,
     rel: LinearRelation,
@@ -202,7 +189,7 @@ def verify_definitizing(
         raise ValidationError("relation and Gram space dimensions differ")
     if q.is_zero:
         raise ValidationError("the zero function cannot serve as q")
-    if not q.is_real(REALNESS_TOL):
+    if not q.is_real():
         raise NotRealError("q must be a real rational function")
     report = spectrum(rel)
     if report.is_full_sphere:
@@ -218,7 +205,7 @@ def verify_definitizing(
     degrees: dict = {}
     for w, _ in report.points:
         d = q.zero_degree_at(w)
-        if not is_inf(w) and abs(complex(w).imag) > 1e-8 * max(1.0, abs(complex(w))) and d == 0:
+        if not _is_real_point(w) and d == 0:
             raise InconsistencyError(
                 f"spectral point {w} is neither real nor a zero of q; the "
                 "definitizability conclusion fails, input tolerances are suspect"
@@ -230,9 +217,11 @@ def verify_definitizing(
             raise InconsistencyError(
                 "critical spectrum is not symmetric under conjugation"
             )
+    kept = psd_eig[0][_psd_kept(psd_eig[0])]
     diagnostics = {
         "self_adjoint_residual": float(np.linalg.norm(rel.graph.projector() - adj.graph.projector())),
         "hermitian_residual": float(np.linalg.norm(hermitian_part - hermitian_part.conj().T)),
+        "psd_margin": float(np.min(kept)) if kept.size else 0.0,
     }
     return DefinitizablePair(
         space=space,
@@ -264,13 +253,14 @@ def derive_definitizing(pair: DefinitizablePair, r: RationalFunction) -> bool:
         if d > 0 and r.zero_degree_at(w) < d:
             return False
     for w in pair.points:
-        if not is_inf(w) and abs(complex(w).imag) > 1e-8 * max(1.0, abs(complex(w))):
+        if not _is_real_point(w):
             continue  # nonreal critical points carry no positivity constraint
         d = pair.degrees[w]
         r_jet = r.jet_at(w, d)
         q_jet = pair.q.jet_at(w, d)
         value = complex(r_jet[d] / q_jet[d])
-        if abs(value.imag) > 1e-8 * max(1.0, abs(value)) or value.real < -1e-8 * max(1.0, abs(value)):
+        scale = max(1.0, abs(value))
+        if abs(value.imag) > REALNESS_TOL * scale or value.real < -PSD_TOL * scale:
             return False
     return True
 
@@ -320,33 +310,20 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
         coeff, *_ = np.linalg.lstsq(x, dom.basis, rcond=None)
         compressed = dom.basis.conj().T @ (y @ coeff)
         herm_resid = float(np.linalg.norm(compressed - compressed.conj().T))
-        if herm_resid > 1e-8 * max(1.0, float(np.linalg.norm(compressed))):
+        if herm_resid > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(compressed))):
             raise InconsistencyError("operator part failed to compress to a Hermitian matrix")
         compressed = (compressed + compressed.conj().T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(compressed)
-        groups: dict[int, list[int]] = {}
-        centers: list[float] = []
-        for i, lam in enumerate(eigvals):
-            placed = False
-            for gi, c in enumerate(centers):
-                if abs(lam - c) <= SPECTRUM_CLUSTER_TOL * max(1.0, abs(c)):
-                    groups[gi].append(i)
-                    centers[gi] = float(np.mean([eigvals[j] for j in groups[gi]]))
-                    placed = True
-                    break
-            if not placed:
-                centers.append(float(lam))
-                groups[len(centers) - 1] = [i]
-        for gi, idx in groups.items():
+        for center, idx in _cluster_members(eigvals, SPECTRUM_CLUSTER_TOL):
             vecs = dom.basis @ eigvecs[:, idx]
-            atoms.append((complex(centers[gi]), vecs @ vecs.conj().T))
-            points.append((complex(centers[gi]), len(idx)))
+            atoms.append((center, vecs @ vecs.conj().T))
+            points.append((center, len(idx)))
     if mul.dim > 0:
         atoms.append((INF, mul.basis @ mul.basis.conj().T))
         points.append((INF, mul.dim))
     atoms.sort(key=lambda t: point_sort_key(t[0]))
     measure = SpectralMeasure(r, tuple(atoms))
-    if float(np.linalg.norm(measure.total() - np.eye(r))) > 1e-8 * max(1.0, float(np.sqrt(r))):
+    if float(np.linalg.norm(measure.total() - np.eye(r))) > MEASURE_TOL * max(1.0, float(np.sqrt(r))):
         raise InconsistencyError("spectral projectors do not sum to the identity")
     probe = 0.2131 + 1.3703j
     recon = np.zeros((r, r), dtype=complex)
@@ -354,7 +331,8 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
         if not is_inf(p):
             recon += proj / (complex(p) - probe)
     own_report = SpectrumReport(r, tuple(points))
-    if float(np.linalg.norm(recon - resolvent_at(rel, probe, own_report))) > 1e-8 * max(1.0, float(np.linalg.norm(recon))):
+    resid = float(np.linalg.norm(recon - resolvent_at(rel, probe, own_report)))
+    if resid > MEASURE_TOL * max(1.0, float(np.linalg.norm(recon))):
         raise InconsistencyError("spectral measure does not reproduce the resolvent")
     return measure
 
@@ -384,13 +362,20 @@ class Factorization:
     @functools.cached_property
     def atom_points(self) -> tuple[object, ...]:
         """The spectral point of the pair at each atom of the measure."""
-        return tuple(self.pair.resolve(p, tol=1e-6) for p, _ in self.measure.atoms)
+        return tuple(self.pair.resolve(p, tol=ATOM_MATCH_TOL) for p, _ in self.measure.atoms)
 
 
-def gram_factorize(pair: DefinitizablePair, psd_cutoff: float = PSD_CUTOFF) -> Factorization:
+def _psd_kept(eigvals: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues of Hermitian(G q(A)) above PSD_CUTOFF * ||H||."""
+    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
+    # floored scale: rounding noise in a numerically vanishing q(A) is not rank
+    return eigvals > PSD_CUTOFF * max(scale, 1.0)
+
+
+def gram_factorize(pair: DefinitizablePair) -> Factorization:
     """Factor q(A) = T T^+ and pull the relation back to the factor space.
 
-    Eigenvalues of Hermitian(G q(A)) at or below psd_cutoff * ||H|| are
+    Eigenvalues of Hermitian(G q(A)) at or below PSD_CUTOFF * ||H|| are
     discarded as zeros; the retained part determines the rank r, the factor
     T and its adjoint, and the pulled-back relation with its spectral
     measure.
@@ -398,16 +383,14 @@ def gram_factorize(pair: DefinitizablePair, psd_cutoff: float = PSD_CUTOFF) -> F
     g = pair.space.gram
     n = pair.space.dim
     eigvals, eigvecs = pair.psd_eig
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    # floored scale: rounding noise in a numerically vanishing q(A) is not rank
-    keep = eigvals > psd_cutoff * max(scale, 1.0)
+    keep = _psd_kept(eigvals)
     rank = int(np.sum(keep))
     roots = np.sqrt(eigvals[keep])
     u_plus = eigvecs[:, keep]
     factor_adjoint = np.diag(roots) @ u_plus.conj().T
     factor = np.linalg.solve(g, factor_adjoint.conj().T)
     resid_factor = float(np.linalg.norm(factor @ factor_adjoint - pair.q_matrix))
-    if resid_factor > 1e-6 * max(1.0, float(np.linalg.norm(pair.q_matrix))):
+    if resid_factor > FACTOR_TOL * max(1.0, float(np.linalg.norm(pair.q_matrix))):
         raise InconsistencyError("T T^+ failed to reproduce q(A)")
     if rank == 0:
         theta = LinearRelation(0, Subspace(np.zeros((0, 0), dtype=complex), 0))
@@ -419,7 +402,7 @@ def gram_factorize(pair: DefinitizablePair, psd_cutoff: float = PSD_CUTOFF) -> F
         measure = spectral_measure(theta)
     diagnostics = {
         "factor_residual": resid_factor,
-        "psd_margin": float(np.min(eigvals[keep])) if rank else 0.0,
+        "psd_margin": pair.diagnostics["psd_margin"],
         "discarded_eigenvalue": float(np.max(np.abs(eigvals[~keep]))) if rank < n else 0.0,
     }
     return Factorization(
@@ -458,7 +441,7 @@ def theta_op(fact: Factorization, mat: np.ndarray) -> np.ndarray:
     except NotBoundedError as exc:
         raise InconsistencyError("pullback of a commutant operator was not an operator") from exc
     resid = float(np.linalg.norm(fact.factor_adjoint @ mat - out @ fact.factor_adjoint))
-    if resid > 1e-7 * max(1.0, float(np.linalg.norm(mat))):
+    if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(mat))):
         raise InconsistencyError("intertwining identity for the transported operator failed")
     return out
 
@@ -488,7 +471,7 @@ def xi(fact: Factorization, mat: np.ndarray) -> np.ndarray:
 def cayley(space: GramSpace, rel: LinearRelation, mu: complex) -> LinearRelation:
     """Cayley transform z -> (z - mu)/(z - conj mu) of a self-adjoint relation."""
     mu = complex(mu)
-    if abs(mu.imag) <= 1e-12 * max(1.0, abs(mu)):
+    if abs(mu.imag) <= ROUNDOFF_TOL * max(1.0, abs(mu)):
         raise ValidationError("Cayley parameter must be nonreal")
     report = spectrum(rel)
     for point in (mu, mu.conjugate()):
@@ -499,6 +482,6 @@ def cayley(space: GramSpace, rel: LinearRelation, mu: complex) -> LinearRelation
     unitary = rel.moebius(MoebiusMap.cayley(mu))
     mat = unitary.operator_matrix()
     resid = float(np.linalg.norm(space.adjoint_of(mat) @ mat - np.eye(space.dim)))
-    if resid > 1e-7 * max(1.0, float(np.linalg.norm(mat)) ** 2):
+    if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(mat)) ** 2):
         raise InconsistencyError("Cayley transform failed to be unitary")
     return unitary

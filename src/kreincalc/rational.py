@@ -9,7 +9,6 @@ are derived from the degree gap, and Taylor jets at infinity are jets of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,8 @@ from .errors import (
     ValidationError,
 )
 from .relations import INF, MoebiusMap, Point, as_point, is_inf, require_finite
-from .tolerances import COEFF_TRIM_TOL, REALNESS_TOL, ROOT_CLUSTER_TOL
+from .tolerances import (COEFF_TRIM_TOL, JET_INVERT_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, RATIONAL_EQ_TOL,
+                         REALNESS_TOL, ROOT_CLUSTER_TOL)
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -43,22 +43,26 @@ def _trim(coeffs) -> np.ndarray:
     return c
 
 
-def _cluster_members(values, tol: float) -> list[tuple[complex, list[complex]]]:
-    """Greedy clustering; returns (running mean, member list) per group."""
-    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+def _cluster_members(values, tol: float) -> list[tuple[complex, list[int]]]:
+    """Greedy clustering; returns (running mean, member indices) per group.
+
+    Values are visited in (real, imaginary) order, and each joins the first
+    group whose mean lies within tol * max(1, |mean|).  Groups come out
+    sorted by mean, members in visiting order.
+    """
+    vals = [complex(v) for v in values]
     centers: list[complex] = []
-    members: list[list[complex]] = []
-    for v in vals:
-        placed = False
+    members: list[list[int]] = []
+    for k in sorted(range(len(vals)), key=lambda k: (vals[k].real, vals[k].imag)):
+        v = vals[k]
         for i, c in enumerate(centers):
             if abs(v - c) <= tol * max(1.0, abs(c)):
-                members[i].append(v)
-                centers[i] = sum(members[i]) / len(members[i])
-                placed = True
+                members[i].append(k)
+                centers[i] = sum(vals[j] for j in members[i]) / len(members[i])
                 break
-        if not placed:
+        else:
             centers.append(v)
-            members.append([v])
+            members.append([k])
     out = list(zip(centers, members))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
@@ -94,7 +98,7 @@ class Polynomial:
 
     def __init__(self, coeffs):
         self.coeffs = _trim(coeffs)
-        self._clustered = None  # clustered_roots() at the default tolerance
+        self._clustered = None  # clustered_roots(), computed on first use
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -112,7 +116,8 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
-        c = npp.polyfromroots(list(roots)) if len(list(roots)) else np.array([1.0])
+        roots = list(roots)
+        c = npp.polyfromroots(roots) if roots else np.array([1.0])
         return cls(np.asarray(c, dtype=complex) * leading)
 
     @property
@@ -189,9 +194,9 @@ class Polynomial:
     def _jet_validates(self, center: complex, mult: int) -> bool:
         jet = self.shifted(center)
         scale = float(np.max(np.abs(jet))) or 1.0
-        return all(abs(jet[j]) <= 1e-9 * scale for j in range(mult))
+        return all(abs(jet[j]) <= JET_ZERO_TOL * scale for j in range(mult))
 
-    def clustered_roots(self, tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
+    def clustered_roots(self) -> list[tuple[complex, int]]:
         """Roots grouped into (center, multiplicity) pairs.
 
         An m-fold root scatters its numerical approximations over a disc of
@@ -201,19 +206,19 @@ class Polynomial:
         multiple root only when its spread fits the signature and the
         derivative jet at the mean vanishes through order m - 1; otherwise
         it is regrouped at a tighter radius, and groups still failing at the
-        base radius decay into singletons.
+        base radius ROOT_CLUSTER_TOL decay into singletons.
 
-        The result at the default tolerance is computed once per polynomial.
+        The result is computed once per polynomial.
         """
-        default = tol == ROOT_CLUSTER_TOL
-        if default and self._clustered is not None:
+        if self._clustered is not None:
             return list(self._clustered)
         eps = float(np.finfo(float).eps)
         out: list[tuple[complex, int]] = []
         work: list[tuple[float, list[complex]]] = [(0.05, list(self.roots()))]
         while work:
             radius, vals = work.pop()
-            for center, members in _cluster_members(vals, radius):
+            for center, idx in _cluster_members(vals, radius):
+                members = [vals[i] for i in idx]
                 m = len(members)
                 if m == 1:
                     out.append((center, 1))
@@ -221,13 +226,12 @@ class Polynomial:
                 spread = max(abs(r - center) for r in members)
                 if spread <= 8.0 * eps ** (1.0 / m) * max(1.0, abs(center)) and self._jet_validates(center, m):
                     out.append((center, m))
-                elif radius > tol:
-                    work.append((max(radius / 16.0, tol), members))
+                elif radius > ROOT_CLUSTER_TOL:
+                    work.append((max(radius / 16.0, ROOT_CLUSTER_TOL), members))
                 else:
                     out.extend((complex(r), 1) for r in members)
         out.sort(key=lambda t: (t[0].real, t[0].imag))
-        if default:
-            self._clustered = tuple(out)
+        self._clustered = tuple(out)
         return out
 
     def max_abs_coeff(self) -> float:
@@ -358,7 +362,7 @@ class RationalFunction:
             return RationalFunction(x)
         return RationalFunction(Polynomial([complex(x)]))
 
-    def equals(self, other: "RationalFunction", tol: float = 1e-9) -> bool:
+    def equals(self, other: "RationalFunction") -> bool:
         """Cross-multiplied coefficient comparison."""
         diff = self.num * other.den - other.num * self.den
         scale = max(
@@ -366,7 +370,7 @@ class RationalFunction:
             (other.num * self.den).max_abs_coeff(),
             1.0,
         )
-        return diff.max_abs_coeff() <= tol * scale
+        return diff.max_abs_coeff() <= RATIONAL_EQ_TOL * scale
 
     # -- structure -------------------------------------------------------
 
@@ -374,13 +378,13 @@ class RationalFunction:
         """The function z -> conj(r(conj z)); fixed points are the real ones."""
         return RationalFunction(self.num.conj_reflect(), self.den.conj_reflect())
 
-    def is_real(self, tol: float = REALNESS_TOL) -> bool:
+    def is_real(self) -> bool:
         scale = max(self.num.max_abs_coeff(), self.den.max_abs_coeff(), 1.0)
         im = max(
             float(np.max(np.abs(self.num.coeffs.imag))),
             float(np.max(np.abs(self.den.coeffs.imag))),
         )
-        return im <= tol * scale
+        return im <= REALNESS_TOL * scale
 
     def poles(self) -> list[tuple[Point, int]]:
         """Clustered poles including infinity when numerator degree wins."""
@@ -399,15 +403,15 @@ class RationalFunction:
             out.append((INF, gap))
         return out
 
-    def zero_degree_at(self, w, tol: float = ROOT_CLUSTER_TOL) -> int:
+    def zero_degree_at(self, w) -> int:
         """Multiplicity of w as a zero (0 when r(w) != 0); w may be infinity."""
         if self.is_zero:
             raise ValidationError("zero degree of the zero rational function")
         w = as_point(w)
         if is_inf(w):
             return max(0, self.den.degree - self.num.degree)
-        for center, mult in self.num.clustered_roots(tol):
-            if abs(complex(w) - center) <= tol * max(1.0, abs(center)):
+        for center, mult in self.num.clustered_roots():
+            if abs(complex(w) - center) <= ROOT_CLUSTER_TOL * max(1.0, abs(center)):
                 return mult
         return 0
 
@@ -445,11 +449,11 @@ class RationalFunction:
             others = [c for i, (c, m) in enumerate(droots) if i != k for _ in range(m)]
             vk = Polynomial.from_roots(others, leading=1.0)
             vk_shift = vk.shifted(alpha)
-            if abs(vk_shift[0]) <= 1e-13 * max(float(np.max(np.abs(vk_shift))), 1.0):
+            if abs(vk_shift[0]) <= POLE_SEPARATION_TOL * max(float(np.max(np.abs(vk_shift))), 1.0):
                 raise InconsistencyError("pole clusters of the denominator overlap")
             t = _series_divide(w.shifted(alpha), vk_shift, nu)
             top = t[0]
-            if abs(top) <= 1e-12 * max(float(np.max(np.abs(t))), 1.0):
+            if abs(top) <= JET_INVERT_TOL * max(float(np.max(np.abs(t))), 1.0):
                 raise InconsistencyError(
                     "leading principal-part coefficient vanished; numerator and "
                     "denominator were not coprime after normalization"
@@ -464,12 +468,10 @@ class RationalFunction:
         Clears denominators exactly at coefficient level; requires the Möbius
         matrix to be regular.
         """
-        a, b, c, d = moebius.a, moebius.b, moebius.c, moebius.d
-        scale = max(abs(a), abs(b), abs(c), abs(d), 1.0)
-        if abs(moebius.det()) <= 1e-12 * scale * scale:
+        if not moebius.is_regular():
             raise SingularMoebiusError("Möbius matrix is numerically singular")
-        top = Polynomial([b, a])
-        bot = Polynomial([d, c])
+        top = Polynomial([moebius.b, moebius.a])
+        bot = Polynomial([moebius.d, moebius.c])
         big = max(max(self.num.degree, 0), max(self.den.degree, 0))
 
         def expand(poly: Polynomial) -> Polynomial:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistencyError, NotBoundedError, SingularMoebiusError, ValidationError
-from .tolerances import CONTAINMENT_TOL, RANK_TOL, SUBSPACE_EQ_TOL
+from .tolerances import CONTAINMENT_TOL, MOEBIUS_DET_TOL, RANK_TOL, SUBSPACE_EQ_TOL
 
 
 class _Infinity:
@@ -147,7 +147,7 @@ def orthonormal_columns(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarr
     return u[:, :rank]
 
 
-def null_space(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def null_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel, same rank rule as orthonormal_columns."""
     mat = np.asarray(mat, dtype=complex)
     n, k = mat.shape
@@ -156,7 +156,7 @@ def null_space(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     if n == 0:
         return np.eye(k, dtype=complex)
     _, s, vh = stable_svd(mat, full_matrices=True)
-    rank = int(np.sum(s > _sv_cutoff(s, rank_tol)))
+    rank = int(np.sum(s > _sv_cutoff(s, RANK_TOL)))
     return vh[rank:, :].conj().T
 
 
@@ -199,21 +199,21 @@ class Subspace:
     def complement(self) -> "Subspace":
         return Subspace(null_space(self.basis.conj().T), self.ambient_dim)
 
-    def contains_vector(self, v, tol: float = CONTAINMENT_TOL) -> bool:
+    def contains_vector(self, v) -> bool:
         v = np.asarray(v, dtype=complex).ravel()
         resid = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(v)))
+        return float(np.linalg.norm(resid)) <= CONTAINMENT_TOL * max(1.0, float(np.linalg.norm(v)))
 
-    def contains(self, other: "Subspace", tol: float = CONTAINMENT_TOL) -> bool:
+    def contains(self, other: "Subspace") -> bool:
         if other.dim == 0:
             return True
         resid = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        return float(np.linalg.norm(resid)) <= tol * max(1.0, math.sqrt(other.dim))
+        return float(np.linalg.norm(resid)) <= CONTAINMENT_TOL * max(1.0, math.sqrt(other.dim))
 
-    def same_as(self, other: "Subspace", tol: float = SUBSPACE_EQ_TOL) -> bool:
+    def same_as(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             return False
-        return float(np.linalg.norm(self.projector() - other.projector())) <= tol
+        return float(np.linalg.norm(self.projector() - other.projector())) <= SUBSPACE_EQ_TOL
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -262,9 +262,9 @@ class MoebiusMap:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def is_regular(self, tol: float = 1e-12) -> bool:
+    def is_regular(self) -> bool:
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d), 1.0)
-        return abs(self.det()) > tol * scale * scale
+        return abs(self.det()) > MOEBIUS_DET_TOL * scale * scale
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
@@ -410,7 +410,7 @@ class LinearRelation:
         """mu * A."""
         return self.moebius(MoebiusMap.affine(complex(mu), 0.0))
 
-    def operator_matrix(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+    def operator_matrix(self) -> np.ndarray:
         """Matrix of an everywhere-defined single-valued relation."""
         n = self.space_dim
         if self.dim != n:
@@ -419,7 +419,7 @@ class LinearRelation:
             return np.zeros((0, 0), dtype=complex)
         x, y = self.graph_columns()
         u, s, vh = stable_svd(x)
-        if s.size == 0 or s[-1] <= _sv_cutoff(s, rank_tol):
+        if s.size == 0 or s[-1] <= _sv_cutoff(s, RANK_TOL):
             raise NotBoundedError("relation is not an everywhere-defined operator")
         return y @ (vh.conj().T @ np.diag(1.0 / s) @ u.conj().T)
 
@@ -471,11 +471,11 @@ class LinearRelation:
         flipped = np.vstack([comp[n:, :], -comp[:n, :]])
         return LinearRelation(n, Subspace.from_spanning(flipped, 2 * n))
 
-    def contains(self, other: "LinearRelation", tol: float = CONTAINMENT_TOL) -> bool:
-        return self.graph.contains(other.graph, tol)
+    def contains(self, other: "LinearRelation") -> bool:
+        return self.graph.contains(other.graph)
 
-    def same_as(self, other: "LinearRelation", tol: float = SUBSPACE_EQ_TOL) -> bool:
-        return self.space_dim == other.space_dim and self.graph.same_as(other.graph, tol)
+    def same_as(self, other: "LinearRelation") -> bool:
+        return self.space_dim == other.space_dim and self.graph.same_as(other.graph)
 
     def __repr__(self) -> str:
         return f"LinearRelation(n={self.space_dim}, graph_dim={self.dim})"

@@ -26,28 +26,24 @@ from .errors import (
     NotInResolventSetError,
     PoleMeetsSpectrumError,
     PreconditionError,
-    ValidationError,
 )
 from .rational import RationalFunction, cluster_values
 from .relations import (
     INF,
     LinearRelation,
     Subspace,
+    _sv_cutoff,
     as_point,
     chordal_distance,
     is_inf,
     point_sort_key,
     stable_svd,
 )
-from .tolerances import RANK_TOL, RESOLVENT_DIST_TOL, SPECTRUM_CLUSTER_TOL
+from .tolerances import INF_EIGENVALUE_TOL, RANK_TOL, RESOLVENT_DIST_TOL, SHIFT_COND, SPECTRUM_CLUSTER_TOL
 
 # Fixed probe points for singular-pencil detection and the shift; any three
 # distinct values away from typical spectra work, determinism is what matters.
 _PENCIL_PROBES = (0.7310 + 0.5811j, -1.2903 + 0.4117j, 2.1107 - 1.7313j)
-
-# A regular probe serves as the shift at once when cond(Y - lam0 X) is below
-# this; otherwise the best-conditioned regular probe does.
-_SHIFT_COND = 1e3
 
 
 @dataclass(frozen=True)
@@ -61,24 +57,13 @@ class SpectrumReport:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.points)
 
-    def support(self) -> tuple[object, ...]:
-        return tuple(p for p, _ in self.points)
-
-    def finite_values(self) -> list[complex]:
-        """Finite spectral points repeated with multiplicity."""
-        out: list[complex] = []
-        for p, m in self.points:
-            if not is_inf(p):
-                out.extend([complex(p)] * m)
-        return out
-
     def inf_multiplicity(self) -> int:
         for p, m in self.points:
             if is_inf(p):
                 return m
         return 0
 
-    def multiplicity_of(self, z, tol: float = RESOLVENT_DIST_TOL) -> int:
+    def multiplicity_of(self, z) -> int:
         z = as_point(z)
         if self.is_full_sphere:
             return self.space_dim
@@ -86,14 +71,14 @@ class SpectrumReport:
             return self.inf_multiplicity()
         best = 0
         for p, m in self.points:
-            if not is_inf(p) and abs(complex(p) - z) <= tol:
+            if not is_inf(p) and abs(complex(p) - z) <= RESOLVENT_DIST_TOL:
                 best += m
         return best
 
-    def contains(self, z, tol: float = RESOLVENT_DIST_TOL) -> bool:
+    def contains(self, z) -> bool:
         if self.is_full_sphere:
             return True
-        return self.multiplicity_of(z, tol) > 0
+        return self.multiplicity_of(z) > 0
 
     def distance_to(self, z) -> float:
         """Absolute distance to the finite part; infinity handled apart."""
@@ -113,7 +98,7 @@ class SpectrumReport:
         return min((chordal_distance(z, p) for p, _ in self.points), default=np.inf)
 
 
-def spectrum(rel: LinearRelation, cluster_tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
+def spectrum(rel: LinearRelation) -> SpectrumReport:
     """Spectrum of a relation; full sphere when the pencil is singular."""
     n = rel.space_dim
     if n == 0:
@@ -132,7 +117,7 @@ def spectrum(rel: LinearRelation, cluster_tol: float = SPECTRUM_CLUSTER_TOL) -> 
     nu = (omega - lam0.conjugate()) / (1.0 + abs(lam0) ** 2)
     inf_count = _inf_multiplicity(solved[:, :n], lam0, nu)
     finite = _rayleigh_points(x @ vecs, y @ vecs, inf_count)
-    entries: list[tuple[object, int]] = list(cluster_values(finite, cluster_tol))
+    entries: list[tuple[object, int]] = list(cluster_values(finite, SPECTRUM_CLUSTER_TOL))
     if inf_count:
         entries.append((INF, inf_count))
     entries.sort(key=lambda t: point_sort_key(t[0]))
@@ -148,10 +133,10 @@ def _pencil_shift(x: np.ndarray, y: np.ndarray):
     best, best_ratio = None, 0.0
     for lam in _PENCIL_PROBES:
         s = stable_svd(y - lam * x, compute_uv=False)
-        if s[-1] <= 1e-10 * max(1.0, float(s[0])):
+        if s[-1] <= _sv_cutoff(s, RANK_TOL):
             continue
         ratio = float(s[-1] / s[0])
-        if ratio >= 1.0 / _SHIFT_COND:
+        if ratio >= 1.0 / SHIFT_COND:
             return lam
         if ratio > best_ratio:
             best, best_ratio = lam, ratio
@@ -186,7 +171,7 @@ def _inf_multiplicity(k: np.ndarray, lam0: complex, nu: np.ndarray) -> int:
     is found by rank decisions as well, and the larger count is taken.
     """
     size = np.maximum(np.maximum(np.abs(1.0 + lam0 * nu), np.abs(nu)), 1.0)
-    by_eigenvalue = int(np.sum(np.abs(nu) <= 1e-10 * size))
+    by_eigenvalue = int(np.sum(np.abs(nu) <= INF_EIGENVALUE_TOL * size))
     kernel = Subspace.zero(k.shape[0])
     while True:
         grown = kernel.preimage(k)  # {v : K v in kernel}

@@ -1,56 +1,72 @@
-"""Default numerical tolerances, in one place so modules agree with each other.
+"""Every numerical cutoff of the package, in one place so modules agree.
 
 All values assume "desk scale": matrices up to roughly 16 x 16 with entries of
-order one.  Functions that accept a tolerance parameter default to these.
+order one; "relative" cutoffs multiply a scale floored at 1.  The modules read
+these constants directly.  Seven parameters still take a tolerance, because a
+caller sets them:
+
+- ``rank_tol`` of ``LinearRelation.from_graph_columns``,
+  ``Subspace.from_spanning`` and ``orthonormal_columns``, the path of the
+  CLI's ``--tol-rank`` to the rank of input graph columns;
+- ``psd_tol`` of ``verify_definitizing`` and ``tol`` of
+  ``GramSpace.is_positive``, the path of the CLI's ``--tol-psd``;
+- ``tol`` of ``DefinitizablePair.resolve``: user labels match at
+  ``POINT_MATCH_TOL``, measure atoms at ``ATOM_MATCH_TOL``;
+- ``tol`` of ``rational.cluster_values``: polynomial roots cluster at
+  ``ROOT_CLUSTER_TOL``, pencil eigenvalues at ``SPECTRUM_CLUSTER_TOL``.
 """
 
-# Relative singular-value threshold for rank decisions (floor 1.0 on the
-# scale, so the threshold never collapses for tiny matrices).
-RANK_TOL = 1e-10
+# -- rank and subspaces
+RANK_TOL = 1e-10  # relative singular-value threshold for rank decisions
+SUBSPACE_EQ_TOL = 1e-8  # subspaces are equal when their projectors differ by less
+CONTAINMENT_TOL = 1e-8  # residual threshold for subspace containment
+MOEBIUS_DET_TOL = 1e-12  # Möbius matrix singular: |det| <= this * (largest entry)^2
 
-# Two subspaces count as equal when their orthogonal projectors differ by
-# less than this in Frobenius norm.
-SUBSPACE_EQ_TOL = 1e-8
-
-# Residual threshold for subspace containment checks.
-CONTAINMENT_TOL = 1e-8
-
-# Polynomial root clustering radius for multiplicity assignment.  Companion
-# roots of an exact double zero already carry O(sqrt(eps)) ~ 1.5e-8 error, so
-# the radius must sit well above that; multiplicity claims are re-validated
-# against derivative jets afterwards.
+# -- polynomials and rational functions
+# Root clustering radius for multiplicity assignment.  Companion roots of an
+# exact double zero already carry O(sqrt(eps)) ~ 1.5e-8 error, so the radius
+# must sit well above that; multiplicity claims are re-validated against
+# derivative jets afterwards.
 ROOT_CLUSTER_TOL = 1e-6
-
-# Trim polynomial coefficients below this times the largest coefficient.
-COEFF_TRIM_TOL = 1e-12
-
-# A point belongs to the resolvent set when its distance to the computed
-# spectrum exceeds this.
-RESOLVENT_DIST_TOL = 1e-7
-
-# Eigenvalues of a pencil or matrix closer than this are merged into one
-# spectral point.
-SPECTRUM_CLUSTER_TOL = 1e-7
-
-# User-supplied spectral labels are matched against computed points at this
-# distance.
-POINT_MATCH_TOL = 1e-7
-
-# Hermitian-part residual threshold (relative).
-HERMITIAN_TOL = 1e-8
-
-# Positive semidefiniteness: eigenvalues above -PSD_TOL * ||H|| pass.
-PSD_TOL = 1e-8
-
-# Eigenvalues of Hermitian(G q(A)) below PSD_CUTOFF * ||H|| are treated as
-# exact zeros when factoring.
-PSD_CUTOFF = 1e-10
-
-# Commutation check threshold (relative).
-COMMUTANT_TOL = 1e-8
-
-# Leading jet entries smaller than this count as zero (non-invertible jet).
+COEFF_TRIM_TOL = 1e-12  # trim coefficients below this times the largest one
+# Leading jet entries below this (relative) count as zero: the jet is not
+# invertible, or a principal-part coefficient vanished.
 JET_INVERT_TOL = 1e-12
+# Jet entries below this (relative) vanish: the derivative jet confirming a
+# multiple root, and the jets of an element of the calculus kernel.
+JET_ZERO_TOL = 1e-9
+POLE_SEPARATION_TOL = 1e-13  # partial fractions: other pole clusters vanish at a pole
+RATIONAL_EQ_TOL = 1e-9  # cross-multiplied coefficients of equal functions (relative)
+REALNESS_TOL = 1e-8  # imaginary parts below this (relative) count as real
 
-# Imaginary parts below this (relative) count as real.
-REALNESS_TOL = 1e-8
+# -- spectra
+RESOLVENT_DIST_TOL = 1e-7  # resolvent set: farther than this from the spectrum
+SPECTRUM_CLUSTER_TOL = 1e-7  # closer eigenvalues merge into one spectral point
+POINT_MATCH_TOL = 1e-7  # user spectral labels match computed points at this distance
+ATOM_MATCH_TOL = 1e-6  # factor-space measure atoms match the pair's points
+INF_EIGENVALUE_TOL = 1e-10  # pencil eigenvalue nu of M^{-1} X is infinite (relative)
+# A regular probe serves as the pencil shift at once when cond(Y - lam0 X)
+# is below this; otherwise the best-conditioned regular probe does.
+SHIFT_COND = 1e3
+
+# -- Krein structure
+HERMITIAN_TOL = 1e-8  # Hermitian-part residual threshold (relative)
+PSD_TOL = 1e-8  # positive semidefinite: eigenvalues above -PSD_TOL * ||H|| pass
+PSD_CUTOFF = 1e-10  # eigenvalues of G q(A) below this * ||H|| are exact zeros
+COMMUTANT_TOL = 1e-8  # commutation check threshold (relative)
+FACTOR_TOL = 1e-6  # residual of T T^+ = q(A) (relative)
+# Residual of the spectral measure (relative): its projectors sum to I and it
+# reproduces the resolvent at a probe point.
+MEASURE_TOL = 1e-8
+
+# -- the calculus
+# Residual of the identities the calculus checks (relative): the decomposition
+# reassembles phi, projections are idempotent, a transported operator
+# intertwines T^+, and the Cayley transform is unitary.
+IDENTITY_TOL = 1e-7
+KERNEL_VALUE_TOL = 1e-8  # kernel criterion: g matches -(s/q) (relative)
+# Rounding noise (relative): the interpolation data of a decomposition, the
+# imaginary part of a Cayley parameter.
+ROUNDOFF_TOL = 1e-12
+BASE_POINT_TOL = 1e-9  # base point mu must be farther than this from the spectrum
+BASE_POINT_CLEARANCE = 1e-6  # default mu: distance to the real axis and to spectral points

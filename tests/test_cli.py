@@ -318,6 +318,45 @@ class TestInputForms:
         assert np.allclose(imags, [-1.0, 1.0], atol=1e-9)
 
 
+class TestTolerances:
+    """The two cutoffs a caller can set: --tol-psd and --tol-rank."""
+
+    def test_tol_psd_decides_positivity(self):
+        rc, doc = run_on("definitize", "err_not_positive.json")
+        assert rc == 3
+        assert doc["error"]["code"] == "not-positive"
+        # G q(A) = diag(1, -1): eigenvalue -1 passes at 10 * ||H||
+        rc, doc = run_on("definitize", "err_not_positive.json", "--tol-psd", "10")
+        assert rc == 0
+        assert doc["status"] == "ok"
+
+    def test_tol_rank_decides_graph_rank(self, tmp_path):
+        problem = tmp_path / "near_singular.json"
+        problem.write_text(json.dumps({"relation": {"X": [[1, 1], [0, 1e-8]], "Y": [[0, 0], [0, 0]]}}))
+        rc, doc = run_cli("spectrum", "--input", str(problem))
+        assert rc == 0
+        assert doc["results"]["is_proper"] is True
+        assert doc["spectrum"]["is_full_sphere"] is False
+        # the second singular value, about 7e-9, falls below a 1e-6 cutoff
+        rc, doc = run_cli("spectrum", "--input", str(problem), "--tol-rank", "1e-6")
+        assert rc == 0
+        assert doc["results"]["is_proper"] is False
+        assert doc["spectrum"]["is_full_sphere"] is True
+
+
+class TestBooleanInput:
+    @pytest.mark.parametrize("operator", [
+        [[True, False], [False, True]],
+        [[[False, 1.0], 0], [0, 1]],
+    ])
+    def test_json_boolean_is_not_a_number(self, operator, tmp_path):
+        problem = tmp_path / "bool.json"
+        problem.write_text(json.dumps({"relation": {"operator": operator}}))
+        rc, doc = run_cli("spectrum", "--input", str(problem))
+        assert rc == 2
+        assert doc["error"]["code"] == "validation"
+
+
 class TestNonFiniteInput:
     def test_nan_in_operator_is_a_validation_error(self, tmp_path):
         base = json.loads((FIXTURES / "running.json").read_text())

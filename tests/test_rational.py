@@ -17,6 +17,7 @@ from kreincalc import (
     moebius_scalar,
     rational_from_scalar,
 )
+from kreincalc.rational import _cluster_members
 
 # zero or of ordinary size: near-zero leading coefficients manufacture
 # pole-zero pairs inside the cancellation radius, which normalization is
@@ -81,6 +82,11 @@ class TestPolynomial:
         want = sorted(map(complex, roots), key=lambda z: (z.real, z.imag))
         assert all(abs(a - b) < 1e-9 for a, b in zip(got, want))
 
+    def test_from_roots_accepts_a_generator(self):
+        # the roots are read once, so a one-shot iterable gives the full product
+        p = Polynomial.from_roots((r for r in [1.0, 2.0]), leading=2.0)
+        assert np.allclose(p.coeffs, [4.0, -6.0, 2.0])
+
     @pytest.mark.parametrize("mult", [2, 3, 4])
     def test_clustered_roots_recovers_multiplicity(self, mult):
         p = Polynomial.from_roots([0.5] * mult + [2.0])
@@ -88,6 +94,11 @@ class TestPolynomial:
         for c, m in p.clustered_roots():
             got[round(c.real, 3)] = m
         assert got == {0.5: mult, 2.0: 1}
+
+    def test_cluster_members_returns_member_indices(self):
+        groups = _cluster_members([3.0, 1.0, 1.0 + 1e-9, 2.0], 1e-6)
+        assert [idx for _, idx in groups] == [[1, 2], [3], [0]]
+        assert groups[0][0] == (1.0 + (1.0 + 1e-9)) / 2
 
     def test_clustered_roots_keeps_close_distinct_roots_apart(self):
         p = Polynomial.from_roots([1.0, 1.0 + 2e-4, 1.0 - 2e-4])
