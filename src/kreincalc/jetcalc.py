@@ -20,10 +20,19 @@ with m the total critical degree and mu a base point in the resolvent set.
 The basis jets have closed forms, so the decomposition finds no roots, and
 s(A) is a Horner sum in R = (A - mu)^(-1).  The base point mu = INF stands
 for the polynomial basis z^j, with R = A; it needs a bounded relation.
-Everything that does not depend on phi (the base point, the critical
-points, the basis and q jets at every spectral point, the interpolation
-matrix and R) is a plan built once per pair and base point and cached on
-the pair.
+Everything that does not depend on phi (the base point, the basis and q
+jets at every spectral point, the interpolation matrix and R) is a plan
+built once per pair and base point and cached on the pair.
+
+The plan and the decomposition work on packed jets: the entries 0..d(w) of
+each point's jet are consecutive rows, and the points follow the pair's
+canonical order, so a jet function is one vector of length sum (d(w) + 1).
+The basis jets are one matrix with a row per jet entry and a column per
+basis function, the jets of q one vector in the same rows.  Two index
+arrays pick out the top row of each point, where g is read off, and the
+rows below the top, which are exactly the interpolation conditions at the
+critical points.  A decomposition is then one solve and a few array
+operations, with no loop over the points.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from .relations import INF, as_point, conj_point, is_inf, point_sort_key
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import rational_apply, resolvent_at  # noqa: F401
 from .tolerances import (BASE_POINT_CLEARANCE, BASE_POINT_TOL, IDENTITY_TOL, JET_INVERT_TOL, JET_ZERO_TOL,
-                         KERNEL_VALUE_TOL, ROUNDOFF_TOL)
+                         KERNEL_VALUE_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL)
 
 # -- jet arithmetic ---------------------------------------------------------
 
@@ -73,6 +82,22 @@ def jet_invert(a: np.ndarray) -> np.ndarray:
     for j in range(1, a.size):
         out[j] = -sum(out[k] * a[j - k] for k in range(j)) / a[0]
     return out
+
+
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _jet_lengths(pair: DefinitizablePair) -> np.ndarray:
+    return np.array([pair.degrees[w] + 1 for w in pair.points], dtype=int)
+
+
+def _layout(pair: DefinitizablePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packed layout: jet length at each point, and the point and entry of each row."""
+    lengths = _jet_lengths(pair)
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    entry = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return lengths, owner, entry
 
 
 def jet_one(length: int) -> np.ndarray:
@@ -112,11 +137,34 @@ class JetFunction:
 
     @classmethod
     def from_points(cls, pair: DefinitizablePair, mapping: dict) -> "JetFunction":
-        """Build from user-labelled points, matched against the spectrum."""
+        """Build from user-labelled points, matched against the spectrum.
+
+        Two labels that match the same spectral point are an error.
+        """
+        labels = list(mapping)
         values: dict = {}
-        for label, entries in mapping.items():
-            values[pair.resolve(label)] = entries
+        seen: dict = {}
+        for label, i in zip(labels, pair._match(labels, POINT_MATCH_TOL).tolist()):
+            w = pair.points[i]
+            if i in seen:
+                raise ValidationError(f"labels {seen[i]} and {label} both match the spectral point {w}")
+            seen[i] = label
+            values[w] = mapping[label]
         return cls(pair, values)
+
+    @classmethod
+    def _from_packed(cls, pair: DefinitizablePair, packed: np.ndarray) -> "JetFunction":
+        """Split packed jets at the points; built in the pair's layout, so nothing is checked."""
+        out = cls.__new__(cls)
+        out.pair = pair
+        ends = np.cumsum(_jet_lengths(pair)).tolist()
+        out.values = {w: packed[a:b] for w, a, b in zip(pair.points, [0] + ends, ends)}
+        return out
+
+    def _packed(self) -> np.ndarray:
+        """The jets concatenated in canonical point order."""
+        jets = [self.values[w] for w in self.pair.points]
+        return np.concatenate(jets) if jets else np.zeros(0, dtype=complex)
 
     # -- algebra -------------------------------------------------------------
 
@@ -147,18 +195,17 @@ class JetFunction:
 
     def sharp(self) -> "JetFunction":
         """phi^#(w) = conj(phi(conj w)); the spectrum is conjugation symmetric."""
-        values: dict = {}
-        for w in self.pair.points:
-            mate = self.pair.resolve(conj_point(w))
-            values[w] = np.conj(self.values[mate])
-        return JetFunction(self.pair, values)
+        points = self.pair.points
+        mates = self.pair._match([conj_point(w) for w in points], POINT_MATCH_TOL)
+        return JetFunction(self.pair, {w: np.conj(self.values[points[i]]) for w, i in zip(points, mates.tolist())})
 
     def pi1(self) -> dict:
         """First (scalar) component at every spectral point."""
         return {w: complex(v[0]) for w, v in self.values.items()}
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.values.values())
+        """Largest entry modulus over all jets; 0.0 on a pair without points."""
+        return _max_abs(self._packed())
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{w}: {v.tolist()}" for w, v in sorted(self.values.items(), key=lambda t: point_sort_key(t[0])))
@@ -174,7 +221,28 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
     for pole, _ in func.poles():
         if pair.report.contains(pole):
             raise PoleMeetsSpectrumError(f"pole {pole} meets the spectrum")
-    return JetFunction(pair, {w: func.jet_at(w, pair.degrees[w]) for w in pair.points})
+    return JetFunction._from_packed(pair, _packed_jets(pair, func, _layout(pair)))
+
+
+def _pack(pair: DefinitizablePair, layout, finite_jets, inf_jets, shape: tuple = ()) -> np.ndarray:
+    """Jets at every spectral point, packed; each row has the given trailing shape.
+
+    finite_jets(points, length) gives the jets of all finite points at once,
+    shaped (points, length) + shape; inf_jets(length) gives the jet at INF.
+    """
+    lengths, owner, entry = layout
+    values, finite = pair._point_array
+    table = np.zeros((lengths.size, int(np.max(lengths, initial=1))) + shape, dtype=complex)
+    table[finite] = finite_jets(values[finite], table.shape[1])
+    for i in np.flatnonzero(~finite).tolist():
+        table[i, : lengths[i]] = inf_jets(int(lengths[i]))
+    return table[owner, entry]
+
+
+def _packed_jets(pair: DefinitizablePair, func: RationalFunction, layout) -> np.ndarray:
+    """Taylor jets of func at every spectral point, packed, from one table for the finite points."""
+    return _pack(pair, layout, lambda z, length: func._jet_table(z, length).T,
+                 lambda length: func.jet_at(INF, length - 1))
 
 
 def q_jets(pair: DefinitizablePair) -> JetFunction:
@@ -189,53 +257,66 @@ def _basis_jets(mu, w, m: int, order: int) -> np.ndarray:
     """Taylor jets at w of the pole-residue basis (z - mu)^(-j), j < m.
 
     Column j holds jet entries 0..order of the j-th basis function; for
-    mu = INF the basis is z^j instead.  Entry k of (z - mu)^(-j) at a finite
-    w is (-1)^k C(j+k-1, k) (w - mu)^(-j-k); at INF, entry l is
-    C(l-1, l-j) mu^(l-j) for l >= j >= 1; entry k of z^j is C(j, k) w^(j-k).
+    mu = INF the basis is z^j instead.  At INF, entry l of (z - mu)^(-j) is
+    C(l-1, l-j) mu^(l-j) for l >= j >= 1; finite w is _basis_table's
+    one-point case.
     """
+    if not is_inf(w):
+        return _basis_table(mu, np.array([complex(w)]), m, order)[0]
     out = np.zeros((order + 1, m), dtype=complex)
-    if m == 0:
-        return out
-    if is_inf(mu):
-        w = complex(w)
-        for j in range(m):
-            for k in range(min(j, order) + 1):
-                out[k, j] = math.comb(j, k) * w ** (j - k)
-        return out
-    out[0, 0] = 1.0
-    if is_inf(w):
-        for j in range(1, m):
-            for k in range(j, order + 1):
-                out[k, j] = math.comb(k - 1, k - j) * mu ** (k - j)
-        return out
-    t = 1.0 / (complex(w) - mu)
+    if m:
+        out[0, 0] = 1.0
     for j in range(1, m):
-        for k in range(order + 1):
-            out[k, j] = (-1) ** k * math.comb(j + k - 1, k) * t ** (j + k)
+        for k in range(j, order + 1):
+            out[k, j] = math.comb(k - 1, k - j) * mu ** (k - j)
     return out
+
+
+def _basis_table(mu, points: np.ndarray, m: int, order: int) -> np.ndarray:
+    """Basis jets at finite points: out[i, k, j] is entry k of basis function j at points[i].
+
+    Entry k of (z - mu)^(-j) at w is (-1)^k C(j+k-1, k) (w - mu)^(-j-k) for
+    j >= 1; entry k of z^j (mu = INF) is C(j, k) w^(j-k).
+    """
+    k = np.arange(order + 1)[:, None]
+    j = np.arange(m)[None, :]
+    if is_inf(mu):
+        base = points
+        exponent = np.maximum(j - k, 0)
+        coeff = [[math.comb(jj, kk) for jj in range(m)] for kk in range(order + 1)]
+    else:
+        base = 1.0 / (points - mu)
+        exponent = j + k
+        coeff = [[(-1) ** kk * math.comb(jj + kk - 1, kk) if jj else float(kk == 0) for jj in range(m)]
+                 for kk in range(order + 1)]
+    return np.asarray(coeff, dtype=float) * base[:, None, None] ** exponent
 
 
 class _CalculusPlan:
     """The part of the calculus on one pair that does not depend on phi.
 
-    Holds the base point, the critical points, the basis and q jets at every
-    spectral point (through entry d(w)), and the Hermite interpolation matrix
-    (entries below d(w) at the critical points).  The resolvent
+    Holds the base point and, in packed rows (see the module docstring), the
+    basis jets, the q jets, the point of each row (owner), the top row of
+    each point and the rows below the tops; the latter pick the Hermite
+    interpolation matrix out of the basis jets.  The resolvent
     R = (A - mu)^(-1) (A itself for mu = INF) is built on first use.
     """
 
-    __slots__ = ("pair", "mu", "critical", "size", "basis", "q_jets", "matrix", "_resolvent")
+    __slots__ = ("pair", "mu", "size", "basis", "q_jets", "owner", "top", "below", "matrix", "_resolvent")
 
     def __init__(self, pair: DefinitizablePair, mu):
-        degrees = pair.degrees
+        layout = lengths, owner, entry = _layout(pair)
         self.pair = pair
         self.mu = mu
-        self.critical = pair.critical_points
-        self.size = sum(degrees[w] for w in self.critical)  # total critical degree m
-        self.basis = {w: _basis_jets(mu, w, self.size, degrees[w]) for w in pair.points}
-        self.q_jets = {w: pair.q.jet_at(w, degrees[w]) for w in pair.points}
-        rows = [self.basis[w][: degrees[w]] for w in self.critical]
-        self.matrix = np.vstack(rows) if rows else np.zeros((0, 0), dtype=complex)
+        self.size = int(np.sum(lengths - 1))  # total critical degree m
+        m = self.size
+        self.basis = _pack(pair, layout, lambda z, length: _basis_table(mu, z, m, length - 1),
+                           lambda length: _basis_jets(mu, INF, m, length - 1), (m,))
+        self.q_jets = _packed_jets(pair, pair.q, layout)
+        self.owner = owner
+        self.top = np.cumsum(lengths) - 1
+        self.below = np.flatnonzero(entry < lengths[owner] - 1)
+        self.matrix = self.basis[self.below]
         self._resolvent = None
 
     def resolvent(self) -> np.ndarray:
@@ -284,9 +365,8 @@ class Decomposition:
 
     def assemble(self) -> JetFunction:
         plan = self._plan
-        return JetFunction(self.pair, {
-            w: plan.basis[w] @ self.coeffs + self.g[w] * plan.q_jets[w] for w in self.pair.points
-        })
+        g = np.array([self.g[w] for w in self.pair.points], dtype=complex)
+        return JetFunction._from_packed(self.pair, plan.basis @ self.coeffs + g[plan.owner] * plan.q_jets)
 
 
 def _default_mu(pair: DefinitizablePair) -> complex:
@@ -326,25 +406,23 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
     if phi.pair is not pair and phi.pair.points != pair.points:
         raise ValidationError("jet function does not belong to this pair")
     plan = _plan(pair, mu)
-    vec = np.array([phi.values[w][j] for w in plan.critical for j in range(pair.degrees[w])], dtype=complex)
-    if vec.size == 0 or float(np.max(np.abs(vec))) <= ROUNDOFF_TOL * max(1.0, phi.max_abs()):
+    packed = phi._packed()
+    scale = max(1.0, _max_abs(packed))
+    rhs = packed[plan.below]
+    if rhs.size == 0 or _max_abs(rhs) <= ROUNDOFF_TOL * scale:
         # interpolation data is pure roundoff; the exact solution is zero
         coeffs = np.zeros(plan.size, dtype=complex)
     else:
         try:
-            coeffs = np.linalg.solve(plan.matrix, vec)
+            coeffs = np.linalg.solve(plan.matrix, rhs)
         except np.linalg.LinAlgError as exc:
             raise InconsistencyError("interpolation system is singular") from exc
-    g: dict = {}
-    for w in pair.points:
-        d = pair.degrees[w]
-        s_top = plan.basis[w][d] @ coeffs
-        g[w] = complex((phi.values[w][d] - s_top) / plan.q_jets[w][d])
-    dec = Decomposition(pair=pair, coeffs=coeffs, g=g, base_point=plan.mu, _plan=plan)
-    resid = (dec.assemble() - phi).max_abs()
-    if resid > IDENTITY_TOL * max(1.0, phi.max_abs()):
+    s_jets = plan.basis @ coeffs
+    g = (packed[plan.top] - s_jets[plan.top]) / plan.q_jets[plan.top]
+    if not _max_abs(s_jets + g[plan.owner] * plan.q_jets - packed) <= IDENTITY_TOL * scale:
         raise InconsistencyError("decomposition failed to reassemble the jet function")
-    return dec
+    return Decomposition(pair=pair, coeffs=coeffs, g=dict(zip(pair.points, g.tolist())), base_point=plan.mu,
+                         _plan=plan)
 
 
 def decompose_polynomial(pair: DefinitizablePair, phi: JetFunction) -> Decomposition:
@@ -361,7 +439,8 @@ def omega_kernel_check(pair: DefinitizablePair, s: RationalFunction, g: dict) ->
     equals -(s/q) along the spectrum, with the limit value at critical
     points.
     """
-    g = {pair.resolve(w): complex(v) for w, v in g.items()}
+    labels = list(g)
+    g = {pair.points[i]: complex(g[w]) for w, i in zip(labels, pair._match(labels, POINT_MATCH_TOL).tolist())}
     for w in pair.points:
         if w not in g:
             raise ValidationError(f"missing g value at spectral point {w}")
@@ -424,19 +503,14 @@ def indicator(pair: DefinitizablePair, delta) -> JetFunction:
     Points of delta are matched against the spectrum; at critical points the
     jet is (1, 0, ..., 0).
     """
-    resolved = set()
-    for label in delta:
-        try:
-            resolved.add(pair.resolve(label))
-        except ValidationError as exc:
-            raise PointNotInSpectrumError(str(exc)) from exc
-    values: dict = {}
-    for w in pair.points:
-        jet = np.zeros(pair.degrees[w] + 1, dtype=complex)
-        if w in resolved:
-            jet[0] = 1.0
-        values[w] = jet
-    return JetFunction(pair, values)
+    try:
+        hits = pair._match(delta, POINT_MATCH_TOL)
+    except ValidationError as exc:
+        raise PointNotInSpectrumError(str(exc)) from exc
+    lengths = _jet_lengths(pair)
+    packed = np.zeros(int(np.sum(lengths)), dtype=complex)
+    packed[(np.cumsum(lengths) - lengths)[hits]] = 1.0
+    return JetFunction._from_packed(pair, packed)
 
 
 def spectral_projection(fact: Factorization, delta, mu=None) -> np.ndarray:

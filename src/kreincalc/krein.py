@@ -146,21 +146,36 @@ class DefinitizablePair:
 
     def resolve(self, z, tol: float = POINT_MATCH_TOL):
         """Match z against the canonical spectral points."""
-        z = as_point(z)
-        if is_inf(z):
-            for w in self.points:
-                if is_inf(w):
-                    return w
-            raise ValidationError("infinity is not a spectral point of this pair")
-        best, dist = None, np.inf
-        for w in self.points:
-            if not is_inf(w):
-                d = abs(complex(w) - z)
-                if d < dist:
-                    best, dist = w, d
-        if best is None or dist > tol:
+        return self.points[self._match([z], tol)[0]]
+
+    @functools.cached_property
+    def _point_array(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points as a complex array (0 at infinity) and the mask of the finite ones."""
+        finite = np.array([not is_inf(w) for w in self.points], dtype=bool)
+        values = np.array([complex(w) if f else 0.0 for w, f in zip(self.points, finite)], dtype=complex)
+        return values, finite
+
+    def _match(self, labels, tol: float) -> np.ndarray:
+        """Index into points of each label.
+
+        A finite label takes the nearest finite point (the first on ties) when
+        it lies within tol; infinity matches only infinity.
+        """
+        labels = [as_point(z) for z in labels]
+        if not labels:
+            return np.zeros(0, dtype=int)
+        values, finite = self._point_array
+        at_inf = np.array([is_inf(z) for z in labels], dtype=bool)
+        coords = np.array([0.0 if inf else z for z, inf in zip(labels, at_inf)], dtype=complex)
+        # a label is compared only with points of its own kind, finite or infinite
+        dist = np.where(at_inf[:, None] == finite, np.inf, np.abs(coords[:, None] - values))
+        missed = ~(dist.min(axis=1, initial=np.inf) <= tol)
+        if missed.any():
+            z = labels[int(np.argmax(missed))]
+            if is_inf(z):
+                raise ValidationError("infinity is not a spectral point of this pair")
             raise ValidationError(f"{z} does not match any spectral point")
-        return best
+        return dist.argmin(axis=1)
 
 
 def symmetrize_definitizing(q: RationalFunction) -> RationalFunction:
@@ -202,16 +217,15 @@ def verify_definitizing(
     psd_eig = np.linalg.eigh((hermitian_part + hermitian_part.conj().T) / 2.0)
     if not space.is_positive(q_matrix, psd_tol, eigvals=psd_eig[0]):
         raise NotPositiveError("[q(A)x, x] takes negative values")
-    degrees: dict = {}
-    for w, _ in report.points:
-        d = q.zero_degree_at(w)
+    points = tuple(w for w, _ in report.points)
+    degrees = dict(zip(points, q._zero_degrees(points)))
+    for w, d in degrees.items():
         if not _is_real_point(w) and d == 0:
             raise InconsistencyError(
                 f"spectral point {w} is neither real nor a zero of q; the "
                 "definitizability conclusion fails, input tolerances are suspect"
             )
-        degrees[w] = d
-    crit = [w for w, _ in report.points if degrees[w] > 0 and not is_inf(w)]
+    crit = [w for w in points if degrees[w] > 0 and not is_inf(w)]
     for w in crit:
         if all(abs(complex(w).conjugate() - complex(v)) > POINT_MATCH_TOL for v in crit):
             raise InconsistencyError(
@@ -229,7 +243,7 @@ def verify_definitizing(
         q=q,
         q_matrix=q_matrix,
         report=report,
-        points=tuple(w for w, _ in report.points),
+        points=points,
         degrees=degrees,
         diagnostics=diagnostics,
         psd_eig=tuple(psd_eig),
@@ -248,9 +262,8 @@ def derive_definitizing(pair: DefinitizablePair, r: RationalFunction) -> bool:
     for pole, _ in r.poles():
         if pair.report.contains(pole):
             raise PoleMeetsSpectrumError(f"pole {pole} of r meets the spectrum")
-    for w in pair.points:
-        d = pair.degrees[w]
-        if d > 0 and r.zero_degree_at(w) < d:
+    for w, r_degree in zip(pair.points, r._zero_degrees(pair.points)):
+        if r_degree < pair.degrees[w]:
             return False
     for w in pair.points:
         if not _is_real_point(w):
@@ -362,7 +375,8 @@ class Factorization:
     @functools.cached_property
     def atom_points(self) -> tuple[object, ...]:
         """The spectral point of the pair at each atom of the measure."""
-        return tuple(self.pair.resolve(p, tol=ATOM_MATCH_TOL) for p, _ in self.measure.atoms)
+        points = self.pair.points
+        return tuple(points[i] for i in self.pair._match([p for p, _ in self.measure.atoms], ATOM_MATCH_TOL))
 
 
 def _psd_kept(eigvals: np.ndarray) -> np.ndarray:

@@ -77,16 +77,34 @@ def cluster_values(values, tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex,
     return [(c, len(m)) for c, m in _cluster_members(values, tol)]
 
 
+def _taylor_shift(coeffs, w, terms: int | None = None) -> np.ndarray:
+    """Taylor coefficients of t -> p(w + t) at a point w or an array of points.
+
+    Repeated synthetic division.  For an array of points, row k holds
+    coefficient k at every point; a single point keeps to Python complex
+    arithmetic.  Pass j fixes coefficient j, so ``terms`` leading
+    coefficients need only that many passes (all by default).
+    """
+    c = [complex(a) + 0.0 * w for a in coeffs]
+    n = len(c)
+    for j in range(n if terms is None else min(terms, n)):
+        for i in range(n - 2, j - 1, -1):
+            c[i] = c[i] + w * c[i + 1]
+    return np.array(c, dtype=complex)
+
+
 def _series_divide(num, den, length: int) -> np.ndarray:
-    """Truncated power-series quotient num/den mod t^length; den[0] != 0."""
+    """Truncated power-series quotient num/den mod t^length; den[0] != 0.
+
+    Works along the first axis, so columns of 2-D input divide pointwise.
+    """
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
-    out = np.zeros(length, dtype=complex)
+    out = np.zeros((length,) + den.shape[1:], dtype=complex)
     for j in range(length):
-        acc = num[j] if j < num.size else 0.0
-        lo = max(0, j - den.size + 1)
-        for k in range(lo, j):
-            acc -= out[k] * den[j - k]
+        acc = num[j] if j < num.shape[0] else 0.0
+        for k in range(max(0, j - den.shape[0] + 1), j):
+            acc = acc - out[k] * den[j - k]
         out[j] = acc / den[0]
     return out
 
@@ -169,13 +187,7 @@ class Polynomial:
 
     def shifted(self, w: complex) -> np.ndarray:
         """Coefficients of t -> p(w + t), i.e. the full Taylor jet at w."""
-        c = self.coeffs.astype(complex).copy()
-        n = c.size
-        w = complex(w)
-        for j in range(n):
-            for i in range(n - 2, j - 1, -1):
-                c[i] = c[i] + w * c[i + 1]
-        return c
+        return _taylor_shift(self.coeffs, complex(w))
 
     def reversed_coeffs(self) -> np.ndarray:
         """Coefficients of z^deg * p(1/z)."""
@@ -405,15 +417,30 @@ class RationalFunction:
 
     def zero_degree_at(self, w) -> int:
         """Multiplicity of w as a zero (0 when r(w) != 0); w may be infinity."""
+        return self._zero_degrees([w])[0]
+
+    def _zero_degrees(self, points) -> list[int]:
+        """zero_degree_at for every point, from one distance matrix.
+
+        A finite point takes the multiplicity of the first root cluster
+        within ROOT_CLUSTER_TOL * max(1, |center|) of it.
+        """
         if self.is_zero:
             raise ValidationError("zero degree of the zero rational function")
-        w = as_point(w)
-        if is_inf(w):
-            return max(0, self.den.degree - self.num.degree)
-        for center, mult in self.num.clustered_roots():
-            if abs(complex(w) - center) <= ROOT_CLUSTER_TOL * max(1.0, abs(center)):
-                return mult
-        return 0
+        points = [as_point(w) for w in points]
+        gap = max(0, self.den.degree - self.num.degree)
+        out = [gap if is_inf(w) else 0 for w in points]
+        roots = self.num.clustered_roots()
+        finite = [k for k, w in enumerate(points) if not is_inf(w)]
+        if roots and finite:
+            centers = np.array([c for c, _ in roots], dtype=complex)
+            mults = np.array([m for _, m in roots])
+            z = np.array([points[k] for k in finite], dtype=complex)
+            hit = np.abs(z[:, None] - centers[None, :]) <= ROOT_CLUSTER_TOL * np.maximum(1.0, np.abs(centers))
+            degrees = np.where(hit.any(axis=1), mults[np.argmax(hit, axis=1)], 0)
+            for k, d in zip(finite, degrees.tolist()):
+                out[k] = d
+        return out
 
     def jet_at(self, w, order: int) -> np.ndarray:
         """Taylor jet (f(w), f'(w)/1!, ..., f^(order)(w)/order!).
@@ -431,12 +458,16 @@ class RationalFunction:
             if abs(gden[0]) <= COEFF_TRIM_TOL * max(np.max(np.abs(gden)), 1.0):
                 raise JetAtPoleError("jet requested at the pole infinity")
             return _series_divide(gnum, gden, length)
-        w = complex(w)
-        dshift = self.den.shifted(w)
-        if abs(dshift[0]) <= COEFF_TRIM_TOL * max(float(np.max(np.abs(dshift))), 1.0):
-            raise JetAtPoleError(f"jet requested at pole {w}")
-        nshift = self.num.shifted(w)
-        return _series_divide(nshift, dshift, length)
+        return self._jet_table(complex(w), length)
+
+    def _jet_table(self, w, length: int) -> np.ndarray:
+        """Taylor jets through entry length - 1 at a finite point w, or at an
+        array of them with one column each."""
+        dshift = _taylor_shift(self.den.coeffs, w)
+        pole = np.abs(dshift[0]) <= COEFF_TRIM_TOL * np.maximum(np.max(np.abs(dshift), axis=0), 1.0)
+        if np.any(pole):
+            raise JetAtPoleError(f"jet requested at pole {complex(np.ravel(w)[np.argmax(pole)])}")
+        return _series_divide(_taylor_shift(self.num.coeffs, w, length), dshift, length)
 
     def partial_fractions(self) -> PartialFractions:
         """Polynomial part plus principal parts at the clustered poles."""

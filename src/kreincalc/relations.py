@@ -455,7 +455,8 @@ class LinearRelation:
         """Adjoint with respect to [x, y] = y* G x on the space.
 
         Computed as the inner-product orthogonal complement of the graph in
-        the doubled space followed by the flip (x; y) -> (y; -x).
+        the doubled space followed by the flip (x; y) -> (y; -x).  The flip
+        is unitary, so the flipped kernel basis is already orthonormal.
         """
         n = self.space_dim
         gram = np.asarray(gram, dtype=complex)
@@ -469,7 +470,7 @@ class LinearRelation:
         )
         comp = null_space((big @ self.graph.basis).conj().T)
         flipped = np.vstack([comp[n:, :], -comp[:n, :]])
-        return LinearRelation(n, Subspace.from_spanning(flipped, 2 * n))
+        return LinearRelation(n, Subspace(flipped, 2 * n))
 
     def contains(self, other: "LinearRelation") -> bool:
         return self.graph.contains(other.graph)

@@ -306,6 +306,16 @@ class TestInputForms:
         mat = decode_matrix(doc["results"]["matrix"])
         assert np.allclose(mat, np.diag([3.0, 1.0]), atol=1e-10)
 
+    def test_two_jet_labels_on_one_point_exit_2(self, tmp_path):
+        base = json.loads((FIXTURES / "running.json").read_text())
+        base["function"] = {"jets": {"1": [3], "1.00000001": [5], "2": [1, -2]}}
+        problem = tmp_path / "twice.json"
+        problem.write_text(json.dumps(base))
+        rc, doc = run_cli("calculus", "--input", str(problem))
+        assert rc == 2
+        assert doc["error"]["code"] == "validation"
+        assert "both match" in doc["error"]["message"]
+
     def test_complex_matrix_entries_as_pairs(self, tmp_path):
         problem = tmp_path / "complex_entries.json"
         problem.write_text(json.dumps({

@@ -22,6 +22,7 @@ from kreincalc import (
     embed_rational,
     gram_factorize,
     indicator,
+    is_inf,
     jet_invert,
     jet_multiply,
     jet_one,
@@ -35,7 +36,7 @@ from kreincalc import (
 )
 
 from kreincalc import jetcalc
-from kreincalc.jetcalc import _basis_jets
+from kreincalc.jetcalc import _basis_jets, _plan
 
 from helpers import random_definitizable, random_real_rational
 
@@ -164,6 +165,11 @@ class TestJetFunction:
         w = pair.resolve(1.0j)
         assert np.allclose(sharped.values[w], np.conj(phi.values[pair.resolve(-1.0j)]))
         assert (sharped.sharp() - phi).max_abs() == 0.0
+
+    def test_two_labels_on_one_point_rejected(self):
+        pair = running_pair()
+        with pytest.raises(ValidationError, match="both match"):
+            JetFunction.from_points(pair, {1.0: [3.0], 1.00000001: [5.0], 2.0: [1.0, -2.0]})
 
     def test_pi1_and_max_abs(self):
         pair = running_pair()
@@ -497,3 +503,89 @@ class TestNormF:
             b = JetFunction(pair, {
                 w: rng.normal(size=pair.degrees[w] + 1) for w in pair.points})
             assert norm_f(a + b) <= norm_f(a) + norm_f(b) + 1e-10
+
+
+def reference_decompose(pair, phi, mu):
+    """The per-point loop that the packed decompose replaces: same basis, same system."""
+    crit = [w for w in pair.points if pair.degrees[w] > 0]
+    m = sum(pair.degrees[w] for w in crit)
+    rows = [_basis_jets(mu, w, m, pair.degrees[w])[: pair.degrees[w]] for w in crit]
+    vec = np.array([phi.values[w][j] for w in crit for j in range(pair.degrees[w])], dtype=complex)
+    coeffs = np.linalg.solve(np.vstack(rows), vec) if m else np.zeros(0, dtype=complex)
+    g = {}
+    for w in pair.points:
+        d = pair.degrees[w]
+        s_top = _basis_jets(mu, w, m, d)[d] @ coeffs
+        g[w] = complex((phi.values[w][d] - s_top) / pair.q.jet_at(w, d)[d])
+    return coeffs, g
+
+
+def random_jets(rng, pair):
+    return JetFunction(pair, {
+        w: rng.normal(size=pair.degrees[w] + 1) + 1j * rng.normal(size=pair.degrees[w] + 1)
+        for w in pair.points})
+
+
+class TestPackedLayout:
+    """The array paths of the plan and decompose against per-point loops."""
+
+    def planted_pairs(self, seed, count=24):
+        rng = np.random.default_rng(seed)
+        pairs = [random_definitizable(rng, allow_mul=(k % 3 == 0), allow_jordan=True).verify()
+                 for k in range(count)]
+        # the mix covers Jordan blocks, nonreal pairs and multivalued parts
+        assert any(m == 2 for pair in pairs for _, m in pair.report.points)
+        assert any(not is_inf(w) and abs(complex(w).imag) > 0.1 for pair in pairs for w in pair.points)
+        assert any(INF in pair.points for pair in pairs)
+        return rng, pairs
+
+    def test_decompose_matches_per_point_loop(self):
+        rng, pairs = self.planted_pairs(71)
+        for k, pair in enumerate(pairs):
+            phi = random_jets(rng, pair)
+            bases = [None] if INF in pair.points else [None, INF]
+            for mu in bases:
+                dec = decompose(pair, phi, mu=mu)
+                coeffs, g = reference_decompose(pair, phi, dec.base_point)
+                scale = max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
+                assert np.allclose(dec.coeffs, coeffs, rtol=1e-12, atol=1e-12 * scale), (k, mu)
+                for w in pair.points:
+                    assert abs(dec.g[w] - g[w]) <= 1e-12 * max(1.0, abs(g[w])), (k, mu, w)
+
+    def test_q_table_matches_jet_at(self):
+        _, pairs = self.planted_pairs(72)
+        for k, pair in enumerate(pairs):
+            plan = _plan(pair, None)
+            want = np.concatenate([pair.q.jet_at(w, pair.degrees[w]) for w in pair.points])
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert plan.q_jets.shape == want.shape
+            assert np.allclose(plan.q_jets, want, rtol=0.0, atol=1e-13 * scale), k
+
+    def test_plan_rows(self):
+        pair = running_pair()
+        plan = _plan(pair, None)
+        # rows: point 1 entry 0, point 2 entries 0 and 1
+        assert plan.top.tolist() == [0, 2]
+        assert plan.below.tolist() == [1]
+        assert plan.owner.tolist() == [0, 1, 1]
+        assert np.allclose(plan.q_jets, [1.0, 0.0, -1.0])
+        assert np.allclose(plan.matrix, plan.basis[[1]])
+
+    def test_corrupted_q_jet_fails_to_reassemble(self):
+        pair = running_pair()
+        phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
+        plan = _plan(pair, None)
+        # q(2) = 0 below the top entry at the critical point 2; g(2) = 2 there
+        plan.q_jets[plan.below[0]] += 1.0
+        with pytest.raises(InconsistencyError, match="failed to reassemble"):
+            decompose(pair, phi)
+
+    def test_empty_pair(self):
+        space = GramSpace(np.zeros((0, 0)))
+        rel = LinearRelation.from_operator(np.zeros((0, 0)))
+        pair = verify_definitizing(space, rel, RationalFunction(Polynomial([1.0])))
+        fact = gram_factorize(pair)
+        phi = JetFunction.one(pair)
+        assert phi.max_abs() == 0.0
+        assert apply_calculus(fact, phi).shape == (0, 0)
+        assert spectral_projection(fact, []).shape == (0, 0)

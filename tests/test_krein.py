@@ -1,5 +1,7 @@
 """Gram spaces, definitizing verification, factorization and transport."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ from kreincalc import (
     verify_definitizing,
     xi,
 )
+
+from kreincalc.tolerances import ATOM_MATCH_TOL, POINT_MATCH_TOL, ROOT_CLUSTER_TOL
 
 from helpers import (
     match_point_sets,
@@ -256,6 +260,123 @@ class TestDeriveDefinitizing:
                     verify_definitizing(planted.space, planted.relation, r)
                     accepted += 1
         assert accepted >= 60
+
+
+def reference_resolve(pair, z, tol):
+    """The per-point loop that the vectorized matcher replaces."""
+    if z is INF:
+        if INF in pair.points:
+            return INF
+        raise ValidationError("infinity is not a spectral point of this pair")
+    best, dist = None, np.inf
+    for w in pair.points:
+        if w is not INF and abs(complex(w) - z) < dist:
+            best, dist = w, abs(complex(w) - z)
+    if best is None or dist > tol:
+        raise ValidationError(f"{z} does not match any spectral point")
+    return best
+
+
+def reference_zero_degree(q, w):
+    """First root cluster of q within ROOT_CLUSTER_TOL (relative) of w."""
+    if w is INF:
+        return max(0, q.den.degree - q.num.degree)
+    for center, mult in q.num.clustered_roots():
+        if abs(complex(w) - center) <= ROOT_CLUSTER_TOL * max(1.0, abs(center)):
+            return mult
+    return 0
+
+
+def multivalued_pair():
+    """diag(2) plus a multivalued coordinate on C^2; the points are 2 and infinity."""
+    rel = LinearRelation.from_graph_columns(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]))
+    return verify_definitizing(GramSpace(np.eye(2)), rel, RationalFunction(Polynomial([1.0])))
+
+
+class TestPointMatcher:
+    """One matcher serves resolve, from_points, indicator and atom_points."""
+
+    def test_matches_per_label_loop(self):
+        rng = np.random.default_rng(81)
+        for trial in range(20):
+            pair = random_definitizable(rng, allow_mul=(trial % 3 == 0)).verify()
+            finite = [complex(w) for w in pair.points if w is not INF]
+            labels = [w + complex(*rng.normal(size=2)) * scale
+                      for w in finite for scale in (0.0, 3e-8, 5e-7, 0.3)] + [INF, 9.0]
+            for tol in (POINT_MATCH_TOL, ATOM_MATCH_TOL):
+                for z in labels:
+                    try:
+                        want = reference_resolve(pair, z, tol)
+                    except ValidationError:
+                        with pytest.raises(ValidationError):
+                            pair.resolve(z, tol=tol)
+                        continue
+                    assert pair.resolve(z, tol=tol) == want
+                hits = [z for z in labels if z is not INF and any(abs(z - w) <= tol for w in finite)]
+                got = pair._match(hits, tol)
+                assert [pair.points[i] for i in got] == [reference_resolve(pair, z, tol) for z in hits]
+
+    def test_first_point_wins_a_tie(self):
+        space, rel, q = running_example()
+        # exact points 1 and 2, so that 1.5 + 0.3i is equally far from both
+        pair = dataclasses.replace(verify_definitizing(space, rel, q), points=(1.0 + 0j, 2.0 + 0j))
+        assert pair._match([1.5, 1.5 + 0.3j, 2.0, 1.0], 1.0).tolist() == [0, 0, 1, 0]
+        assert pair.resolve(1.5 - 0.3j, tol=1.0) == 1.0
+
+    def test_infinity_matches_only_infinity(self):
+        pair = multivalued_pair()
+        assert pair.resolve(INF) is INF
+        assert pair.resolve(float("inf")) is INF
+        assert pair.resolve(2.0 + 1e-8) == pair.points[0]
+        with pytest.raises(ValidationError, match="does not match"):
+            pair.resolve(1e300)
+        space, rel, q = running_example()
+        bounded = verify_definitizing(space, rel, q)
+        with pytest.raises(ValidationError, match="infinity is not a spectral point"):
+            bounded.resolve(INF)
+
+    def test_tolerances(self):
+        space, rel, q = running_example()
+        pair = verify_definitizing(space, rel, q)
+        with pytest.raises(ValidationError):
+            pair.resolve(1.0 + 2e-7)
+        assert pair.resolve(1.0 + 2e-7, tol=ATOM_MATCH_TOL) == pair.resolve(1.0)
+        with pytest.raises(ValidationError):
+            pair.resolve(1.0 + 2e-6, tol=ATOM_MATCH_TOL)
+        # the first failing label is the one reported
+        with pytest.raises(ValidationError, match="7.3"):
+            pair._match([1.0, 7.3, INF], POINT_MATCH_TOL)
+
+    def test_atom_points_match_per_atom_resolve(self):
+        rng = np.random.default_rng(82)
+        for trial in range(10):
+            pair = random_definitizable(rng, allow_mul=(trial % 2 == 0)).verify()
+            fact = gram_factorize(pair)
+            want = tuple(reference_resolve(pair, p, ATOM_MATCH_TOL) for p, _ in fact.measure.atoms)
+            assert fact.atom_points == want
+
+
+class TestZeroDegrees:
+    def test_one_pass_matches_per_point_loop(self):
+        rng = np.random.default_rng(83)
+        for trial in range(20):
+            planted = random_definitizable(rng, allow_mul=(trial % 3 == 0), allow_jordan=True)
+            pair = planted.verify()
+            q = pair.q
+            probes = list(pair.points) + [INF, 5.0]
+            probes += [c + off for c, _ in q.num.clustered_roots() for off in (5e-7, 2e-6, 1e-3j)]
+            assert q._zero_degrees(probes) == [reference_zero_degree(q, w) for w in probes]
+            assert [pair.degrees[w] for w in pair.points] == [reference_zero_degree(q, w) for w in pair.points]
+            assert all(q.zero_degree_at(w) == reference_zero_degree(q, w) for w in probes)
+
+    def test_first_cluster_wins(self):
+        # clusters (1, 2) and (1 + 1.5e-6, 1), set on the memo because
+        # rounding merges or splits such close roots; 1 + 0.9e-6 lies within
+        # ROOT_CLUSTER_TOL of both centers, 1 + 1.2e-6 of the second alone
+        q = RationalFunction(Polynomial.from_roots([1.0, 1.0, 1.0]))
+        q.num._clustered = ((1.0 + 0j, 2), (1.0 + 1.5e-6 + 0j, 1))
+        probes = [1.0 + 0.9e-6, 1.0 + 1.2e-6, 1.0 - 0.9e-6, 1.0 + 3e-6]
+        assert q._zero_degrees(probes) == [reference_zero_degree(q, w) for w in probes] == [2, 1, 2, 0]
 
 
 def rational_from_scalar(c):

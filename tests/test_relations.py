@@ -17,7 +17,7 @@ from kreincalc import (
 )
 from kreincalc.relations import null_space, stable_svd
 
-from helpers import random_invertible, random_operator, random_relation
+from helpers import random_gram, random_invertible, random_operator, random_relation
 
 
 def test_chordal_distance_against_stereographic_projection():
@@ -232,6 +232,24 @@ class TestLinearRelation:
             g = random_invertible(rng, n)
             g = g @ g.conj().T + 0.1 * np.eye(n)  # Hermitian, invertible
             assert rel.adjoint(g).adjoint(g).same_as(rel)
+
+    def test_adjoint_basis_is_orthonormal_and_spans_the_flipped_complement(self):
+        rng = np.random.default_rng(13)
+        for _ in range(15):
+            n = int(rng.integers(1, 6))
+            rel = random_relation(rng, n)
+            g = random_gram(rng, n)
+            adj = rel.adjoint(g)
+            basis = adj.graph.basis
+            assert np.allclose(basis.conj().T @ basis, np.eye(adj.dim), atol=1e-12)
+            big = np.kron(np.eye(2), g)
+            comp = null_space((big @ rel.graph.basis).conj().T)
+            spanned = Subspace.from_spanning(np.vstack([comp[n:], -comp[:n]]), 2 * n)
+            assert adj.dim == spanned.dim and adj.graph.same_as(spanned)
+            # [y, u] = [x, v] for (x; y) in rel and (u; v) in the adjoint
+            x, y = rel.graph_columns()
+            u, v = adj.graph_columns()
+            assert np.allclose(u.conj().T @ g @ y, v.conj().T @ g @ x, atol=1e-10)
 
     def test_adjoint_reverses_containment(self):
         x = np.array([[1.0], [0.0]])
