@@ -56,8 +56,8 @@ from .relations import INF, as_point, conj_point, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import rational_apply, resolvent_at  # noqa: F401
-from .tolerances import (BASE_POINT_CLEARANCE, BASE_POINT_TOL, IDENTITY_TOL, JET_INVERT_TOL, JET_ZERO_TOL,
-                         KERNEL_VALUE_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL)
+from .tolerances import (BASE_POINT_CLEARANCE, BASE_POINT_TOL, IDENTITY_TOL, JET_INVERT_TOL,
+                         POINT_MATCH_TOL, ROUNDOFF_TOL)
 
 # -- jet arithmetic ---------------------------------------------------------
 
@@ -432,40 +432,6 @@ def decompose_polynomial(pair: DefinitizablePair, phi: JetFunction) -> Decomposi
     return decompose(pair, phi, mu=INF)
 
 
-def omega_kernel_check(pair: DefinitizablePair, s: RationalFunction, g: dict) -> bool:
-    """Does the pair (s, g) assemble to the zero jet function?
-
-    Cross-validated against the closed-form criterion: zero exactly when g
-    equals -(s/q) along the spectrum, with the limit value at critical
-    points.
-    """
-    labels = list(g)
-    g = {pair.points[i]: complex(g[w]) for w, i in zip(labels, pair._match(labels, POINT_MATCH_TOL).tolist())}
-    for w in pair.points:
-        if w not in g:
-            raise ValidationError(f"missing g value at spectral point {w}")
-    assembled = JetFunction(pair, {
-        w: s.jet_at(w, pair.degrees[w]) + g[w] * pair.q.jet_at(w, pair.degrees[w]) for w in pair.points
-    })
-    scale = max(1.0, assembled.max_abs(), float(np.max(np.abs(s.num.coeffs))))
-    direct = assembled.max_abs() <= JET_ZERO_TOL * scale
-    criterion = True
-    for w in pair.points:
-        d = pair.degrees[w]
-        s_jet = s.jet_at(w, d)
-        q_jet = pair.q.jet_at(w, d)
-        if d > 0 and float(np.max(np.abs(s_jet[:d]))) > JET_ZERO_TOL * scale:
-            criterion = False
-            break
-        expected = -complex(s_jet[d]) / complex(q_jet[d])
-        if abs(g[w] - expected) > KERNEL_VALUE_TOL * max(1.0, abs(expected)):
-            criterion = False
-            break
-    if direct != criterion:
-        raise InconsistencyError("kernel criterion disagrees with the direct evaluation")
-    return direct
-
-
 # -- the calculus -----------------------------------------------------------
 
 
@@ -533,8 +499,3 @@ def norm_f(phi: JetFunction) -> float:
         else:
             jets += float(np.max(np.abs(phi.values[w])))
     return flat + jets
-
-
-def pi1_range(phi: JetFunction) -> tuple:
-    """Scalar top-level values along the spectrum, in canonical point order."""
-    return tuple(complex(phi.values[w][0]) for w in phi.pair.points)

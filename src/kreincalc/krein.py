@@ -3,9 +3,12 @@
 A Krein space here is C^n with an invertible Hermitian Gram matrix G and
 inner product [x, y] = y* G x.  A self-adjoint relation A is definitizable
 when some rational q with poles in the resolvent set makes [q(A)x, x] >= 0;
-the Hermitian positive semidefinite matrix H = G q(A) then factors through a
-Hilbert space C^r, and pulling A back along the factor T gives a genuinely
-self-adjoint relation there whose spectral measure drives the calculus.
+the Hermitian positive semidefinite matrix H = G q(A) then factors as
+q(A) = T T^+ through a Hilbert space C^r.  ran T = ran q(A) is invariant
+under the resolvent R of A at a real point mu, so R T = T X for one r x r
+matrix X, the compressed resolvent.  X is Hermitian: it is the resolvent at
+mu of the genuinely self-adjoint relation theta(A) on C^r, and its
+eigendecomposition is the spectral measure that drives the calculus.
 """
 
 from __future__ import annotations
@@ -17,14 +20,11 @@ import numpy as np
 
 from .errors import (
     InconsistencyError,
-    InvarianceError,
-    NotBoundedError,
     NotInCommutantError,
     NotInResolventSetError,
     NotPositiveError,
     NotRealError,
     NotSelfAdjointError,
-    PoleMeetsSpectrumError,
     PreconditionError,
     ValidationError,
 )
@@ -35,10 +35,7 @@ from .relations import (
     MoebiusMap,
     Subspace,
     as_point,
-    diagonal_image,
-    diagonal_preimage,
     is_inf,
-    point_sort_key,
     require_finite,
 )
 from .spectral import SpectrumReport, rational_apply, resolvent_at, spectrum
@@ -178,11 +175,6 @@ class DefinitizablePair:
         return dist.argmin(axis=1)
 
 
-def symmetrize_definitizing(q: RationalFunction) -> RationalFunction:
-    """q + q^#, a real rational function; doubles q when q is already real."""
-    return q + q.sharp()
-
-
 def _is_real_point(w) -> bool:
     """Infinity, or a point whose imaginary part is below REALNESS_TOL (relative)."""
     return is_inf(w) or abs(complex(w).imag) <= REALNESS_TOL * max(1.0, abs(complex(w)))
@@ -250,34 +242,6 @@ def verify_definitizing(
     )
 
 
-def derive_definitizing(pair: DefinitizablePair, r: RationalFunction) -> bool:
-    """Does r also definitize the pair's relation?
-
-    True iff every critical point of the pair is a zero of r of at least the
-    multiplicity it has for q, and r/q is nonnegative on the real spectrum
-    (including infinity when present).
-    """
-    if r.is_zero:
-        return False
-    for pole, _ in r.poles():
-        if pair.report.contains(pole):
-            raise PoleMeetsSpectrumError(f"pole {pole} of r meets the spectrum")
-    for w, r_degree in zip(pair.points, r._zero_degrees(pair.points)):
-        if r_degree < pair.degrees[w]:
-            return False
-    for w in pair.points:
-        if not _is_real_point(w):
-            continue  # nonreal critical points carry no positivity constraint
-        d = pair.degrees[w]
-        r_jet = r.jet_at(w, d)
-        q_jet = pair.q.jet_at(w, d)
-        value = complex(r_jet[d] / q_jet[d])
-        scale = max(1.0, abs(value))
-        if abs(value.imag) > REALNESS_TOL * scale or value.real < -PSD_TOL * scale:
-            return False
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Atoms (point, orthogonal projector) of a self-adjoint relation on C^r."""
@@ -299,55 +263,75 @@ class SpectralMeasure:
         return out
 
 
-def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
-    """Eigen-decomposition of a self-adjoint relation on standard C^r.
+def _resolvent_point(report: SpectrumReport) -> float:
+    """A real point at distance at least 1 from the finite spectrum."""
+    return 1.0 + max((abs(complex(w)) for w, _ in report.points if not is_inf(w)), default=0.0)
 
-    The multivalued part contributes the atom at infinity; the operator part
-    is the Hermitian compression to the (dense) domain.
+
+def _pull_back(factor: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The Y with M T = T Y, for T of full column rank whose range M leaves invariant.
+
+    Y is the least-squares solution; a residual ||M T - T Y|| above
+    IDENTITY_TOL * max(1, ||M T||) means ran T is not invariant under M.
     """
-    r = rel.space_dim
-    if r == 0:
-        return SpectralMeasure(0, ())
-    std = GramSpace.standard(r)
-    if not rel.adjoint(std.gram).same_as(rel):
+    image = mat @ factor
+    out, *_ = np.linalg.lstsq(factor, image, rcond=None)
+    resid = float(np.linalg.norm(image - factor @ out))
+    if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(image))):
+        raise InconsistencyError("range of the factor is not invariant under the operator")
+    return out
+
+
+def _measure_from_resolvent(res: np.ndarray, mu: float) -> SpectralMeasure:
+    """Spectral measure of the relation on C^r whose resolvent at the real point mu is res.
+
+    The relation is self-adjoint exactly when res is Hermitian.  An eigenvalue
+    x != 0 of res is the spectral point mu + 1/x, and ker res is the
+    multivalued part, the atom at infinity.
+    """
+    r = res.shape[0]
+    if float(np.linalg.norm(res - res.conj().T)) > IDENTITY_TOL * max(1.0, float(np.linalg.norm(res))):
         raise NotSelfAdjointError("relation is not self-adjoint on the Hilbert space")
-    mul = rel.mul()
-    dom = rel.dom()
-    if not dom.same_as(mul.complement()):
-        raise InconsistencyError("domain is not the orthogonal complement of the multivalued part")
+    res = (res + res.conj().T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(res)
+    at_inf = np.abs(eigvals) <= RANK_TOL * max(1.0, float(np.max(np.abs(eigvals))))
+    finite = np.flatnonzero(~at_inf)
     atoms: list[tuple[object, np.ndarray]] = []
-    points: list[tuple[object, int]] = []
-    k = dom.dim
-    if k > 0:
-        x, y = rel.graph_columns()
-        coeff, *_ = np.linalg.lstsq(x, dom.basis, rcond=None)
-        compressed = dom.basis.conj().T @ (y @ coeff)
-        herm_resid = float(np.linalg.norm(compressed - compressed.conj().T))
-        if herm_resid > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(compressed))):
-            raise InconsistencyError("operator part failed to compress to a Hermitian matrix")
-        compressed = (compressed + compressed.conj().T) / 2.0
-        eigvals, eigvecs = np.linalg.eigh(compressed)
-        for center, idx in _cluster_members(eigvals, SPECTRUM_CLUSTER_TOL):
-            vecs = dom.basis @ eigvecs[:, idx]
-            atoms.append((center, vecs @ vecs.conj().T))
-            points.append((center, len(idx)))
-    if mul.dim > 0:
-        atoms.append((INF, mul.basis @ mul.basis.conj().T))
-        points.append((INF, mul.dim))
-    atoms.sort(key=lambda t: point_sort_key(t[0]))
+    for center, idx in _cluster_members(mu + 1.0 / eigvals[finite], SPECTRUM_CLUSTER_TOL):
+        vecs = eigvecs[:, finite[idx]]
+        atoms.append((center, vecs @ vecs.conj().T))
+    if at_inf.any():
+        vecs = eigvecs[:, at_inf]
+        atoms.append((INF, vecs @ vecs.conj().T))
     measure = SpectralMeasure(r, tuple(atoms))
-    if float(np.linalg.norm(measure.total() - np.eye(r))) > MEASURE_TOL * max(1.0, float(np.sqrt(r))):
+    eye = np.eye(r, dtype=complex)
+    if float(np.linalg.norm(measure.total() - eye)) > MEASURE_TOL * max(1.0, float(np.sqrt(r))):
         raise InconsistencyError("spectral projectors do not sum to the identity")
     probe = 0.2131 + 1.3703j
     recon = np.zeros((r, r), dtype=complex)
     for p, proj in measure.atoms:
         if not is_inf(p):
             recon += proj / (complex(p) - probe)
-    own_report = SpectrumReport(r, tuple(points))
-    resid = float(np.linalg.norm(recon - resolvent_at(rel, probe, own_report)))
+    # the resolvent at the probe, res (I + (mu - probe) res)^{-1}
+    resid = float(np.linalg.norm(recon - np.linalg.solve(eye + (mu - probe) * res, res)))
     if resid > MEASURE_TOL * max(1.0, float(np.linalg.norm(recon))):
         raise InconsistencyError("spectral measure does not reproduce the resolvent")
     return measure
+
+
+def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
+    """Eigen-decomposition of a self-adjoint relation on standard C^r.
+
+    Read off its resolvent at a real point of the resolvent set; the
+    multivalued part contributes the atom at infinity.
+    """
+    if rel.space_dim == 0:
+        return SpectralMeasure(0, ())
+    report = spectrum(rel)
+    if report.is_full_sphere:
+        raise NotSelfAdjointError("relation is not self-adjoint on the Hilbert space")
+    mu = _resolvent_point(report)
+    return _measure_from_resolvent(resolvent_at(rel, mu, report), mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +342,7 @@ class Factorization:
     rank: int
     factor: np.ndarray          # T: C^r -> C^n
     factor_adjoint: np.ndarray  # T^+ = T* G: C^n -> C^r
-    theta: LinearRelation       # A pulled back to C^r
+    theta: LinearRelation       # {(u; v) : (T u; T v) in A}, built from the compressed resolvent
     measure: SpectralMeasure
     diagnostics: dict = field(default_factory=dict)
 
@@ -387,12 +371,14 @@ def _psd_kept(eigvals: np.ndarray) -> np.ndarray:
 
 
 def gram_factorize(pair: DefinitizablePair) -> Factorization:
-    """Factor q(A) = T T^+ and pull the relation back to the factor space.
+    """Factor q(A) = T T^+ and compress the relation to the factor space.
 
     Eigenvalues of Hermitian(G q(A)) at or below PSD_CUTOFF * ||H|| are
     discarded as zeros; the retained part determines the rank r, the factor
-    T and its adjoint, and the pulled-back relation with its spectral
-    measure.
+    T and its adjoint.  ran T = ran q(A) is invariant under the resolvent R
+    of A at a real point mu of the resolvent set, so R T = T X for an r x r
+    matrix X: the resolvent of theta(A) = {(X w, w + mu X w)} at mu, whose
+    eigendecomposition is the spectral measure.
     """
     g = pair.space.gram
     n = pair.space.dim
@@ -410,10 +396,10 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
         theta = LinearRelation(0, Subspace(np.zeros((0, 0), dtype=complex), 0))
         measure = SpectralMeasure(0, ())
     else:
-        theta = diagonal_preimage(factor, pair.relation)
-        if not theta.is_proper:
-            raise InconsistencyError("pulled-back relation is not proper")
-        measure = spectral_measure(theta)
+        mu = _resolvent_point(pair.report)
+        res = _pull_back(factor, resolvent_at(pair.relation, mu, pair.report))
+        theta = LinearRelation.from_graph_columns(res, np.eye(rank) + mu * res)
+        measure = _measure_from_resolvent(res, mu)
     diagnostics = {
         "factor_residual": resid_factor,
         "psd_margin": pair.diagnostics["psd_margin"],
@@ -439,7 +425,7 @@ def _check_commutes(a: np.ndarray, b: np.ndarray, what: str) -> None:
 def theta_op(fact: Factorization, mat: np.ndarray) -> np.ndarray:
     """Transport an operator commuting with q(A) to the factor space.
 
-    Realized as the pullback of its graph; the result satisfies
+    theta(C) is the matrix with C T = T theta(C); it also satisfies
     T^+ C = theta(C) T^+.
     """
     mat = np.asarray(mat, dtype=complex)
@@ -449,27 +435,11 @@ def theta_op(fact: Factorization, mat: np.ndarray) -> np.ndarray:
     _check_commutes(mat, fact.gram_product, "operator does not commute with q(A)")
     if fact.rank == 0:
         return np.zeros((0, 0), dtype=complex)
-    pulled = diagonal_preimage(fact.factor, LinearRelation.from_operator(mat))
-    try:
-        out = pulled.operator_matrix()
-    except NotBoundedError as exc:
-        raise InconsistencyError("pullback of a commutant operator was not an operator") from exc
+    out = _pull_back(fact.factor, mat)
     resid = float(np.linalg.norm(fact.factor_adjoint @ mat - out @ fact.factor_adjoint))
     if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(mat))):
         raise InconsistencyError("intertwining identity for the transported operator failed")
     return out
-
-
-def theta_relation(fact: Factorization, rel: LinearRelation) -> LinearRelation:
-    """Transport a relation invariant under conjugation by q(A)."""
-    if rel.space_dim != fact.pair.space.dim:
-        raise ValidationError("relation lives on the wrong space")
-    if spectrum(rel).is_full_sphere:
-        raise PreconditionError("relation has empty resolvent set")
-    image = diagonal_image(fact.gram_product, rel)
-    if not rel.contains(image):
-        raise InvarianceError("(q(A) x q(A)) image of the relation is not contained in it")
-    return diagonal_preimage(fact.factor, rel)
 
 
 def xi(fact: Factorization, mat: np.ndarray) -> np.ndarray:

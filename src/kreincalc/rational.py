@@ -526,12 +526,3 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num.coeffs.tolist()}, {self.den.coeffs.tolist()})"
-
-
-def rational_from_scalar(c: complex) -> RationalFunction:
-    return RationalFunction(Polynomial([complex(c)]))
-
-
-def moebius_scalar(moebius: MoebiusMap) -> RationalFunction:
-    """The Möbius map itself as a rational function of z."""
-    return RationalFunction(Polynomial([moebius.b, moebius.a]), Polynomial([moebius.d, moebius.c]))

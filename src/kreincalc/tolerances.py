@@ -33,7 +33,7 @@ COEFF_TRIM_TOL = 1e-12  # trim coefficients below this times the largest one
 # invertible, or a principal-part coefficient vanished.
 JET_INVERT_TOL = 1e-12
 # Jet entries below this (relative) vanish: the derivative jet confirming a
-# multiple root, and the jets of an element of the calculus kernel.
+# multiple root.
 JET_ZERO_TOL = 1e-9
 POLE_SEPARATION_TOL = 1e-13  # partial fractions: other pole clusters vanish at a pole
 RATIONAL_EQ_TOL = 1e-9  # cross-multiplied coefficients of equal functions (relative)
@@ -62,9 +62,13 @@ MEASURE_TOL = 1e-8
 # -- the calculus
 # Residual of the identities the calculus checks (relative): the decomposition
 # reassembles phi, projections are idempotent, a transported operator
-# intertwines T^+, and the Cayley transform is unitary.
+# intertwines T^+, and the Cayley transform is unitary.  Also the two
+# residuals of the compressed resolvent X of the factor space: invariance,
+# ||M T - T X|| for M the resolvent of A or a transported operator, and
+# Hermitian, ||X - X*||.  Over the planted benchmark pools they stay below
+# 1.3e-10 and 2.2e-8 where the factor is right; a factor of the wrong rank
+# leaves the invariance residual at 1.6e-6 and more.
 IDENTITY_TOL = 1e-7
-KERNEL_VALUE_TOL = 1e-8  # kernel criterion: g matches -(s/q) (relative)
 # Rounding noise (relative): the interpolation data of a decomposition, the
 # imaginary part of a Cayley parameter.
 ROUNDOFF_TOL = 1e-12

@@ -40,6 +40,7 @@ from kreincalc import (
     map_adjoint,
     norm_f,
     rational_apply,
+    spectral_measure,
     spectral_projection,
     spectrum,
     theta_op,
@@ -48,6 +49,7 @@ from kreincalc import (
 )
 from kreincalc import cli
 from kreincalc.relations import orthonormal_columns
+from kreincalc.tolerances import ATOM_MATCH_TOL, MEASURE_TOL
 
 from .helpers import (
     random_definitizable,
@@ -536,3 +538,35 @@ def test_09_cli_reports(tmp_path):
         rc, doc = run(command, fixture)
         assert rc == code and doc["error"]["code"] == name
     return "3 golden reports byte-stable; exit codes 2/3/4 each triggered by a dedicated fixture"
+
+
+@criterion(10, "factor-space-compression")
+def test_10_factor_space_compression():
+    # theta(A), built from the compressed resolvent, is the pullback
+    # (T x T)^{-1}(A) of the graph, and its own spectral measure is the one
+    # the factorization returns
+    rng = np.random.default_rng(1010)
+    worst_point = 0.0
+    worst_proj = 0.0
+    with_mul = 0
+    for trial in range(60):
+        planted = random_definitizable(rng, allow_mul=(trial % 2 == 0))
+        pair = planted.verify()
+        fact = gram_factorize(pair)
+        if fact.rank == 0:
+            continue
+        assert diagonal_preimage(fact.factor, pair.relation).same_as(fact.theta)
+        with_mul += not fact.theta.is_operator()
+        own = spectral_measure(fact.theta).atoms
+        assert len(own) == len(fact.measure.atoms)
+        for (p, proj), (p_own, proj_own) in zip(fact.measure.atoms, own):
+            if is_inf(p) or is_inf(p_own):
+                assert is_inf(p) and is_inf(p_own)
+            else:
+                worst_point = max(worst_point, abs(complex(p) - complex(p_own)))
+            worst_proj = max(worst_proj, float(np.linalg.norm(proj - proj_own)))
+    assert with_mul > 0
+    assert worst_point <= ATOM_MATCH_TOL
+    assert worst_proj <= MEASURE_TOL
+    return (f"60 pairs ({with_mul} with a multivalued theta), pullback equal; atoms within "
+            f"{worst_point:.1e}, projectors within {worst_proj:.1e}")

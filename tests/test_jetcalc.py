@@ -27,8 +27,6 @@ from kreincalc import (
     jet_multiply,
     jet_one,
     norm_f,
-    omega_kernel_check,
-    pi1_range,
     q_jets,
     rational_apply,
     spectral_projection,
@@ -178,7 +176,6 @@ class TestJetFunction:
         assert scalars[pair.resolve(1.0)] == 3.0
         assert scalars[pair.resolve(2.0)] == 1.0
         assert phi.max_abs() == 3.0
-        assert pi1_range(phi) in ((3.0 + 0.0j, 1.0 + 0.0j), (1.0 + 0.0j, 3.0 + 0.0j))
 
 
 class TestEmbedRational:
@@ -295,36 +292,6 @@ class TestDecompose:
         dec = decompose_polynomial(pair, phi)
         assert dec.s.den.degree == 0
         assert (dec.assemble() - phi).max_abs() < 1e-10
-
-
-class TestOmegaKernel:
-    def test_zero_function_is_in_kernel(self):
-        pair = running_pair()
-        dec = decompose(pair, JetFunction.zero(pair))
-        assert omega_kernel_check(pair, dec.s, dec.g)
-
-    def test_nonzero_function_is_not(self):
-        pair = running_pair()
-        phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
-        dec = decompose(pair, phi)
-        assert not omega_kernel_check(pair, dec.s, dec.g)
-
-    def test_manufactured_kernel_element(self):
-        # any s with g := -s/q along the spectrum assembles to zero
-        pair = running_pair()
-        s = RationalFunction(Polynomial([1.0, 1.0]))
-        w2 = pair.resolve(2.0)
-        g = {w: -complex(s(w)) / complex(pair.q(w))
-             for w in pair.points if w is not w2}
-        # at the critical point, q vanishes, so take the limit ratio instead
-        g[w2] = -complex(s.jet_at(w2, 1)[1]) / complex(pair.q.jet_at(w2, 1)[1])
-        # s(2) != 0 means s + g q cannot vanish there; the check must say no
-        assert not omega_kernel_check(pair, s, g)
-
-    def test_missing_g_value_rejected(self):
-        pair = running_pair()
-        with pytest.raises(ValidationError):
-            omega_kernel_check(pair, RationalFunction(Polynomial([1.0])), {2.0: 1.0})
 
 
 class TestApplyCalculus:
