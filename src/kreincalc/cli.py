@@ -215,7 +215,7 @@ def _cmd_adjoint(problem: Problem, args) -> dict:
         "results": {
             "X": _encode_matrix(x),
             "Y": _encode_matrix(y),
-            "is_self_adjoint": rel.same_as(adj),
+            "is_self_adjoint": rel.is_self_adjoint(space.gram),
         }
     }
 

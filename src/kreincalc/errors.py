@@ -62,10 +62,6 @@ class NotInCommutantError(PreconditionError):
     code = "not-in-commutant"
 
 
-class InvarianceError(PreconditionError):
-    code = "invariance-violated"
-
-
 class JetNotInvertibleError(PreconditionError):
     code = "jet-not-invertible"
 

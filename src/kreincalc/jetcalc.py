@@ -56,8 +56,7 @@ from .relations import INF, as_point, conj_point, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import rational_apply, resolvent_at  # noqa: F401
-from .tolerances import (BASE_POINT_CLEARANCE, BASE_POINT_TOL, IDENTITY_TOL, JET_INVERT_TOL,
-                         POINT_MATCH_TOL, ROUNDOFF_TOL)
+from .tolerances import BASE_POINT_CLEARANCE, IDENTITY_TOL, JET_INVERT_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL
 
 # -- jet arithmetic ---------------------------------------------------------
 
@@ -126,10 +125,6 @@ class JetFunction:
         self.values = cleaned
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, pair: DefinitizablePair) -> "JetFunction":
-        return cls(pair, {w: np.zeros(pair.degrees[w] + 1, dtype=complex) for w in pair.points})
 
     @classmethod
     def one(cls, pair: DefinitizablePair) -> "JetFunction":
@@ -331,7 +326,7 @@ def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
     plans = pair._calculus_plans
     if key not in plans:
         point = _default_mu(pair) if key is None else key
-        if pair.report.distance_to(point) <= BASE_POINT_TOL:
+        if pair.report.contains(point):
             raise ValidationError("base point mu must lie in the resolvent set")
         plans[key] = _CalculusPlan(pair, point)
     return plans[key]

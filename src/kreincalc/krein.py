@@ -1,4 +1,4 @@
-"""Krein-space structure: definitizability, Gram factorization, transforms.
+"""Krein-space structure: definitizability, Gram factorization, transport.
 
 A Krein space here is C^n with an invertible Hermitian Gram matrix G and
 inner product [x, y] = y* G x.  A self-adjoint relation A is definitizable
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     InconsistencyError,
     NotInCommutantError,
-    NotInResolventSetError,
     NotPositiveError,
     NotRealError,
     NotSelfAdjointError,
@@ -32,16 +31,14 @@ from .rational import RationalFunction, _cluster_members
 from .relations import (
     INF,
     LinearRelation,
-    MoebiusMap,
-    Subspace,
     as_point,
+    hermitian_residual,
     is_inf,
     require_finite,
 )
 from .spectral import SpectrumReport, rational_apply, resolvent_at, spectrum
 from .tolerances import (ATOM_MATCH_TOL, COMMUTANT_TOL, FACTOR_TOL, HERMITIAN_TOL, IDENTITY_TOL, MEASURE_TOL,
-                         POINT_MATCH_TOL, PSD_CUTOFF, PSD_TOL, RANK_TOL, REALNESS_TOL, ROUNDOFF_TOL,
-                         SPECTRUM_CLUSTER_TOL)
+                         POINT_MATCH_TOL, PSD_CUTOFF, PSD_TOL, RANK_TOL, REALNESS_TOL, SPECTRUM_CLUSTER_TOL)
 
 
 class GramSpace:
@@ -54,8 +51,7 @@ class GramSpace:
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValidationError("Gram matrix must be square")
         require_finite(gram, "Gram matrix")
-        scale = max(float(np.linalg.norm(gram)), 1.0)
-        if float(np.linalg.norm(gram - gram.conj().T)) > HERMITIAN_TOL * scale:
+        if hermitian_residual(gram) > HERMITIAN_TOL:
             raise ValidationError("Gram matrix must be Hermitian")
         gram = (gram + gram.conj().T) / 2.0
         if gram.shape[0] > 0:
@@ -91,14 +87,13 @@ class GramSpace:
         G B, already computed by the caller.
         """
         h = self.gram @ np.asarray(mat, dtype=complex)
-        scale = float(np.linalg.norm(h))
-        if float(np.linalg.norm(h - h.conj().T)) > tol * max(1.0, scale):
+        if hermitian_residual(h) > tol:
             return False
         if h.shape[0] == 0:
             return True
         w = np.linalg.eigvalsh((h + h.conj().T) / 2.0) if eigvals is None else eigvals
         # floor the scale so a numerically vanishing matrix counts as psd
-        return bool(np.min(w) >= -tol * max(scale, 1.0))
+        return bool(np.min(w) >= -tol * max(float(np.linalg.norm(h)), 1.0))
 
     def _abs_parts(self):
         if self._abs_cache is None:
@@ -188,9 +183,12 @@ def verify_definitizing(
 ) -> DefinitizablePair:
     """Check all definitizability requirements and assemble the pair.
 
+    Self-adjointness is decided by LinearRelation.is_self_adjoint, from the
+    Krein form X* G Y of the graph basis; no adjoint relation is built.
     Raises the specific precondition error on failure; a violation of the
     proved spectral inclusion (with all preconditions passing) is reported as
-    an inconsistency.
+    an inconsistency.  Diagnostics: self_adjoint_residual (of X* G Y),
+    hermitian_residual (of G q(A)) and psd_margin.
     """
     if space.dim != rel.space_dim:
         raise ValidationError("relation and Gram space dimensions differ")
@@ -201,8 +199,7 @@ def verify_definitizing(
     report = spectrum(rel)
     if report.is_full_sphere:
         raise PreconditionError("relation has empty resolvent set")
-    adj = rel.adjoint(space.gram)
-    if not adj.same_as(rel):
+    if not rel.is_self_adjoint(space.gram):
         raise NotSelfAdjointError("relation is not self-adjoint in this Krein space")
     q_matrix = rational_apply(q, rel, report)  # raises when a pole meets the spectrum
     hermitian_part = space.gram @ q_matrix
@@ -225,8 +222,8 @@ def verify_definitizing(
             )
     kept = psd_eig[0][_psd_kept(psd_eig[0])]
     diagnostics = {
-        "self_adjoint_residual": float(np.linalg.norm(rel.graph.projector() - adj.graph.projector())),
-        "hermitian_residual": float(np.linalg.norm(hermitian_part - hermitian_part.conj().T)),
+        "self_adjoint_residual": rel.self_adjoint_residual(space.gram),
+        "hermitian_residual": hermitian_residual(hermitian_part),
         "psd_margin": float(np.min(kept)) if kept.size else 0.0,
     }
     return DefinitizablePair(
@@ -290,7 +287,7 @@ def _measure_from_resolvent(res: np.ndarray, mu: float) -> SpectralMeasure:
     multivalued part, the atom at infinity.
     """
     r = res.shape[0]
-    if float(np.linalg.norm(res - res.conj().T)) > IDENTITY_TOL * max(1.0, float(np.linalg.norm(res))):
+    if hermitian_residual(res) > IDENTITY_TOL:
         raise NotSelfAdjointError("relation is not self-adjoint on the Hilbert space")
     res = (res + res.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(res)
@@ -342,9 +339,16 @@ class Factorization:
     rank: int
     factor: np.ndarray          # T: C^r -> C^n
     factor_adjoint: np.ndarray  # T^+ = T* G: C^n -> C^r
-    theta: LinearRelation       # {(u; v) : (T u; T v) in A}, built from the compressed resolvent
+    resolvent: np.ndarray       # X with R T = T X, R the resolvent of A at base_point
+    base_point: float           # the real point mu of the resolvent set
     measure: SpectralMeasure
     diagnostics: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def theta(self) -> LinearRelation:
+        """theta(A) = {(u; v) : (T u; T v) in A} = {(X w; w + mu X w)}, built on first use."""
+        res = self.resolvent
+        return LinearRelation.from_graph_columns(res, np.eye(self.rank) + self.base_point * res)
 
     @property
     def gram_product(self) -> np.ndarray:
@@ -392,13 +396,12 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     resid_factor = float(np.linalg.norm(factor @ factor_adjoint - pair.q_matrix))
     if resid_factor > FACTOR_TOL * max(1.0, float(np.linalg.norm(pair.q_matrix))):
         raise InconsistencyError("T T^+ failed to reproduce q(A)")
+    mu = _resolvent_point(pair.report)
     if rank == 0:
-        theta = LinearRelation(0, Subspace(np.zeros((0, 0), dtype=complex), 0))
+        res = np.zeros((0, 0), dtype=complex)
         measure = SpectralMeasure(0, ())
     else:
-        mu = _resolvent_point(pair.report)
         res = _pull_back(factor, resolvent_at(pair.relation, mu, pair.report))
-        theta = LinearRelation.from_graph_columns(res, np.eye(rank) + mu * res)
         measure = _measure_from_resolvent(res, mu)
     diagnostics = {
         "factor_residual": resid_factor,
@@ -410,7 +413,8 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
         rank=rank,
         factor=factor,
         factor_adjoint=factor_adjoint,
-        theta=theta,
+        resolvent=res,
+        base_point=mu,
         measure=measure,
         diagnostics=diagnostics,
     )
@@ -451,21 +455,3 @@ def xi(fact: Factorization, mat: np.ndarray) -> np.ndarray:
     _check_commutes(mat, fact.factor_product, "operator does not commute with T^+ T")
     return fact.factor @ mat @ fact.factor_adjoint
 
-
-def cayley(space: GramSpace, rel: LinearRelation, mu: complex) -> LinearRelation:
-    """Cayley transform z -> (z - mu)/(z - conj mu) of a self-adjoint relation."""
-    mu = complex(mu)
-    if abs(mu.imag) <= ROUNDOFF_TOL * max(1.0, abs(mu)):
-        raise ValidationError("Cayley parameter must be nonreal")
-    report = spectrum(rel)
-    for point in (mu, mu.conjugate()):
-        if report.is_full_sphere or report.distance_to(point) <= POINT_MATCH_TOL:
-            raise NotInResolventSetError(f"{point} must lie in the resolvent set")
-    if not rel.adjoint(space.gram).same_as(rel):
-        raise NotSelfAdjointError("Cayley transform needs a self-adjoint relation")
-    unitary = rel.moebius(MoebiusMap.cayley(mu))
-    mat = unitary.operator_matrix()
-    resid = float(np.linalg.norm(space.adjoint_of(mat) @ mat - np.eye(space.dim)))
-    if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(mat)) ** 2):
-        raise InconsistencyError("Cayley transform failed to be unitary")
-    return unitary

@@ -176,6 +176,12 @@ class Polynomial:
         quo, rem = npp.polydiv(self.coeffs, other.coeffs)
         return Polynomial(quo), Polynomial(rem)
 
+    def _divided(self, c: complex) -> "Polynomial":
+        """self / c for a nonzero scalar c; the roots, and so the cached clusters, carry over."""
+        out = Polynomial(self.coeffs / c)
+        out._clustered = self._clustered
+        return out
+
     def derivative(self) -> "Polynomial":
         if self.degree < 1:
             return Polynomial.zero()
@@ -308,9 +314,7 @@ class RationalFunction:
                     [c for c, m in droots for _ in range(m)], leading=den.leading
                 )
         lead = den.leading
-        num = Polynomial(num.coeffs / lead)
-        den = Polynomial(den.coeffs / lead)
-        return num, den
+        return num._divided(lead), den._divided(lead)
 
     @property
     def is_zero(self) -> bool:

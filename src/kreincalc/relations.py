@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistencyError, NotBoundedError, SingularMoebiusError, ValidationError
-from .tolerances import CONTAINMENT_TOL, MOEBIUS_DET_TOL, RANK_TOL, SUBSPACE_EQ_TOL
+from .tolerances import CONTAINMENT_TOL, HERMITIAN_TOL, MOEBIUS_DET_TOL, RANK_TOL, SUBSPACE_EQ_TOL
 
 
 class _Infinity:
@@ -102,6 +102,11 @@ def require_finite(values, name: str) -> None:
     """Reject NaN and infinite entries; numpy's LAPACK calls do not check."""
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{name} must be finite")
+
+
+def hermitian_residual(mat: np.ndarray) -> float:
+    """||M - M*|| / max(1, ||M||): how far a square matrix is from Hermitian."""
+    return float(np.linalg.norm(mat - mat.conj().T)) / max(1.0, float(np.linalg.norm(mat)))
 
 
 def stable_svd(mat: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
@@ -471,6 +476,25 @@ class LinearRelation:
         comp = null_space((big @ self.graph.basis).conj().T)
         flipped = np.vstack([comp[n:, :], -comp[:n, :]])
         return LinearRelation(n, Subspace(flipped, 2 * n))
+
+    def self_adjoint_residual(self, gram: np.ndarray) -> float:
+        """hermitian_residual of X* G Y for the graph basis (X; Y); infinite unless proper.
+
+        A is symmetric in [x, y] = y* G x when [y1, x2] = [x1, y2] on its
+        graph, that is when X* G Y is Hermitian, and dim A+ = 2n - dim A makes
+        a symmetric proper relation self-adjoint.
+        """
+        n = self.space_dim
+        if np.shape(gram) != (n, n):
+            raise ValidationError("Gram matrix does not match the space")
+        if not self.is_proper:
+            return math.inf
+        x, y = self.graph_columns()
+        return hermitian_residual(x.conj().T @ gram @ y)
+
+    def is_self_adjoint(self, gram: np.ndarray) -> bool:
+        """A = A+ in the Krein space with Gram matrix G."""
+        return self.self_adjoint_residual(gram) <= HERMITIAN_TOL
 
     def contains(self, other: "LinearRelation") -> bool:
         return self.graph.contains(other.graph)

@@ -76,6 +76,7 @@ class SpectrumReport:
         return best
 
     def contains(self, z) -> bool:
+        """Whether z is a spectral point; the resolvent set is exactly where it is not."""
         if self.is_full_sphere:
             return True
         return self.multiplicity_of(z) > 0
@@ -183,12 +184,7 @@ def _inf_multiplicity(k: np.ndarray, lam0: complex, nu: np.ndarray) -> int:
 def in_resolvent_set(rel: LinearRelation, z, report: SpectrumReport | None = None) -> bool:
     """Membership in the resolvent set, decided against the computed spectrum."""
     report = spectrum(rel) if report is None else report
-    if report.is_full_sphere:
-        return False
-    z = as_point(z)
-    if is_inf(z):
-        return report.inf_multiplicity() == 0
-    return report.distance_to(z) > RESOLVENT_DIST_TOL
+    return not report.contains(z)
 
 
 def resolvent_at(rel: LinearRelation, lam, report: SpectrumReport | None = None) -> np.ndarray:

@@ -145,6 +145,12 @@ class TestRunningGoldens:
         assert doc["diagnostics"]["factor_residual"] < 1e-12
         assert doc["diagnostics"]["psd_margin"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_base_point_near_the_spectrum_is_a_validation_error(self):
+        # mu = 1.00000005i lies within the resolvent cutoff of the eigenvalue i
+        rc, doc = run_on("calculus", "degenerate.json", "--mu", "0", "1.00000005")
+        assert rc == 2
+        assert doc["error"]["code"] == "validation"
+
     def test_adjoint_round_trips_through_spectrum(self, tmp_path):
         rc, doc = run_on("adjoint", "running.json")
         assert rc == 0

@@ -235,6 +235,16 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(pair, phi, mu=2.0)
 
+    @pytest.mark.parametrize("offset", [5e-9, 5e-8])
+    def test_base_point_near_the_spectrum_is_rejected_by_decompose(self, offset):
+        # the rotation has spectrum {i, -i}; a base point within the resolvent
+        # cutoff of i is on the spectrum for decompose as for apply_calculus
+        space = GramSpace(np.diag([1.0, -1.0]))
+        rel = LinearRelation.from_operator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        pair = verify_definitizing(space, rel, RationalFunction(Polynomial([1.0, 0.0, 1.0])))
+        with pytest.raises(ValidationError):
+            decompose(pair, JetFunction.one(pair), mu=1j + offset)
+
     def test_foreign_jet_function_rejected(self):
         pair = running_pair()
         space = GramSpace(np.eye(2))

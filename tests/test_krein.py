@@ -14,7 +14,6 @@ from kreincalc import (
     JetFunction,
     LinearRelation,
     NotInCommutantError,
-    NotInResolventSetError,
     NotPositiveError,
     NotRealError,
     NotSelfAdjointError,
@@ -23,7 +22,6 @@ from kreincalc import (
     RationalFunction,
     ValidationError,
     apply_calculus,
-    cayley,
     gram_factorize,
     map_adjoint,
     rational_apply,
@@ -559,35 +557,3 @@ class TestTransport:
             want = pair.q_matrix @ c
             assert np.allclose(roundtrip, want, atol=1e-6 * max(1.0, np.linalg.norm(want)))
 
-
-class TestCayley:
-    def test_zero_operator_golden(self):
-        rel = LinearRelation.from_operator(np.zeros((2, 2)))
-        u = cayley(GramSpace(np.eye(2)), rel, 1j)
-        assert np.allclose(u.operator_matrix(), -np.eye(2))
-
-    def test_transform_is_unitary_in_krein_sense(self):
-        rng = np.random.default_rng(44)
-        for trial in range(15):
-            planted = random_definitizable(rng, allow_mul=(trial % 3 == 0))
-            mu = 0.7 + 1.3j
-            try:
-                u = cayley(planted.space, planted.relation, mu)
-            except NotInResolventSetError:
-                continue
-            um = u.operator_matrix()
-            up = planted.space.adjoint_of(um)
-            assert np.allclose(up @ um, np.eye(planted.space.dim), atol=1e-7)
-
-    def test_real_mu_rejected(self):
-        space, rel, _ = running_example()
-        with pytest.raises(ValidationError):
-            cayley(space, rel, 2.0)
-
-    def test_spectral_mapping_to_unit_circle(self):
-        space, rel, q = running_example()
-        mu = 1j
-        u = cayley(space, rel, mu)
-        rep = spectrum(u)
-        for p, _ in rep.points:
-            assert abs(abs(complex(p)) - 1.0) < 1e-9

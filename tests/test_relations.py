@@ -17,7 +17,7 @@ from kreincalc import (
 )
 from kreincalc.relations import null_space, stable_svd
 
-from helpers import random_gram, random_invertible, random_operator, random_relation
+from helpers import random_definitizable, random_gram, random_invertible, random_operator, random_relation
 
 
 def test_chordal_distance_against_stereographic_projection():
@@ -259,6 +259,22 @@ class TestLinearRelation:
         g = np.diag([1.0, -1.0])
         assert big.contains(small)
         assert small.adjoint(g).contains(big.adjoint(g))
+
+    def test_is_self_adjoint_agrees_with_the_adjoint(self):
+        rng = np.random.default_rng(14)
+        for trial in range(12):
+            planted = random_definitizable(rng, allow_mul=(trial % 3 == 0))
+            g, rel = planted.space.gram, planted.relation
+            x, y = rel.graph_columns()
+            n = rel.space_dim
+            bump = rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape)
+            perturbed = LinearRelation.from_graph_columns(x, y + 1e-3 * bump)
+            wrong_dim = int(rng.choice([k for k in range(1, 2 * n + 1) if k != n]))
+            nonproper = random_relation(rng, n, graph_dim=wrong_dim)
+            for case, expected in ((rel, True), (perturbed, False), (nonproper, False)):
+                assert case.is_self_adjoint(g) == case.adjoint(g).same_as(case) == expected
+            assert rel.self_adjoint_residual(g) < 1e-12
+            assert nonproper.self_adjoint_residual(g) == np.inf
 
     def test_nonproper_relation(self):
         # one graph vector shared between X and Y columns makes dim < n
