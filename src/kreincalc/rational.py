@@ -51,9 +51,16 @@ def _cluster_members(values, tol: float) -> list[tuple[complex, list[int]]]:
     sorted by mean, members in visiting order.
     """
     vals = [complex(v) for v in values]
+    order = sorted(range(len(vals)), key=lambda k: (vals[k].real, vals[k].imag))
+    arr = np.array(vals, dtype=complex)
+    diff = arr[:, None] - arr
+    # np.hypot, unlike np.abs, is abs() of a Python complex to the bit: the loop's test
+    near = np.hypot(diff.real, diff.imag) <= tol * np.maximum(1.0, np.hypot(arr.real, arr.imag))
+    if np.count_nonzero(near) == len(vals):  # only the diagonal: all singletons
+        return [(vals[k], [k]) for k in order]
     centers: list[complex] = []
     members: list[list[int]] = []
-    for k in sorted(range(len(vals)), key=lambda k: (vals[k].real, vals[k].imag)):
+    for k in order:
         v = vals[k]
         for i, c in enumerate(centers):
             if abs(v - c) <= tol * max(1.0, abs(c)):
@@ -474,28 +481,36 @@ class RationalFunction:
         return _series_divide(_taylor_shift(self.num.coeffs, w, length), dshift, length)
 
     def partial_fractions(self) -> PartialFractions:
-        """Polynomial part plus principal parts at the clustered poles."""
+        """Polynomial part plus principal parts at the clustered poles, all at once.
+
+        With w = num mod den, the principal part at a pole alpha_k of order
+        nu_k is the jet of w / v_k there, v_k = prod_{i != k} (z - alpha_i)^nu_i.
+        Column k of one table holds the jet of v_k at alpha_k, grown from the
+        root differences alpha_k - alpha_i; one Taylor shift gives w's jets.
+        """
         p, w = self.num.divmod(self.den)
         if self.den.degree < 1:
             return PartialFractions(p, ())
-        droots = self.den.clustered_roots()
-        terms: list[tuple[complex, int, complex]] = []
-        for k, (alpha, nu) in enumerate(droots):
-            others = [c for i, (c, m) in enumerate(droots) if i != k for _ in range(m)]
-            vk = Polynomial.from_roots(others, leading=1.0)
-            vk_shift = vk.shifted(alpha)
-            if abs(vk_shift[0]) <= POLE_SEPARATION_TOL * max(float(np.max(np.abs(vk_shift))), 1.0):
-                raise InconsistencyError("pole clusters of the denominator overlap")
-            t = _series_divide(w.shifted(alpha), vk_shift, nu)
-            top = t[0]
-            if abs(top) <= JET_INVERT_TOL * max(float(np.max(np.abs(t))), 1.0):
-                raise InconsistencyError(
-                    "leading principal-part coefficient vanished; numerator and "
-                    "denominator were not coprime after normalization"
-                )
-            for j in range(1, nu + 1):
-                terms.append((alpha, j, complex(t[nu - j])))
-        return PartialFractions(p, tuple(terms))
+        alpha, nu = (np.array(v) for v in zip(*self.den.clustered_roots()))
+        # factor i of column k is alpha_k - alpha_i + t (1 for i = k); row 0 stays zero
+        const = alpha[:, None] - alpha + np.eye(alpha.size)
+        slope = 1.0 - np.eye(alpha.size)
+        table = np.zeros((self.den.degree + 2, alpha.size), dtype=complex)
+        table[1] = 1.0
+        for i in np.repeat(np.arange(alpha.size), nu):
+            table[1:] = const[:, i] * table[1:] + slope[:, i] * table[:-1]
+        cofactor = table[1:]
+        if (np.abs(cofactor[0]) <= POLE_SEPARATION_TOL * np.maximum(np.abs(cofactor).max(axis=0), 1.0)).any():
+            raise InconsistencyError("pole clusters of the denominator overlap")
+        order = int(nu.max())
+        t = _series_divide(_taylor_shift(w.coeffs, alpha, order)[:order], cofactor, order)
+        t[np.arange(order)[:, None] >= nu] = 0.0  # column k keeps its nu_k entries
+        if (np.abs(t[0]) <= JET_INVERT_TOL * np.maximum(np.abs(t).max(axis=0), 1.0)).any():
+            raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
+                                     "denominator were not coprime after normalization")
+        terms = tuple((a, j, jet[m - j]) for a, m, jet in zip(alpha.tolist(), nu.tolist(), t.T.tolist())
+                      for j in range(1, m + 1))
+        return PartialFractions(p, terms)
 
     def compose_moebius(self, moebius: MoebiusMap) -> "RationalFunction":
         """The composition z -> r((a z + b) / (c z + d)).

@@ -18,6 +18,7 @@ infinity comes from the nu and from rank decisions on M^{-1} X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -198,14 +199,18 @@ def resolvent_at(rel: LinearRelation, lam, report: SpectrumReport | None = None)
     if not in_resolvent_set(rel, lam, report):
         raise NotInResolventSetError(f"{lam} is not in the resolvent set")
     x, y = rel.graph_columns()
-    num, den = (y, x) if is_inf(lam) else (x, y - complex(lam) * x)
+    return _bounded_quotient(y, x) if is_inf(lam) else _bounded_quotient(x, y - complex(lam) * x)
+
+
+def _bounded_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num den^{-1}, one LU per matrix of a stack; NotBoundedError unless every one is bounded."""
     try:
-        out = np.linalg.solve(den.T, num.T).T
+        out = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)
     except np.linalg.LinAlgError:
         out = None
     # the graph of a matrix R has a rank-deficient domain block, at RANK_TOL,
     # once ||R|| reaches about 1 / RANK_TOL
-    if out is None or not np.all(np.isfinite(out)) or float(np.linalg.norm(out)) * RANK_TOL >= 1.0:
+    if out is None or not np.all(np.isfinite(out)) or np.any(np.linalg.norm(out, axis=(-2, -1)) * RANK_TOL >= 1.0):
         raise NotBoundedError("relation is not an everywhere-defined operator")
     return out
 
@@ -215,10 +220,12 @@ def rational_apply(
     rel: LinearRelation,
     report: SpectrumReport | None = None,
 ) -> np.ndarray:
-    """Evaluate a rational function on a relation via partial fractions.
+    """Evaluate r = p + sum_k sum_j c_kj (z - p_k)^-j as p(A) + sum_k sum_j c_kj R(p_k)^j.
 
-    Every pole (including infinity, i.e. a nontrivial polynomial part) must
-    lie in the resolvent set.
+    Every pole, infinity included when p has degree >= 1, must lie in the
+    resolvent set; each finite pole is tested once against the spectrum.  The
+    resolvents X (Y - p_k X)^{-1} of all finite poles come from one solve over
+    their stack, A = Y X^{-1} from resolvent_at at INF, and each power once.
     """
     n = rel.space_dim
     report = spectrum(rel) if report is None else report
@@ -228,20 +235,19 @@ def rational_apply(
         if not in_resolvent_set(rel, pole, report):
             raise PoleMeetsSpectrumError(f"pole {pole} of the function meets the spectrum")
     frac = func.partial_fractions()
+    parts = [(pole, [coeff for _, _, coeff in terms]) for pole, terms in groupby(frac.terms, key=lambda t: t[0])]
+    # (first power, factor, coefficients): p(A) in the power basis, then each pole's sum c_kj R(p_k)^j
+    mat = resolvent_at(rel, INF, report) if frac.poly.degree >= 1 else None
+    series = [(np.eye(n, dtype=complex), mat, frac.poly.coeffs)]
+    if parts and n:
+        x, y = rel.graph_columns()
+        poles = np.array([pole for pole, _ in parts], dtype=complex)
+        resolvents = _bounded_quotient(x, y[None] - poles[:, None, None] * x[None])
+        series += [(res, res, coeffs) for (_, coeffs), res in zip(parts, resolvents)]
     out = np.zeros((n, n), dtype=complex)
-    poly = frac.poly
-    if poly.degree >= 1:
-        mat = rel.operator_matrix()
-        power = np.eye(n, dtype=complex)
-        for coeff in poly.coeffs:
+    for power, factor, coeffs in series:
+        for j, coeff in enumerate(coeffs):
+            if j:
+                power = power @ factor
             out += complex(coeff) * power
-            power = power @ mat
-    elif not poly.is_zero:
-        out += poly.coeffs[0] * np.eye(n, dtype=complex)
-    cache: dict[complex, np.ndarray] = {}
-    for pole, order, coeff in frac.terms:
-        pole = complex(pole)
-        if pole not in cache:
-            cache[pole] = resolvent_at(rel, pole, report)
-        out += coeff * np.linalg.matrix_power(cache[pole], order)
     return out

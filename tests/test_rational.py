@@ -15,7 +15,7 @@ from kreincalc import (
     ValidationError,
     chordal_distance,
 )
-from kreincalc.rational import _cluster_members
+from kreincalc.rational import _cluster_members, _series_divide
 
 # zero or of ordinary size: near-zero leading coefficients manufacture
 # pole-zero pairs inside the cancellation radius, which normalization is
@@ -23,6 +23,57 @@ from kreincalc.rational import _cluster_members
 finite_coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False).filter(
     lambda x: x == 0.0 or abs(x) >= 1e-3
 )
+
+
+def _greedy_members(values, tol):
+    """The greedy loop of _cluster_members alone, without its all-singletons shortcut."""
+    vals = [complex(v) for v in values]
+    centers, members = [], []
+    for k in sorted(range(len(vals)), key=lambda k: (vals[k].real, vals[k].imag)):
+        for i, c in enumerate(centers):
+            if abs(vals[k] - c) <= tol * max(1.0, abs(c)):
+                members[i].append(k)
+                centers[i] = sum(vals[j] for j in members[i]) / len(members[i])
+                break
+        else:
+            centers.append(vals[k])
+            members.append([k])
+    return sorted(zip(centers, members), key=lambda t: (t[0].real, t[0].imag))
+
+
+def _pole_by_pole_terms(r):
+    """Principal parts one pole at a time: the cofactor of each pole expanded
+    into coefficients by Polynomial.from_roots, then Taylor-shifted."""
+    _, w = r.num.divmod(r.den)
+    droots = r.den.clustered_roots()
+    terms = []
+    for k, (alpha, nu) in enumerate(droots):
+        others = [c for i, (c, m) in enumerate(droots) if i != k for _ in range(m)]
+        t = _series_divide(w.shifted(alpha), Polynomial.from_roots(others).shifted(alpha), nu)
+        terms += [(alpha, j, complex(t[nu - j])) for j in range(1, nu + 1)]
+    return terms
+
+
+def _random_real_rational(rng):
+    """Real q with denominator degree up to 8, poles on a grid of spacing 1:
+    simple real poles, conjugate pairs and at most one double or triple real
+    pole, over a numerator of degree up to deg + 4.  Returns q and the
+    sorted pole orders it was built with."""
+    centers = list(rng.permutation(np.arange(-3.0, 3.01)))
+    roots, orders = [], []
+    while len(roots) < 8 and centers and rng.random() < 0.8:
+        if rng.random() < 0.3 and len(roots) <= 6:
+            a, b = centers.pop(), rng.uniform(0.5, 1.5)
+            roots += [a + 1j * b, a - 1j * b]
+            orders += [1, 1]
+        else:
+            m = int(min(rng.choice([1, 1, 2, 3]), 8 - len(roots)))
+            m = 1 if m > 1 and max(orders, default=1) > 1 else m
+            roots += [centers.pop()] * m
+            orders.append(m)
+    num = rng.normal(size=int(rng.integers(1, len(roots) + 6)))
+    den = np.real(np.poly(roots)[::-1]) if roots else [1.0]
+    return RationalFunction(Polynomial(num), Polynomial(den)), sorted(orders)
 
 
 class TestPolynomial:
@@ -97,6 +148,21 @@ class TestPolynomial:
         groups = _cluster_members([3.0, 1.0, 1.0 + 1e-9, 2.0], 1e-6)
         assert [idx for _, idx in groups] == [[1, 2], [3], [0]]
         assert groups[0][0] == (1.0 + (1.0 + 1e-9)) / 2
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-7, 1e-6, 0.05]))
+    @settings(max_examples=300, deadline=None)
+    def test_cluster_members_matches_the_greedy_loop(self, seed, tol):
+        # random values with planted near-ties at 0.5, 1 and 2 times the radius
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(0, 17))
+        vals = list(rng.normal(size=size) * 10.0 ** rng.integers(-1, 2, size=size)
+                    + 1j * rng.normal(size=size) * (rng.random(size) < 0.5))
+        for _ in range(int(rng.integers(0, 4)) if vals else 0):
+            v = vals[int(rng.integers(len(vals)))]
+            step = rng.choice([0.5, 1.0, 2.0]) * tol * max(1.0, abs(v))
+            vals.append(v + step * np.exp(2j * np.pi * rng.random()))
+        rng.shuffle(vals)
+        assert _cluster_members(vals, tol) == _greedy_members(vals, tol)
 
     def test_clustered_roots_keeps_close_distinct_roots_apart(self):
         p = Polynomial.from_roots([1.0, 1.0 + 2e-4, 1.0 - 2e-4])
@@ -214,6 +280,23 @@ class TestRationalFunction:
         pf = r.partial_fractions()
         for z in [0.11 + 0.23j, -1.4 + 2.2j, 3.1 - 0.5j]:
             assert abs(pf(z) - r(z)) <= 1e-9 * max(1.0, abs(r(z)))
+
+    def test_partial_fractions_match_the_pole_by_pole_expansion(self):
+        rng = np.random.default_rng(71)
+        seen = set()
+        for _ in range(300):
+            r, orders = _random_real_rational(rng)
+            pf = r.partial_fractions()
+            for z in [0.11 + 0.23j, -1.4 + 2.2j, 3.1 - 0.5j]:
+                assert abs(pf(z) - r(z)) <= 1e-9 * max(1.0, abs(r(z)))
+            assert sorted(m for _, m in r.den.clustered_roots()) == orders
+            want = _pole_by_pole_terms(r)
+            assert [(p, j) for p, j, _ in pf.terms] == [(p, j) for p, j, _ in want]
+            scale = max([1.0] + [abs(c) for _, _, c in want])
+            assert all(abs(c - cw) <= 1e-12 * scale for (_, _, c), (_, _, cw) in zip(pf.terms, want))
+            seen.update(orders)
+            seen.add("polynomial part" if pf.poly.degree >= 1 else "proper")
+        assert seen == {1, 2, 3, "polynomial part", "proper"}
 
     def test_compose_moebius_pointwise(self):
         r = RationalFunction(Polynomial([1.0, 0.0, 2.0]), Polynomial([1.0, 1.0]))

@@ -8,6 +8,7 @@ import pytest
 
 from kreincalc import (
     INF,
+    GramSpace,
     LinearRelation,
     MoebiusMap,
     NotBoundedError,
@@ -22,6 +23,7 @@ from kreincalc import (
     rational_apply,
     resolvent_at,
     spectrum,
+    verify_definitizing,
 )
 from kreincalc.rational import cluster_values
 from kreincalc.tolerances import SPECTRUM_CLUSTER_TOL
@@ -35,6 +37,20 @@ from helpers import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _record_solves(monkeypatch) -> list:
+    """Wrap np.linalg.solve; each call appends (ndim of the matrix, result)."""
+    calls = []
+    real = np.linalg.solve
+
+    def solve(a, b):
+        out = real(a, b)
+        calls.append((np.ndim(a), out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return calls
 
 
 def _block_diag(*blocks):
@@ -371,6 +387,59 @@ class TestRationalApply:
         for p, mult in rep.points:
             want.append((func(p), mult))
         assert match_point_sets(want, image.points, tol=1e-6)
+
+    @pytest.mark.parametrize("with_mul", [False, True])
+    def test_stacked_resolvents_equal_per_pole_resolvents(self, monkeypatch, with_mul):
+        # a double pole and three simple ones, far outside the random spectra
+        rng = np.random.default_rng(41)
+        func = RationalFunction(Polynomial([1.0, 0.5, -0.25]),
+                                Polynomial.from_roots([10j, 10j, -12.0, 11.0 - 11.0j, 13.0]))
+        poles = list(dict.fromkeys(p for p, _, _ in func.partial_fractions().terms))
+        for n in (3, 6, 9):
+            rel = random_proper_relation(rng, n, with_mul=with_mul)
+            assert (rel.mul().dim > 0) == with_mul
+            rep = spectrum(rel)
+            calls = _record_solves(monkeypatch)
+            rational_apply(func, rel, rep)
+            stacked = [out for ndim, out in calls if ndim == 3]
+            assert len(stacked) == 1 and stacked[0].shape == (4, n, n)
+            monkeypatch.undo()
+            for k, pole in enumerate(poles):
+                assert np.array_equal(np.swapaxes(stacked[0], -1, -2)[k], resolvent_at(rel, pole, rep))
+
+    def test_four_poles_and_a_polynomial_part_take_two_solves_and_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        a = random_operator(rng, 6)
+        rel = LinearRelation.from_operator(a)
+        rep = spectrum(rel)
+        # numerator degree 6 over denominator degree 4: a polynomial part of degree 2
+        func = RationalFunction(Polynomial([1.0, -2.0, 0.5, 0.3, 0.1, 0.2, 0.05]),
+                                Polynomial.from_roots([10j, -10j, 12.0, -12.0]))
+        counts = {"solve": 0, "svd": 0}
+        for name in counts:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        got = rational_apply(func, rel, rep)
+        assert counts == {"solve": 2, "svd": 0}
+        monkeypatch.undo()
+        vals, vecs = np.linalg.eig(a)
+        want = vecs @ np.diag([complex(func(complex(v))) for v in vals]) @ np.linalg.inv(vecs)
+        assert np.allclose(got, want, atol=1e-9 * max(1.0, np.linalg.norm(want)))
+
+    def test_empty_pair_and_pole_free_function_make_no_stacked_solve(self, monkeypatch):
+        calls = _record_solves(monkeypatch)
+        empty = LinearRelation.from_operator(np.zeros((0, 0)))
+        q = RationalFunction(Polynomial([1.0, 0.0, 0.0, 2.0]), Polynomial.from_roots([3j, -3j]))
+        pair = verify_definitizing(GramSpace(np.zeros((0, 0))), empty, q)
+        assert pair.q_matrix.shape == (0, 0)
+        rng = np.random.default_rng(43)
+        a = random_operator(rng, 4)
+        p = RationalFunction(Polynomial([1.0, -2.0, 0.5]))
+        got = rational_apply(p, LinearRelation.from_operator(a))
+        assert np.allclose(got, np.eye(4) - 2 * a + 0.5 * (a @ a), atol=1e-10)
+        assert calls and all(ndim == 2 for ndim, _ in calls)
 
 
 def rational_from_scalar_like(c):
