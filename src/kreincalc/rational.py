@@ -51,16 +51,9 @@ def _cluster_members(values, tol: float) -> list[tuple[complex, list[int]]]:
     sorted by mean, members in visiting order.
     """
     vals = [complex(v) for v in values]
-    order = sorted(range(len(vals)), key=lambda k: (vals[k].real, vals[k].imag))
-    arr = np.array(vals, dtype=complex)
-    diff = arr[:, None] - arr
-    # np.hypot, unlike np.abs, is abs() of a Python complex to the bit: the loop's test
-    near = np.hypot(diff.real, diff.imag) <= tol * np.maximum(1.0, np.hypot(arr.real, arr.imag))
-    if np.count_nonzero(near) == len(vals):  # only the diagonal: all singletons
-        return [(vals[k], [k]) for k in order]
     centers: list[complex] = []
     members: list[list[int]] = []
-    for k in order:
+    for k in sorted(range(len(vals)), key=lambda k: (vals[k].real, vals[k].imag)):
         v = vals[k]
         for i, c in enumerate(centers):
             if abs(v - c) <= tol * max(1.0, abs(c)):

@@ -223,9 +223,9 @@ def rational_apply(
     """Evaluate r = p + sum_k sum_j c_kj (z - p_k)^-j as p(A) + sum_k sum_j c_kj R(p_k)^j.
 
     Every pole, infinity included when p has degree >= 1, must lie in the
-    resolvent set; each finite pole is tested once against the spectrum.  The
+    resolvent set; each pole is tested once against the spectrum.  The
     resolvents X (Y - p_k X)^{-1} of all finite poles come from one solve over
-    their stack, A = Y X^{-1} from resolvent_at at INF, and each power once.
+    their stack, A = Y X^{-1} from one more, and each power is formed once.
     """
     n = rel.space_dim
     report = spectrum(rel) if report is None else report
@@ -236,13 +236,14 @@ def rational_apply(
             raise PoleMeetsSpectrumError(f"pole {pole} of the function meets the spectrum")
     frac = func.partial_fractions()
     parts = [(pole, [coeff for _, _, coeff in terms]) for pole, terms in groupby(frac.terms, key=lambda t: t[0])]
+    x, y = rel.graph_columns()
     # (first power, factor, coefficients): p(A) in the power basis, then each pole's sum c_kj R(p_k)^j
-    mat = resolvent_at(rel, INF, report) if frac.poly.degree >= 1 else None
+    mat = _bounded_quotient(y, x) if frac.poly.degree >= 1 else None
     series = [(np.eye(n, dtype=complex), mat, frac.poly.coeffs)]
     if parts and n:
-        x, y = rel.graph_columns()
         poles = np.array([pole for pole, _ in parts], dtype=complex)
-        resolvents = _bounded_quotient(x, y[None] - poles[:, None, None] * x[None])
+        # X as a (1, n, n) stack: numpy 1.x reads b as a stack of vectors when b.ndim == a.ndim - 1
+        resolvents = _bounded_quotient(x[None], y[None] - poles[:, None, None] * x[None])
         series += [(res, res, coeffs) for (_, coeffs), res in zip(parts, resolvents)]
     out = np.zeros((n, n), dtype=complex)
     for power, factor, coeffs in series:

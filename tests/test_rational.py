@@ -25,22 +25,6 @@ finite_coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False).filter(
 )
 
 
-def _greedy_members(values, tol):
-    """The greedy loop of _cluster_members alone, without its all-singletons shortcut."""
-    vals = [complex(v) for v in values]
-    centers, members = [], []
-    for k in sorted(range(len(vals)), key=lambda k: (vals[k].real, vals[k].imag)):
-        for i, c in enumerate(centers):
-            if abs(vals[k] - c) <= tol * max(1.0, abs(c)):
-                members[i].append(k)
-                centers[i] = sum(vals[j] for j in members[i]) / len(members[i])
-                break
-        else:
-            centers.append(vals[k])
-            members.append([k])
-    return sorted(zip(centers, members), key=lambda t: (t[0].real, t[0].imag))
-
-
 def _pole_by_pole_terms(r):
     """Principal parts one pole at a time: the cofactor of each pole expanded
     into coefficients by Polynomial.from_roots, then Taylor-shifted."""
@@ -148,21 +132,6 @@ class TestPolynomial:
         groups = _cluster_members([3.0, 1.0, 1.0 + 1e-9, 2.0], 1e-6)
         assert [idx for _, idx in groups] == [[1, 2], [3], [0]]
         assert groups[0][0] == (1.0 + (1.0 + 1e-9)) / 2
-
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-7, 1e-6, 0.05]))
-    @settings(max_examples=300, deadline=None)
-    def test_cluster_members_matches_the_greedy_loop(self, seed, tol):
-        # random values with planted near-ties at 0.5, 1 and 2 times the radius
-        rng = np.random.default_rng(seed)
-        size = int(rng.integers(0, 17))
-        vals = list(rng.normal(size=size) * 10.0 ** rng.integers(-1, 2, size=size)
-                    + 1j * rng.normal(size=size) * (rng.random(size) < 0.5))
-        for _ in range(int(rng.integers(0, 4)) if vals else 0):
-            v = vals[int(rng.integers(len(vals)))]
-            step = rng.choice([0.5, 1.0, 2.0]) * tol * max(1.0, abs(v))
-            vals.append(v + step * np.exp(2j * np.pi * rng.random()))
-        rng.shuffle(vals)
-        assert _cluster_members(vals, tol) == _greedy_members(vals, tol)
 
     def test_clustered_roots_keeps_close_distinct_roots_apart(self):
         p = Polynomial.from_roots([1.0, 1.0 + 2e-4, 1.0 - 2e-4])

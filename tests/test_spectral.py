@@ -428,6 +428,26 @@ class TestRationalApply:
         want = vecs @ np.diag([complex(func(complex(v))) for v in vals]) @ np.linalg.inv(vecs)
         assert np.allclose(got, want, atol=1e-9 * max(1.0, np.linalg.norm(want)))
 
+    @pytest.mark.parametrize("n_poles", [1, 2, 4])
+    def test_stacked_solve_holds_under_the_numpy_1_reading_of_its_right_side(self, monkeypatch, n_poles):
+        # numpy 1.x reads b as a stack of vectors when b.ndim == a.ndim - 1; with
+        # 1 or n poles a (n, n) right side would then pair poles with columns
+        real = np.linalg.solve
+
+        def solve(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return real(a, b[..., None])[..., 0] if b.ndim == a.ndim - 1 else real(a, b)
+
+        rng = np.random.default_rng(44)
+        a = random_operator(rng, 4)
+        func = RationalFunction(Polynomial([1.0, 0.5]), Polynomial.from_roots([10.0 + 3j * k for k in range(n_poles)]))
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        got = rational_apply(func, LinearRelation.from_operator(a))
+        monkeypatch.undo()
+        vals, vecs = np.linalg.eig(a)
+        want = vecs @ np.diag([complex(func(complex(v))) for v in vals]) @ np.linalg.inv(vecs)
+        assert np.allclose(got, want, atol=1e-10 * max(1.0, np.linalg.norm(want)))
+
     def test_empty_pair_and_pole_free_function_make_no_stacked_solve(self, monkeypatch):
         calls = _record_solves(monkeypatch)
         empty = LinearRelation.from_operator(np.zeros((0, 0)))
