@@ -51,12 +51,12 @@ from .errors import (
     ValidationError,
 )
 from .krein import DefinitizablePair, Factorization
-from .rational import Polynomial, RationalFunction
+from .rational import Polynomial, RationalFunction, _series_divide
 from .relations import INF, as_point, conj_point, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import rational_apply, resolvent_at  # noqa: F401
-from .tolerances import BASE_POINT_CLEARANCE, IDENTITY_TOL, JET_INVERT_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL
+from .tolerances import IDENTITY_TOL, JET_INVERT_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL
 
 # -- jet arithmetic ---------------------------------------------------------
 
@@ -76,11 +76,7 @@ def jet_invert(a: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a))))
     if abs(a[0]) <= JET_INVERT_TOL * scale:
         raise JetNotInvertibleError("jet has (numerically) vanishing leading entry")
-    out = np.zeros(a.size, dtype=complex)
-    out[0] = 1.0 / a[0]
-    for j in range(1, a.size):
-        out[j] = -sum(out[k] * a[j - k] for k in range(j)) / a[0]
-    return out
+    return _series_divide(jet_one(a.size), a, a.size)
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -226,7 +222,7 @@ def _pack(pair: DefinitizablePair, layout, finite_jets, inf_jets, shape: tuple =
     shaped (points, length) + shape; inf_jets(length) gives the jet at INF.
     """
     lengths, owner, entry = layout
-    values, finite = pair._point_array
+    values, finite = pair.report._point_array
     table = np.zeros((lengths.size, int(np.max(lengths, initial=1))) + shape, dtype=complex)
     table[finite] = finite_jets(values[finite], table.shape[1])
     for i in np.flatnonzero(~finite).tolist():
@@ -365,22 +361,10 @@ class Decomposition:
 
 
 def _default_mu(pair: DefinitizablePair) -> complex:
-    radius = 0.0
-    for w in pair.points:
-        if not is_inf(w):
-            radius = max(radius, abs(complex(w)))
-    for z, _ in pair.q.zeros():
-        if not is_inf(z):
-            radius = max(radius, abs(complex(z)))
-    mu = 1j * (1.0 + radius)
-    for _ in range(8):
-        clear = abs(mu.imag) > BASE_POINT_CLEARANCE and all(
-            is_inf(w) or abs(mu - complex(w)) > BASE_POINT_CLEARANCE for w in pair.points
-        )
-        if clear:
-            return mu
-        mu = 2.0 * mu
-    return mu
+    """i (1 + r), r the largest modulus of a spectral point or a zero of q: a
+    point at distance at least 1 from every spectral point and from the real axis."""
+    points = list(pair.points) + [z for z, _ in pair.q.zeros()]
+    return 1j * (1.0 + max((abs(complex(w)) for w in points if not is_inf(w)), default=0.0))
 
 
 def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decomposition:
@@ -453,8 +437,7 @@ def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
             s_matrix = c * eye + dec._plan.resolvent() @ s_matrix
     if fact.rank == 0:
         return s_matrix
-    values = {p: dec.g[w] for (p, _), w in zip(fact.measure.atoms, fact.atom_points)}
-    integral = fact.measure.integrate(values)
+    integral = fact.measure.integrate(dec.g)
     return s_matrix + fact.factor @ integral @ fact.factor_adjoint
 
 

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .rational import RationalFunction, _cluster_members
+from .rational import RationalFunction
 from .relations import (
     INF,
     LinearRelation,
@@ -38,7 +38,7 @@ from .relations import (
 )
 from .spectral import SpectrumReport, rational_apply, resolvent_at, spectrum
 from .tolerances import (ATOM_MATCH_TOL, COMMUTANT_TOL, FACTOR_TOL, HERMITIAN_TOL, IDENTITY_TOL, MEASURE_TOL,
-                         POINT_MATCH_TOL, PSD_CUTOFF, PSD_TOL, RANK_TOL, REALNESS_TOL, SPECTRUM_CLUSTER_TOL)
+                         POINT_MATCH_TOL, PSD_CUTOFF, PSD_TOL, RANK_TOL, REALNESS_TOL)
 
 
 class GramSpace:
@@ -74,11 +74,6 @@ class GramSpace:
         x = np.asarray(x, dtype=complex).ravel()
         y = np.asarray(y, dtype=complex).ravel()
         return complex(y.conj() @ (self.gram @ x))
-
-    def adjoint_of(self, mat: np.ndarray) -> np.ndarray:
-        """Adjoint of an operator matrix: G^{-1} B* G."""
-        mat = np.asarray(mat, dtype=complex)
-        return np.linalg.solve(self.gram, mat.conj().T @ self.gram)
 
     def is_positive(self, mat: np.ndarray, tol: float = PSD_TOL, eigvals: np.ndarray | None = None) -> bool:
         """[Bx, x] >= 0 for all x, i.e. G B is Hermitian positive semidefinite.
@@ -140,34 +135,17 @@ class DefinitizablePair:
         """Match z against the canonical spectral points."""
         return self.points[self._match([z], tol)[0]]
 
-    @functools.cached_property
-    def _point_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """The points as a complex array (0 at infinity) and the mask of the finite ones."""
-        finite = np.array([not is_inf(w) for w in self.points], dtype=bool)
-        values = np.array([complex(w) if f else 0.0 for w, f in zip(self.points, finite)], dtype=complex)
-        return values, finite
-
     def _match(self, labels, tol: float) -> np.ndarray:
-        """Index into points of each label.
-
-        A finite label takes the nearest finite point (the first on ties) when
-        it lies within tol; infinity matches only infinity.
-        """
-        labels = [as_point(z) for z in labels]
-        if not labels:
-            return np.zeros(0, dtype=int)
-        values, finite = self._point_array
-        at_inf = np.array([is_inf(z) for z in labels], dtype=bool)
-        coords = np.array([0.0 if inf else z for z, inf in zip(labels, at_inf)], dtype=complex)
-        # a label is compared only with points of its own kind, finite or infinite
-        dist = np.where(at_inf[:, None] == finite, np.inf, np.abs(coords[:, None] - values))
-        missed = ~(dist.min(axis=1, initial=np.inf) <= tol)
+        """Index into points of each label, by SpectrumReport.match; ValidationError on a miss."""
+        labels = list(labels)
+        hits = self.report.match(labels, tol)
+        missed = hits < 0
         if missed.any():
-            z = labels[int(np.argmax(missed))]
+            z = as_point(labels[int(np.argmax(missed))])
             if is_inf(z):
                 raise ValidationError("infinity is not a spectral point of this pair")
             raise ValidationError(f"{z} does not match any spectral point")
-        return dist.argmin(axis=1)
+        return hits
 
 
 def _is_real_point(w) -> bool:
@@ -215,11 +193,9 @@ def verify_definitizing(
                 "definitizability conclusion fails, input tolerances are suspect"
             )
     crit = [w for w in points if degrees[w] > 0 and not is_inf(w)]
-    for w in crit:
-        if all(abs(complex(w).conjugate() - complex(v)) > POINT_MATCH_TOL for v in crit):
-            raise InconsistencyError(
-                "critical spectrum is not symmetric under conjugation"
-            )
+    mates = report.match([complex(w).conjugate() for w in crit], POINT_MATCH_TOL).tolist()
+    if any(i < 0 or degrees[points[i]] == 0 for i in mates):
+        raise InconsistencyError("critical spectrum is not symmetric under conjugation")
     kept = psd_eig[0][_psd_kept(psd_eig[0])]
     diagnostics = {
         "self_adjoint_residual": rel.self_adjoint_residual(space.gram),
@@ -279,12 +255,14 @@ def _pull_back(factor: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _measure_from_resolvent(res: np.ndarray, mu: float) -> SpectralMeasure:
+def _measure_from_resolvent(res: np.ndarray, mu: float, report: SpectrumReport) -> SpectralMeasure:
     """Spectral measure of the relation on C^r whose resolvent at the real point mu is res.
 
     The relation is self-adjoint exactly when res is Hermitian.  An eigenvalue
     x != 0 of res is the spectral point mu + 1/x, and ker res is the
-    multivalued part, the atom at infinity.
+    multivalued part, at infinity.  Each is assigned to a point of report at
+    ATOM_MATCH_TOL, which keys the atoms, in report order; an eigenvalue that
+    matches no point is an inconsistency.
     """
     r = res.shape[0]
     if hermitian_residual(res) > IDENTITY_TOL:
@@ -292,14 +270,13 @@ def _measure_from_resolvent(res: np.ndarray, mu: float) -> SpectralMeasure:
     res = (res + res.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(res)
     at_inf = np.abs(eigvals) <= RANK_TOL * max(1.0, float(np.max(np.abs(eigvals))))
-    finite = np.flatnonzero(~at_inf)
-    atoms: list[tuple[object, np.ndarray]] = []
-    for center, idx in _cluster_members(mu + 1.0 / eigvals[finite], SPECTRUM_CLUSTER_TOL):
-        vecs = eigvecs[:, finite[idx]]
-        atoms.append((center, vecs @ vecs.conj().T))
-    if at_inf.any():
-        vecs = eigvecs[:, at_inf]
-        atoms.append((INF, vecs @ vecs.conj().T))
+    hits = report.match([INF if inf else mu + 1.0 / x for x, inf in zip(eigvals.tolist(), at_inf)], ATOM_MATCH_TOL)
+    if (hits < 0).any():
+        raise InconsistencyError("an eigenvalue of the compressed resolvent matches no spectral point")
+    atoms = []
+    for i in sorted(set(hits.tolist())):
+        vecs = eigvecs[:, hits == i]
+        atoms.append((report.points[i][0], vecs @ vecs.conj().T))
     measure = SpectralMeasure(r, tuple(atoms))
     eye = np.eye(r, dtype=complex)
     if float(np.linalg.norm(measure.total() - eye)) > MEASURE_TOL * max(1.0, float(np.sqrt(r))):
@@ -328,7 +305,7 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
     if report.is_full_sphere:
         raise NotSelfAdjointError("relation is not self-adjoint on the Hilbert space")
     mu = _resolvent_point(report)
-    return _measure_from_resolvent(resolvent_at(rel, mu, report), mu)
+    return _measure_from_resolvent(resolvent_at(rel, mu, report), mu, report)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,12 +336,6 @@ class Factorization:
     def factor_product(self) -> np.ndarray:
         """T^+ T on the factor space."""
         return self.factor_adjoint @ self.factor
-
-    @functools.cached_property
-    def atom_points(self) -> tuple[object, ...]:
-        """The spectral point of the pair at each atom of the measure."""
-        points = self.pair.points
-        return tuple(points[i] for i in self.pair._match([p for p, _ in self.measure.atoms], ATOM_MATCH_TOL))
 
 
 def _psd_kept(eigvals: np.ndarray) -> np.ndarray:
@@ -402,7 +373,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
         measure = SpectralMeasure(0, ())
     else:
         res = _pull_back(factor, resolvent_at(pair.relation, mu, pair.report))
-        measure = _measure_from_resolvent(res, mu)
+        measure = _measure_from_resolvent(res, mu, pair.report)
     diagnostics = {
         "factor_residual": resid_factor,
         "psd_margin": pair.diagnostics["psd_margin"],

@@ -17,6 +17,7 @@ infinity comes from the nu and from rank decisions on M^{-1} X.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -35,7 +36,6 @@ from .relations import (
     Subspace,
     _sv_cutoff,
     as_point,
-    chordal_distance,
     is_inf,
     point_sort_key,
     stable_svd,
@@ -64,40 +64,38 @@ class SpectrumReport:
                 return m
         return 0
 
+    @functools.cached_property
+    def _point_array(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points as a complex array, inf at the point infinity, and the mask of the finite ones."""
+        finite = np.array([not is_inf(p) for p, _ in self.points], dtype=bool)
+        values = np.array([complex(p) if f else np.inf for (p, _), f in zip(self.points, finite)], dtype=complex)
+        return values, finite
+
+    def match(self, labels, tol: float) -> np.ndarray:
+        """Index into points of each label, -1 where no point lies within tol.
+
+        A finite label takes the nearest finite point, the first on ties;
+        infinity matches only infinity.
+        """
+        labels = [as_point(z) for z in labels]
+        if not labels or not self.points:
+            return np.full(len(labels), -1, dtype=int)
+        values, finite = self._point_array
+        # the point infinity is inf in values, so no finite label comes within tol of it
+        dist = np.abs(np.array([0.0 if is_inf(z) else z for z in labels], dtype=complex)[:, None] - values)
+        at_inf = -1 if finite.all() else int(finite.argmin())
+        return np.array([at_inf if is_inf(z) else (i if row[i] <= tol else -1)
+                         for z, i, row in zip(labels, dist.argmin(axis=1).tolist(), dist)], dtype=int)
+
     def multiplicity_of(self, z) -> int:
-        z = as_point(z)
         if self.is_full_sphere:
             return self.space_dim
-        if is_inf(z):
-            return self.inf_multiplicity()
-        best = 0
-        for p, m in self.points:
-            if not is_inf(p) and abs(complex(p) - z) <= RESOLVENT_DIST_TOL:
-                best += m
-        return best
+        i = int(self.match([z], RESOLVENT_DIST_TOL)[0])
+        return self.points[i][1] if i >= 0 else 0
 
     def contains(self, z) -> bool:
         """Whether z is a spectral point; the resolvent set is exactly where it is not."""
-        if self.is_full_sphere:
-            return True
         return self.multiplicity_of(z) > 0
-
-    def distance_to(self, z) -> float:
-        """Absolute distance to the finite part; infinity handled apart."""
-        z = as_point(z)
-        if self.is_full_sphere:
-            return 0.0
-        if is_inf(z):
-            return 0.0 if self.inf_multiplicity() > 0 else np.inf
-        finite = [complex(p) for p, _ in self.points if not is_inf(p)]
-        if not finite:
-            return np.inf
-        return min(abs(z - p) for p in finite)
-
-    def chordal_distance_to(self, z) -> float:
-        if self.is_full_sphere:
-            return 0.0
-        return min((chordal_distance(z, p) for p, _ in self.points), default=np.inf)
 
 
 def spectrum(rel: LinearRelation) -> SpectrumReport:

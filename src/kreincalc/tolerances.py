@@ -11,7 +11,11 @@ caller sets them:
 - ``psd_tol`` of ``verify_definitizing`` and ``tol`` of
   ``GramSpace.is_positive``, the path of the CLI's ``--tol-psd``;
 - ``tol`` of ``DefinitizablePair.resolve``: user labels match at
-  ``POINT_MATCH_TOL``, measure atoms at ``ATOM_MATCH_TOL``;
+  ``POINT_MATCH_TOL``.  Every spectral-point decision goes through
+  ``SpectrumReport.match``, whose ``tol`` has no default; at
+  ``ATOM_MATCH_TOL`` it decides the atoms of the factor-space measure,
+  assigning each eigenvalue of the compressed resolvent to a point of the
+  pair;
 - ``tol`` of ``rational.cluster_values``: polynomial roots cluster at
   ``ROOT_CLUSTER_TOL``, pencil eigenvalues at ``SPECTRUM_CLUSTER_TOL``.
 """
@@ -44,7 +48,7 @@ REALNESS_TOL = 1e-8  # imaginary parts below this (relative) count as real
 RESOLVENT_DIST_TOL = 1e-7
 SPECTRUM_CLUSTER_TOL = 1e-7  # closer eigenvalues merge into one spectral point
 POINT_MATCH_TOL = 1e-7  # user spectral labels match computed points at this distance
-ATOM_MATCH_TOL = 1e-6  # factor-space measure atoms match the pair's points
+ATOM_MATCH_TOL = 1e-6  # an eigenvalue of the factor-space measure is the pair's point this close
 INF_EIGENVALUE_TOL = 1e-10  # pencil eigenvalue nu of M^{-1} X is infinite (relative)
 # A regular probe serves as the pencil shift at once when cond(Y - lam0 X)
 # is below this; otherwise the best-conditioned regular probe does.
@@ -75,4 +79,3 @@ MEASURE_TOL = 1e-8
 IDENTITY_TOL = 1e-7
 # Rounding noise (relative): the interpolation data of a decomposition.
 ROUNDOFF_TOL = 1e-12
-BASE_POINT_CLEARANCE = 1e-6  # default mu: distance to the real axis and to spectral points

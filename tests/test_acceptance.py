@@ -165,7 +165,7 @@ def test_02_rational_calculus_suite():
         worst = max(worst, resid / max(scale, np.linalg.norm(m1) * np.linalg.norm(m2)))
 
         adj = rel.adjoint(gram)
-        resid = np.linalg.norm(space.adjoint_of(m1) - rational_apply(r1.sharp(), adj, spectrum(adj)))
+        resid = np.linalg.norm(map_adjoint(m1, space, space) - rational_apply(r1.sharp(), adj, spectrum(adj)))
         worst = max(worst, resid / scale)
 
         eigs = np.linalg.eigvals(m1)
@@ -306,7 +306,8 @@ def test_04_factorization_transport_suite():
         worst = max(worst, np.linalg.norm(fact.factor_adjoint @ c1 - th1 @ fact.factor_adjoint) / scale)
         worst = max(worst, np.linalg.norm(theta_op(fact, c1 @ c2) - th1 @ th2)
                     / max(1.0, np.linalg.norm(c1) * np.linalg.norm(c2)))
-        worst = max(worst, np.linalg.norm(theta_op(fact, pair.space.adjoint_of(c1)) - th1.conj().T) / scale)
+        c1_plus = map_adjoint(c1, pair.space, pair.space)
+        worst = max(worst, np.linalg.norm(theta_op(fact, c1_plus) - th1.conj().T) / scale)
 
         c_sa = rational_apply(r1 + r1.sharp(), pair.relation, pair.report)
         th_sa = theta_op(fact, c_sa)
@@ -315,7 +316,7 @@ def test_04_factorization_transport_suite():
 
         worst = max(worst, np.linalg.norm(xi(fact, np.eye(fact.rank)) - pair.q_matrix) / q_scale)
         x1 = xi(fact, th1)
-        worst = max(worst, np.linalg.norm(xi(fact, th1.conj().T) - pair.space.adjoint_of(x1))
+        worst = max(worst, np.linalg.norm(xi(fact, th1.conj().T) - map_adjoint(x1, pair.space, pair.space))
                     / max(1.0, np.linalg.norm(x1)))
         worst = max(worst, np.linalg.norm(xi(fact, th1 @ th2 @ fact.factor_product) - x1 @ xi(fact, th2))
                     / max(1.0, np.linalg.norm(x1) * np.linalg.norm(th2)))
@@ -389,7 +390,7 @@ def test_06_jet_calculus_suite():
                 worst = max(worst, resid / max(1.0, np.linalg.norm(m_phi) * np.linalg.norm(m_psi)))
             prev = (phi, m_phi)
             worst = max(worst, np.linalg.norm(
-                apply_calculus(fact, phi.sharp()) - pair.space.adjoint_of(m_phi)) / scale)
+                apply_calculus(fact, phi.sharp()) - map_adjoint(m_phi, pair.space, pair.space)) / scale)
             if k < 3:
                 worst = max(worst, np.linalg.norm(
                     apply_calculus(fact, phi, mu=mu1) - apply_calculus(fact, phi, mu=mu2)) / scale)
@@ -420,7 +421,7 @@ def test_06_jet_calculus_suite():
             real_pts = [w for w in pts if not is_inf(w) and abs(complex(w).imag) < 1e-9]
             if real_pts:
                 p_r = spectral_projection(fact, real_pts)
-                worst = max(worst, np.linalg.norm(pair.space.adjoint_of(p_r) - p_r)
+                worst = max(worst, np.linalg.norm(map_adjoint(p_r, pair.space, pair.space) - p_r)
                             / max(1.0, np.linalg.norm(p_r)))
             q_cols = orthonormal_columns(p1)
             if q_cols.shape[1]:

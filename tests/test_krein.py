@@ -20,6 +20,7 @@ from kreincalc import (
     PoleMeetsSpectrumError,
     Polynomial,
     RationalFunction,
+    SpectrumReport,
     ValidationError,
     apply_calculus,
     gram_factorize,
@@ -84,7 +85,7 @@ class TestGramSpace:
         g = random_gram(rng, 4)
         space = GramSpace(g)
         b = random_operator(rng, 4)
-        bp = space.adjoint_of(b)
+        bp = map_adjoint(b, space, space)
         for _ in range(5):
             x = rng.normal(size=4) + 1j * rng.normal(size=4)
             y = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -93,7 +94,7 @@ class TestGramSpace:
     def test_adjoint_golden(self):
         space = GramSpace(np.diag([1.0, -1.0]))
         b = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(space.adjoint_of(b), [[0.0, 0.0], [-1.0, 0.0]])
+        assert np.allclose(map_adjoint(b, space, space), [[0.0, 0.0], [-1.0, 0.0]])
 
     def test_positivity(self):
         space = GramSpace(np.diag([1.0, -1.0]))
@@ -111,7 +112,7 @@ class TestGramSpace:
         b = random_operator(rng, 3)
         na, nb = space.hilbert_norm(a), space.hilbert_norm(b)
         assert space.hilbert_norm(a @ b) <= na * nb * (1 + 1e-10)
-        assert abs(space.hilbert_norm(space.adjoint_of(a)) - na) < 1e-8 * max(1.0, na)
+        assert abs(space.hilbert_norm(map_adjoint(a, space, space)) - na) < 1e-8 * max(1.0, na)
 
     def test_map_adjoint_between_spaces(self):
         rng = np.random.default_rng(34)
@@ -151,6 +152,18 @@ class TestVerifyDefinitizing:
         rel = LinearRelation.from_operator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         q = RationalFunction(Polynomial([1.0, 0.0, 1.0]))
         with pytest.raises(NotSelfAdjointError):
+            verify_definitizing(space, rel, q)
+
+    def test_critical_point_without_conjugate_mate_is_an_inconsistency(self, monkeypatch):
+        # i and -i on C^2 with G = [[0, 1], [1, 0]], both zeros of q = z^2 + 1
+        space = GramSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        rel = LinearRelation.from_operator(np.diag([1.0j, -1.0j]))
+        q = RationalFunction(Polynomial([1.0, 0.0, 1.0]))
+        pair = verify_definitizing(space, rel, q)
+        assert pair.critical_points == pair.points and len(pair.points) == 2
+        # a spectrum that lost -i leaves the zero i without its mate
+        monkeypatch.setattr("kreincalc.krein.spectrum", lambda rel: SpectrumReport(2, ((1.0j, 2),)))
+        with pytest.raises(InconsistencyError, match="not symmetric under conjugation"):
             verify_definitizing(space, rel, q)
 
     def test_rejects_pole_on_spectrum(self):
@@ -238,7 +251,7 @@ def multivalued_pair():
 
 
 class TestPointMatcher:
-    """One matcher serves resolve, from_points, indicator and atom_points."""
+    """One matcher, SpectrumReport.match, serves resolve, from_points, indicator and the measure."""
 
     def test_matches_per_label_loop(self):
         rng = np.random.default_rng(81)
@@ -263,7 +276,8 @@ class TestPointMatcher:
     def test_first_point_wins_a_tie(self):
         space, rel, q = running_example()
         # exact points 1 and 2, so that 1.5 + 0.3i is equally far from both
-        pair = dataclasses.replace(verify_definitizing(space, rel, q), points=(1.0 + 0j, 2.0 + 0j))
+        exact = SpectrumReport(2, ((1.0 + 0j, 1), (2.0 + 0j, 1)))
+        pair = dataclasses.replace(verify_definitizing(space, rel, q), report=exact, points=(1.0 + 0j, 2.0 + 0j))
         assert pair._match([1.5, 1.5 + 0.3j, 2.0, 1.0], 1.0).tolist() == [0, 0, 1, 0]
         assert pair.resolve(1.5 - 0.3j, tol=1.0) == 1.0
 
@@ -291,13 +305,23 @@ class TestPointMatcher:
         with pytest.raises(ValidationError, match="7.3"):
             pair._match([1.0, 7.3, INF], POINT_MATCH_TOL)
 
-    def test_atom_points_match_per_atom_resolve(self):
+    def test_atoms_are_pair_points_in_pair_order(self):
         rng = np.random.default_rng(82)
         for trial in range(10):
             pair = random_definitizable(rng, allow_mul=(trial % 2 == 0)).verify()
             fact = gram_factorize(pair)
-            want = tuple(reference_resolve(pair, p, ATOM_MATCH_TOL) for p, _ in fact.measure.atoms)
-            assert fact.atom_points == want
+            where = [pair.points.index(p) for p, _ in fact.measure.atoms]
+            assert where == sorted(set(where))
+            assert all(p is pair.points[i] for (p, _), i in zip(fact.measure.atoms, where))
+
+    def test_measure_off_the_pair_points_is_an_inconsistency(self):
+        space, rel, q = running_example()
+        for pair in (verify_definitizing(space, rel, q), multivalued_pair()):
+            moved = tuple((p if p is INF else p + 1e-3, m) for p, m in pair.report.points)
+            report = SpectrumReport(pair.report.space_dim, moved)
+            shifted = dataclasses.replace(pair, report=report, points=tuple(p for p, _ in moved))
+            with pytest.raises(InconsistencyError, match="matches no spectral point"):
+                gram_factorize(shifted)
 
 
 class TestZeroDegrees:
@@ -438,8 +462,8 @@ class TestGramFactorize:
             fact = gram_factorize(pair)
             if fact.rank == 0:
                 continue
-            for point, _ in spectrum(fact.theta).points:
-                assert pair.report.chordal_distance_to(point) < 1e-6
+            theta_points = [point for point, _ in spectrum(fact.theta).points]
+            assert (pair.report.match(theta_points, ATOM_MATCH_TOL) >= 0).all()
 
 
 def fixture_matrix(case, key):

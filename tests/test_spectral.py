@@ -26,7 +26,8 @@ from kreincalc import (
     verify_definitizing,
 )
 from kreincalc.rational import cluster_values
-from kreincalc.tolerances import SPECTRUM_CLUSTER_TOL
+from kreincalc.relations import as_point, is_inf
+from kreincalc.tolerances import RESOLVENT_DIST_TOL, SPECTRUM_CLUSTER_TOL
 
 from helpers import (
     match_point_sets,
@@ -469,6 +470,48 @@ def rational_from_scalar_like(c):
 def test_chordal_distance_reporting():
     rel = LinearRelation.from_operator(np.diag([1.0, 2.0]))
     rep = spectrum(rel)
-    assert rep.distance_to(1.0 + 1e-9) < 1e-8
-    assert rep.chordal_distance_to(INF) > 0.4
+    assert rep.match([1.0 + 1e-9], 1e-8).tolist() == [0]
+    assert min(chordal_distance(INF, p) for p, _ in rep.points) > 0.4
     assert chordal_distance(INF, INF) == 0.0
+
+
+def reference_multiplicity(rep, z):
+    """Multiplicity of the nearest point of z's kind within RESOLVENT_DIST_TOL, the first on ties."""
+    best, mult = np.inf, 0
+    for p, m in rep.points:
+        if is_inf(p) != is_inf(z):
+            continue
+        dist = 0.0 if is_inf(p) else abs(complex(p) - complex(z))
+        if dist <= RESOLVENT_DIST_TOL and dist < best:
+            best, mult = dist, m
+    return mult
+
+
+class TestMatch:
+    def test_nearest_point_first_on_ties_infinity_apart(self):
+        rep = SpectrumReport(4, ((1.0 + 0j, 1), (2.0 + 0j, 2), (INF, 1)))
+        labels = [1.0, 1.9, 1.5, 1.5 + 0.3j, 3.0, INF, float("inf"), 1e300, 3.5]
+        assert rep.match(labels, 1.0).tolist() == [0, 1, 0, 0, 1, 2, 2, -1, -1]
+        assert rep.match([1.0 + 2e-7, 1.0 + 5e-8, INF], 1e-7).tolist() == [-1, 0, 2]
+        bounded = SpectrumReport(2, ((1.0 + 0j, 1), (2.0 + 0j, 1)))
+        assert bounded.match([INF], 1e300).tolist() == [-1]
+
+    def test_empty_labels_and_empty_report(self):
+        rep = SpectrumReport(2, ((1.0 + 0j, 1), (INF, 1)))
+        got = rep.match([], 1.0)
+        assert got.shape == (0,) and got.dtype.kind == "i"
+        for empty in (SpectrumReport(0, ()), SpectrumReport(3, (), is_full_sphere=True)):
+            assert empty.match([1.0, INF], 1.0).tolist() == [-1, -1]
+            assert empty.match([], 1.0).shape == (0,)
+
+    def test_multiplicity_of_matches_per_point_loop(self):
+        rng = np.random.default_rng(91)
+        for trial in range(30):
+            finite = [(complex(*rng.normal(size=2)), int(rng.integers(1, 4))) for _ in range(trial % 6)]
+            entries = tuple(finite) + (((INF, 2),) if trial % 2 else ())
+            rep = SpectrumReport(sum(m for _, m in entries), entries)
+            probes = [INF, 0.0, float("inf")]
+            probes += [p + complex(*rng.normal(size=2)) * scale for p, _ in finite for scale in (0.0, 5e-8, 3e-7, 0.5)]
+            for z in probes:
+                assert rep.multiplicity_of(z) == reference_multiplicity(rep, as_point(z))
+                assert rep.contains(z) == (reference_multiplicity(rep, as_point(z)) > 0)
