@@ -6,10 +6,10 @@ d = 0), multiplied by truncated convolution.  Every such jet function phi
 splits as phi = s + g * q along the spectrum with s rational and g scalar;
 the calculus evaluates phi on the relation as
 
-    phi(A) = s(A) + T (sum of g at the measure's atoms) T^+
+    phi(A) = s(A) + (T V) g (V* T^+)
 
-using the Gram factorization q(A) = T T^+.  The result does not depend on
-the choice of decomposition.
+using the Gram factorization q(A) = T T^+ and the eigenbasis V of the
+factor-space measure.  The result does not depend on the decomposition.
 
 The rational part s is the Hermite interpolant of phi's jet entries below
 the top one at the critical points, held in pole-residue form
@@ -55,7 +55,7 @@ from .rational import Polynomial, RationalFunction, _series_divide
 from .relations import INF, as_point, conj_point, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
-from .spectral import rational_apply, resolvent_at  # noqa: F401
+from .spectral import _pole_in_spectrum, rational_apply, resolvent_at  # noqa: F401
 from .tolerances import IDENTITY_TOL, JET_INVERT_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL
 
 # -- jet arithmetic ---------------------------------------------------------
@@ -209,9 +209,9 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
     The function must be holomorphic on the spectrum: no pole may come within
     matching distance of a spectral point.
     """
-    for pole, _ in func.poles():
-        if pair.report.contains(pole):
-            raise PoleMeetsSpectrumError(f"pole {pole} meets the spectrum")
+    pole = _pole_in_spectrum(func, pair.report)
+    if pole is not None:
+        raise PoleMeetsSpectrumError(f"pole {pole} meets the spectrum")
     return JetFunction._from_packed(pair, _packed_jets(pair, func, _layout(pair)))
 
 
@@ -415,7 +415,7 @@ def decompose_polynomial(pair: DefinitizablePair, phi: JetFunction) -> Decomposi
 
 
 def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
-    """Evaluate a jet function on the relation: s(A) + T (integral of g) T^+.
+    """Evaluate a jet function on the relation: s(A) + (T V) g (V* T^+).
 
     phi is a JetFunction on fact.pair, or its Decomposition from decompose,
     which is then used as it is.  s(A) is the Horner sum
@@ -437,8 +437,8 @@ def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
             s_matrix = c * eye + dec._plan.resolvent() @ s_matrix
     if fact.rank == 0:
         return s_matrix
-    integral = fact.measure.integrate(dec.g)
-    return s_matrix + fact.factor @ integral @ fact.factor_adjoint
+    left, right = fact.eigen_factors
+    return s_matrix + (left * fact.measure.column_values(dec.g)) @ right
 
 
 def indicator(pair: DefinitizablePair, delta) -> JetFunction:

@@ -8,7 +8,8 @@ q(A) = T T^+ through a Hilbert space C^r.  ran T = ran q(A) is invariant
 under the resolvent R of A at a real point mu, so R T = T X for one r x r
 matrix X, the compressed resolvent.  X is Hermitian: it is the resolvent at
 mu of the genuinely self-adjoint relation theta(A) on C^r, and its
-eigendecomposition is the spectral measure that drives the calculus.
+eigendecomposition X = V diag(x) V* is the spectral measure, kept in that
+form: the calculus adds phi(A) = s(A) + (T V) g (V* T^+).
 """
 
 from __future__ import annotations
@@ -75,20 +76,10 @@ class GramSpace:
         y = np.asarray(y, dtype=complex).ravel()
         return complex(y.conj() @ (self.gram @ x))
 
-    def is_positive(self, mat: np.ndarray, tol: float = PSD_TOL, eigvals: np.ndarray | None = None) -> bool:
-        """[Bx, x] >= 0 for all x, i.e. G B is Hermitian positive semidefinite.
-
-        ``eigvals``, when given, are the eigenvalues of the Hermitian part of
-        G B, already computed by the caller.
-        """
+    def is_positive(self, mat: np.ndarray, tol: float = PSD_TOL) -> bool:
+        """[Bx, x] >= 0 for all x, i.e. G B is Hermitian positive semidefinite."""
         h = self.gram @ np.asarray(mat, dtype=complex)
-        if hermitian_residual(h) > tol:
-            return False
-        if h.shape[0] == 0:
-            return True
-        w = np.linalg.eigvalsh((h + h.conj().T) / 2.0) if eigvals is None else eigvals
-        # floor the scale so a numerically vanishing matrix counts as psd
-        return bool(np.min(w) >= -tol * max(float(np.linalg.norm(h)), 1.0))
+        return _is_psd(h, hermitian_residual(h), np.linalg.eigvalsh((h + h.conj().T) / 2.0), tol)
 
     def _abs_parts(self):
         if self._abs_cache is None:
@@ -102,6 +93,12 @@ class GramSpace:
         """Operator norm w.r.t. the compatible product (x, y) = y* |G| x."""
         sq, isq = self._abs_parts()
         return float(np.linalg.norm(sq @ np.asarray(mat, dtype=complex) @ isq, 2))
+
+
+def _is_psd(h: np.ndarray, resid: float, eigvals: np.ndarray, tol: float) -> bool:
+    """h = G B is psd at tol, from its Hermitian residual and the eigenvalues of its Hermitian part."""
+    # floor the scale so a numerically vanishing matrix counts as psd
+    return resid <= tol and (eigvals.size == 0 or bool(np.min(eigvals) >= -tol * max(float(np.linalg.norm(h)), 1.0)))
 
 
 def map_adjoint(mat: np.ndarray, domain: GramSpace, codomain: GramSpace) -> np.ndarray:
@@ -148,11 +145,6 @@ class DefinitizablePair:
         return hits
 
 
-def _is_real_point(w) -> bool:
-    """Infinity, or a point whose imaginary part is below REALNESS_TOL (relative)."""
-    return is_inf(w) or abs(complex(w).imag) <= REALNESS_TOL * max(1.0, abs(complex(w)))
-
-
 def verify_definitizing(
     space: GramSpace,
     rel: LinearRelation,
@@ -161,7 +153,7 @@ def verify_definitizing(
 ) -> DefinitizablePair:
     """Check all definitizability requirements and assemble the pair.
 
-    Self-adjointness is decided by LinearRelation.is_self_adjoint, from the
+    Self-adjointness is decided as in LinearRelation.is_self_adjoint, from the
     Krein form X* G Y of the graph basis; no adjoint relation is built.
     Raises the specific precondition error on failure; a violation of the
     proved spectral inclusion (with all preconditions passing) is reported as
@@ -177,17 +169,20 @@ def verify_definitizing(
     report = spectrum(rel)
     if report.is_full_sphere:
         raise PreconditionError("relation has empty resolvent set")
-    if not rel.is_self_adjoint(space.gram):
+    self_adjoint_residual = rel.self_adjoint_residual(space.gram)
+    if not self_adjoint_residual <= HERMITIAN_TOL:
         raise NotSelfAdjointError("relation is not self-adjoint in this Krein space")
     q_matrix = rational_apply(q, rel, report)  # raises when a pole meets the spectrum
     hermitian_part = space.gram @ q_matrix
+    q_residual = hermitian_residual(hermitian_part)
     psd_eig = np.linalg.eigh((hermitian_part + hermitian_part.conj().T) / 2.0)
-    if not space.is_positive(q_matrix, psd_tol, eigvals=psd_eig[0]):
+    if not _is_psd(hermitian_part, q_residual, psd_eig[0], psd_tol):
         raise NotPositiveError("[q(A)x, x] takes negative values")
     points = tuple(w for w, _ in report.points)
     degrees = dict(zip(points, q._zero_degrees(points)))
     for w, d in degrees.items():
-        if not _is_real_point(w) and d == 0:
+        # a point counts as real when its imaginary part is below REALNESS_TOL (relative)
+        if d == 0 and not is_inf(w) and abs(complex(w).imag) > REALNESS_TOL * max(1.0, abs(complex(w))):
             raise InconsistencyError(
                 f"spectral point {w} is neither real nor a zero of q; the "
                 "definitizability conclusion fails, input tolerances are suspect"
@@ -198,8 +193,8 @@ def verify_definitizing(
         raise InconsistencyError("critical spectrum is not symmetric under conjugation")
     kept = psd_eig[0][_psd_kept(psd_eig[0])]
     diagnostics = {
-        "self_adjoint_residual": rel.self_adjoint_residual(space.gram),
-        "hermitian_residual": hermitian_residual(hermitian_part),
+        "self_adjoint_residual": self_adjoint_residual,
+        "hermitian_residual": q_residual,
         "psd_margin": float(np.min(kept)) if kept.size else 0.0,
     }
     return DefinitizablePair(
@@ -217,23 +212,32 @@ def verify_definitizing(
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """Atoms (point, orthogonal projector) of a self-adjoint relation on C^r."""
+    """Spectral measure on C^r as eigh gives it: column k of the orthonormal basis V
+    lies in the atom at points[index[k]], and an integral of g is V diag(g) V*."""
 
-    dim: int
-    atoms: tuple[tuple[object, np.ndarray], ...]
+    basis: np.ndarray
+    index: np.ndarray
+    points: tuple[object, ...]
+
+    @functools.cached_property
+    def atoms(self) -> tuple[tuple[object, np.ndarray], ...]:
+        """(point, orthogonal projector V_i V_i*) per atom, in the order of points."""
+        return tuple((self.points[i], vecs @ vecs.conj().T)
+                     for i in sorted(set(self.index.tolist())) for vecs in [self.basis[:, self.index == i]])
+
+    def column_values(self, values: dict) -> np.ndarray:
+        """values[point] at the point of each column of the basis."""
+        return np.array([values[self.points[i]] for i in self.index.tolist()], dtype=complex)
 
     def integrate(self, values: dict) -> np.ndarray:
         """Sum of values[point] * projector over all atoms (including infinity)."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, proj in self.atoms:
-            out += complex(values[p]) * proj
-        return out
+        return (self.basis * self.column_values(values)) @ self.basis.conj().T
 
     def total(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for _, proj in self.atoms:
-            out += proj
-        return out
+        return self.basis @ self.basis.conj().T
+
+
+_NO_MEASURE = SpectralMeasure(np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=int), ())
 
 
 def _resolvent_point(report: SpectrumReport) -> float:
@@ -273,19 +277,12 @@ def _measure_from_resolvent(res: np.ndarray, mu: float, report: SpectrumReport) 
     hits = report.match([INF if inf else mu + 1.0 / x for x, inf in zip(eigvals.tolist(), at_inf)], ATOM_MATCH_TOL)
     if (hits < 0).any():
         raise InconsistencyError("an eigenvalue of the compressed resolvent matches no spectral point")
-    atoms = []
-    for i in sorted(set(hits.tolist())):
-        vecs = eigvecs[:, hits == i]
-        atoms.append((report.points[i][0], vecs @ vecs.conj().T))
-    measure = SpectralMeasure(r, tuple(atoms))
+    measure = SpectralMeasure(eigvecs, hits, tuple(w for w, _ in report.points))
     eye = np.eye(r, dtype=complex)
     if float(np.linalg.norm(measure.total() - eye)) > MEASURE_TOL * max(1.0, float(np.sqrt(r))):
         raise InconsistencyError("spectral projectors do not sum to the identity")
     probe = 0.2131 + 1.3703j
-    recon = np.zeros((r, r), dtype=complex)
-    for p, proj in measure.atoms:
-        if not is_inf(p):
-            recon += proj / (complex(p) - probe)
+    recon = measure.integrate({p: 0.0 if is_inf(p) else 1.0 / (complex(p) - probe) for p in measure.points})
     # the resolvent at the probe, res (I + (mu - probe) res)^{-1}
     resid = float(np.linalg.norm(recon - np.linalg.solve(eye + (mu - probe) * res, res)))
     if resid > MEASURE_TOL * max(1.0, float(np.linalg.norm(recon))):
@@ -300,7 +297,7 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
     multivalued part contributes the atom at infinity.
     """
     if rel.space_dim == 0:
-        return SpectralMeasure(0, ())
+        return _NO_MEASURE
     report = spectrum(rel)
     if report.is_full_sphere:
         raise NotSelfAdjointError("relation is not self-adjoint on the Hilbert space")
@@ -326,6 +323,11 @@ class Factorization:
         """theta(A) = {(u; v) : (T u; T v) in A} = {(X w; w + mu X w)}, built on first use."""
         res = self.resolvent
         return LinearRelation.from_graph_columns(res, np.eye(self.rank) + self.base_point * res)
+
+    @functools.cached_property
+    def eigen_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """T V and V* T^+ for the measure's basis V: T (integral of g) T^+ = (T V diag(g)) (V* T^+)."""
+        return self.factor @ self.measure.basis, self.measure.basis.conj().T @ self.factor_adjoint
 
     @property
     def gram_product(self) -> np.ndarray:
@@ -370,7 +372,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     mu = _resolvent_point(pair.report)
     if rank == 0:
         res = np.zeros((0, 0), dtype=complex)
-        measure = SpectralMeasure(0, ())
+        measure = _NO_MEASURE
     else:
         res = _pull_back(factor, resolvent_at(pair.relation, mu, pair.report))
         measure = _measure_from_resolvent(res, mu, pair.report)

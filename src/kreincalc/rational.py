@@ -26,21 +26,24 @@ from .tolerances import (COEFF_TRIM_TOL, JET_INVERT_TOL, JET_ZERO_TOL, POLE_SEPA
 
 
 def _trim(coeffs) -> np.ndarray:
-    """Drop trailing coefficients that are negligible against the largest."""
+    """Drop exactly-zero leading coefficients; zero the lower ones negligible against the largest."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
     require_finite(c, "polynomial coefficients")
-    if c.size == 0:
+    nonzero = np.flatnonzero(c)
+    if nonzero.size == 0:
         return np.zeros(1, dtype=complex)
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    cut = scale * COEFF_TRIM_TOL
-    last = c.size - 1
-    while last > 0 and abs(c[last]) <= cut:
-        last -= 1
-    c = c[: last + 1].copy()
-    c[np.abs(c) <= cut] = 0.0
+    c = c[: nonzero[-1] + 1].copy()
+    lower = c[:-1]
+    lower[np.abs(lower) <= COEFF_TRIM_TOL * float(np.max(np.abs(c)))] = 0.0
     return c
+
+
+def _cancel(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
+    """a + sign * b, coefficients below COEFF_TRIM_TOL times the larger operand one of their power zeroed."""
+    a, b = (np.pad(c, (0, max(a.size, b.size) - c.size)) for c in (a, b))
+    out = a + sign * b
+    out[np.abs(out) <= COEFF_TRIM_TOL * np.maximum(np.abs(a), np.abs(b))] = 0.0
+    return out
 
 
 def _cluster_members(values, tol: float) -> list[tuple[complex, list[int]]]:
@@ -155,10 +158,10 @@ class Polynomial:
         return complex(npp.polyval(complex(z), self.coeffs))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npp.polyadd(self.coeffs, other.coeffs))
+        return Polynomial(_cancel(self.coeffs, other.coeffs, 1.0))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npp.polysub(self.coeffs, other.coeffs))
+        return Polynomial(_cancel(self.coeffs, other.coeffs, -1.0))
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):

@@ -180,6 +180,13 @@ def _inf_multiplicity(k: np.ndarray, lam0: complex, nu: np.ndarray) -> int:
         kernel = grown
 
 
+def _pole_in_spectrum(func: RationalFunction, report: SpectrumReport):
+    """The first pole of func, in poles() order, that is a spectral point (one match call), or None."""
+    poles = [pole for pole, _ in func.poles()]
+    hits = report.match(poles, RESOLVENT_DIST_TOL) >= 0
+    return poles[int(np.argmax(hits))] if hits.any() else None
+
+
 def in_resolvent_set(rel: LinearRelation, z, report: SpectrumReport | None = None) -> bool:
     """Membership in the resolvent set, decided against the computed spectrum."""
     report = spectrum(rel) if report is None else report
@@ -221,7 +228,7 @@ def rational_apply(
     """Evaluate r = p + sum_k sum_j c_kj (z - p_k)^-j as p(A) + sum_k sum_j c_kj R(p_k)^j.
 
     Every pole, infinity included when p has degree >= 1, must lie in the
-    resolvent set; each pole is tested once against the spectrum.  The
+    resolvent set; all poles are tested against the spectrum in one match.  The
     resolvents X (Y - p_k X)^{-1} of all finite poles come from one solve over
     their stack, A = Y X^{-1} from one more, and each power is formed once.
     """
@@ -229,9 +236,9 @@ def rational_apply(
     report = spectrum(rel) if report is None else report
     if report.is_full_sphere:
         raise PreconditionError("relation has empty resolvent set")
-    for pole, _ in func.poles():
-        if not in_resolvent_set(rel, pole, report):
-            raise PoleMeetsSpectrumError(f"pole {pole} of the function meets the spectrum")
+    pole = _pole_in_spectrum(func, report)
+    if pole is not None:
+        raise PoleMeetsSpectrumError(f"pole {pole} of the function meets the spectrum")
     frac = func.partial_fractions()
     parts = [(pole, [coeff for _, _, coeff in terms]) for pole, terms in groupby(frac.terms, key=lambda t: t[0])]
     x, y = rel.graph_columns()

@@ -32,7 +32,10 @@ MOEBIUS_DET_TOL = 1e-12  # Möbius matrix singular: |det| <= this * (largest ent
 # must sit well above that; multiplicity claims are re-validated against
 # derivative jets afterwards.
 ROOT_CLUSTER_TOL = 1e-6
-COEFF_TRIM_TOL = 1e-12  # trim coefficients below this times the largest one
+# Polynomial coefficients below this times the largest are zeroed, never the
+# leading one; a sum or difference zeroes those below this times the larger
+# operand coefficient of their power, so cancellation cannot raise the degree.
+COEFF_TRIM_TOL = 1e-12
 # Leading jet entries below this (relative) count as zero: the jet is not
 # invertible, or a principal-part coefficient vanished.
 JET_INVERT_TOL = 1e-12

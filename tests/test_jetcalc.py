@@ -196,6 +196,16 @@ class TestEmbedRational:
         with pytest.raises(PoleMeetsSpectrumError):
             embed_rational(pair, bad)
 
+    def test_error_names_the_first_pole_on_the_spectrum(self):
+        pair = running_pair()
+        for den_roots, first in (([1.0, 2.0], 1.0), ([0.5, 2.0], 2.0), ([2.0, 2.0, 3.0], 2.0)):
+            bad = RationalFunction(Polynomial([1.0]), Polynomial.from_roots(den_roots))
+            met = [p for p, _ in bad.poles() if pair.report.contains(p)]
+            assert abs(met[0] - first) < 1e-7
+            with pytest.raises(PoleMeetsSpectrumError) as info:
+                embed_rational(pair, bad)
+            assert str(info.value) == f"pole {met[0]} meets the spectrum"
+
     def test_q_jets_embeds_q(self):
         pair = running_pair()
         phi = q_jets(pair)

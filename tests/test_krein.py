@@ -23,6 +23,7 @@ from kreincalc import (
     SpectrumReport,
     ValidationError,
     apply_calculus,
+    decompose,
     gram_factorize,
     map_adjoint,
     rational_apply,
@@ -35,8 +36,8 @@ from kreincalc import (
     xi,
 )
 
-from kreincalc.krein import _pull_back, _resolvent_point
-from kreincalc.tolerances import ATOM_MATCH_TOL, POINT_MATCH_TOL, ROOT_CLUSTER_TOL
+from kreincalc.krein import _measure_from_resolvent, _pull_back, _resolvent_point
+from kreincalc.tolerances import ATOM_MATCH_TOL, POINT_MATCH_TOL, RANK_TOL, ROOT_CLUSTER_TOL
 
 from helpers import (
     match_point_sets,
@@ -393,6 +394,113 @@ class TestSpectralMeasure:
         rel = LinearRelation.from_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotSelfAdjointError):
             spectral_measure(rel)
+
+
+def reference_atoms(fact):
+    """Per-atom projectors V_i V_i* from eigh of the compressed resolvent, built atom by atom."""
+    res = fact.resolvent
+    eigvals, eigvecs = np.linalg.eigh((res + res.conj().T) / 2.0)
+    at_inf = np.abs(eigvals) <= RANK_TOL * max(1.0, float(np.max(np.abs(eigvals))))
+    labels = [INF if inf else fact.base_point + 1.0 / x for x, inf in zip(eigvals.tolist(), at_inf)]
+    hits = fact.pair.report.match(labels, ATOM_MATCH_TOL)
+    atoms = []
+    for i in sorted(set(hits.tolist())):
+        vecs = eigvecs[:, hits == i]
+        atoms.append((fact.pair.points[i], vecs @ vecs.conj().T))
+    return atoms
+
+
+def eigen_form_cases(seed, count):
+    """Factorizations of random definitizable pairs, every other one with a multivalued part."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        planted = random_definitizable(rng, allow_mul=(trial % 2 == 0), force_rational=(trial % 3 == 0))
+        yield rng, gram_factorize(planted.verify())
+
+
+class TestEigenFormMeasure:
+    """The measure keeps eigh's basis V; atoms, integrals and the calculus are read from it."""
+
+    def test_atoms_equal_per_atom_reference_bit_for_bit(self):
+        seen_inf = False
+        for _, fact in eigen_form_cases(90, 20):
+            if fact.rank == 0:
+                continue
+            want = reference_atoms(fact)
+            got = fact.measure.atoms
+            assert [p for p, _ in got] == [p for p, _ in want]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+            seen_inf |= any(p is INF for p, _ in got)
+        assert seen_inf
+
+    def test_integrate_is_the_sum_over_atoms(self):
+        for rng, fact in eigen_form_cases(91, 20):
+            values = {p: complex(*rng.normal(size=2)) for p in fact.pair.points}
+            want = np.zeros((fact.rank, fact.rank), dtype=complex)
+            for p, proj in fact.measure.atoms:
+                want += values[p] * proj
+            got = fact.measure.integrate(values)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13 * max(1.0, float(np.linalg.norm(want))))
+            assert np.allclose(fact.measure.total(), np.eye(fact.rank), rtol=0.0, atol=1e-13)
+
+    def test_calculus_is_s_of_a_plus_the_integral_through_the_factor(self):
+        for rng, fact in eigen_form_cases(92, 20):
+            pair = fact.pair
+            phi = JetFunction(pair, {w: rng.normal(size=pair.degrees[w] + 1) for w in pair.points})
+            dec = decompose(pair, phi)
+            s_matrix = rational_apply(dec.s, pair.relation, pair.report)
+            want = s_matrix + fact.factor @ fact.measure.integrate(dec.g) @ fact.factor_adjoint
+            got = apply_calculus(fact, dec)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-8 * max(1.0, float(np.linalg.norm(want))))
+
+    def test_rank_zero_measure(self):
+        space = GramSpace(np.diag([1.0, -1.0]))
+        rel = LinearRelation.from_operator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        q = RationalFunction(Polynomial([1.0, 0.0, 1.0]))
+        pair = verify_definitizing(space, rel, q)
+        fact = gram_factorize(pair)
+        assert fact.rank == 0
+        assert fact.measure.atoms == ()
+        assert fact.measure.integrate({}).shape == fact.measure.total().shape == (0, 0)
+        left, right = fact.eigen_factors
+        assert left.shape == (2, 0) and right.shape == (0, 2)
+        phi = JetFunction(pair, {w: counting_jet(pair.degrees[w]) for w in pair.points})
+        dec = decompose(pair, phi)
+        want = rational_apply(dec.s, pair.relation, pair.report)
+        assert np.allclose(apply_calculus(fact, dec), want, atol=1e-10)
+
+    def test_measure_of_theta_matches_the_factorization(self):
+        for _, fact in eigen_form_cases(93, 12):
+            if fact.rank == 0:
+                continue
+            own = spectral_measure(fact.theta)
+            assert len(own.atoms) == len(fact.measure.atoms)
+            for (p_own, proj_own), (p, proj) in zip(own.atoms, fact.measure.atoms):
+                assert (p_own is INF and p is INF) or abs(complex(p_own) - complex(p)) < 1e-6
+                assert np.allclose(proj_own, proj, atol=1e-7)
+            values = {p: float(k) for k, p in enumerate(own.points)}
+            assert np.allclose(own.integrate(values), sum(values[p] * proj for p, proj in own.atoms), atol=1e-12)
+
+    def test_corrupted_column_index_does_not_reproduce_the_resolvent(self, monkeypatch):
+        fact = next(f for _, f in eigen_form_cases(94, 40) if len(f.measure.atoms) >= 2)
+        pair = fact.pair
+        real_match = SpectrumReport.match
+
+        def corrupted(self, labels, tol):
+            hits = real_match(self, labels, tol)
+            if tol == ATOM_MATCH_TOL:
+                # move column 0 to the point of another atom
+                hits[0] = next(i for i in hits.tolist() if i != hits[0])
+            return hits
+
+        monkeypatch.setattr(SpectrumReport, "match", corrupted)
+        with pytest.raises(InconsistencyError, match="does not reproduce the resolvent"):
+            _measure_from_resolvent(fact.resolvent, fact.base_point, pair.report)
+
+
+def counting_jet(degree):
+    """The jet (1, 2, ..., degree + 1)."""
+    return np.arange(1.0, degree + 2.0)
 
 
 class TestGramFactorize:

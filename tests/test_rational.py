@@ -108,6 +108,33 @@ class TestPolynomial:
         assert Polynomial([1.0, 0.0, 0.0]).degree == 0
         assert Polynomial([1.0, 2.0]).degree == 1
 
+    def test_trim_keeps_a_small_nonzero_leading_coefficient(self):
+        # the leading coefficient 1 sits below COEFF_TRIM_TOL times the constant term
+        cases = [list(range(30, 38)), list(range(10, 22)), list(np.arange(5.0, 12.75, 0.5)), [100.0] * 6]
+        assert [Polynomial.from_roots(roots).degree for roots in cases] == [8, 12, 16, 6]
+        big = Polynomial([-1e6, 1.0]) * Polynomial([-2e6, 1.0])
+        assert big.degree == 2 and big.leading == 1.0
+        assert Polynomial.from_roots([1e6, 2e6]).degree == 2
+        assert Polynomial([1.0, 2.0, 1e-300]).degree == 2
+        # exact zeros still shorten; small lower coefficients are still zeroed
+        assert Polynomial([1.0, 2.0, 0.0, 0.0]).degree == 1
+        assert Polynomial([1e-20, 1.0, 1.0]).coeffs.tolist() == [0.0, 1.0, 1.0]
+
+    def test_cancellation_noise_does_not_raise_the_degree(self):
+        third = 0.1 + 0.2  # 0.30000000000000004: the z^2 terms differ by rounding alone
+        diff = Polynomial([1.0, 2.0, third]) - Polynomial([0.0, 1.0, 0.3])
+        assert diff.degree == 1 and diff.coeffs.tolist() == [1.0, 1.0]
+        total = Polynomial([1.0, 2.0, third]) + Polynomial([0.0, 1.0, -0.3])
+        assert total.degree == 1 and total.coeffs.tolist() == [1.0, 3.0]
+        # a real top difference stays, however small against the other powers
+        assert (Polynomial([1e8, 0.0, 2.0]) - Polynomial([0.0, 0.0, 1.0])).degree == 2
+        # the same product built two ways differs by rounding alone, and cancels to the zero polynomial
+        roots = [30.1 + 0.7 * k for k in range(8)]
+        a = Polynomial.from_roots(roots)
+        b = Polynomial.from_roots(roots[:4]) * Polynomial.from_roots(roots[4:])
+        assert not np.array_equal(a.coeffs, b.coeffs)
+        assert (a - b).is_zero
+
     def test_from_roots_and_roots_roundtrip(self):
         roots = [1.0, -0.5, 2.0 + 1.0j]
         p = Polynomial.from_roots(roots)

@@ -346,6 +346,36 @@ class TestRationalApply:
         with pytest.raises(PoleMeetsSpectrumError):
             rational_apply(bad, rel, rep)
 
+    def test_error_names_the_first_pole_on_the_spectrum(self):
+        # spectrum 1, 2, 3 and inf; poles() lists the finite clusters in order, then inf
+        rel = LinearRelation.from_graph_columns(np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([1.0, 2.0, 3.0, 1.0]))
+        rep = spectrum(rel)
+        cases = [([2.0, 3.0], 0, 2.0), ([0.5, 3.0], 0, 3.0), ([0.5, 2.0 + 1e-9], 0, 2.0), ([0.5], 2, INF),
+                 ([2.0], 2, 2.0)]
+        for den_roots, extra_degree, first in cases:
+            func = RationalFunction(Polynomial.monomial(len(den_roots) + extra_degree), Polynomial.from_roots(den_roots))
+            met = [p for p, _ in func.poles() if rep.contains(p)]
+            assert met[0] is INF if first is INF else abs(met[0] - first) < 1e-7
+            with pytest.raises(PoleMeetsSpectrumError) as info:
+                rational_apply(func, rel, rep)
+            assert str(info.value) == f"pole {met[0]} of the function meets the spectrum"
+
+    def test_pole_test_matches_per_pole_loop(self):
+        rng = np.random.default_rng(95)
+        for _ in range(30):
+            a = np.diag(rng.integers(-3, 4, size=4).astype(float))
+            rel = LinearRelation.from_operator(a)
+            rep = spectrum(rel)
+            den_roots = rng.integers(-4, 5, size=int(rng.integers(1, 4))) + rng.choice([0.0, 0.5], size=1)
+            func = RationalFunction(Polynomial([1.0]), Polynomial.from_roots(den_roots.tolist()))
+            met = [p for p, _ in func.poles() if not in_resolvent_set(rel, p, rep)]
+            if not met:
+                assert np.all(np.isfinite(rational_apply(func, rel, rep)))
+                continue
+            with pytest.raises(PoleMeetsSpectrumError) as info:
+                rational_apply(func, rel, rep)
+            assert str(info.value) == f"pole {met[0]} of the function meets the spectrum"
+
     def test_polynomial_on_unbounded_relation_rejected(self):
         # polynomials have a pole at infinity
         x = np.diag([1.0, 0.0])
