@@ -50,12 +50,12 @@ from .errors import (
     PoleMeetsSpectrumError,
     ValidationError,
 )
-from .krein import DefinitizablePair, Factorization
+from .krein import DefinitizablePair, Factorization, _calculus_point
 from .rational import Polynomial, RationalFunction, _series_divide
 from .relations import INF, as_point, conj_point, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
-from .spectral import _pole_in_spectrum, rational_apply, resolvent_at  # noqa: F401
+from .spectral import _pole_in_spectrum, rational_apply  # noqa: F401
 from .tolerances import IDENTITY_TOL, JET_INVERT_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL
 
 # -- jet arithmetic ---------------------------------------------------------
@@ -290,14 +290,16 @@ class _CalculusPlan:
     basis jets, the q jets, the point of each row (owner), the top row of
     each point and the rows below the tops; the latter pick the Hermite
     interpolation matrix out of the basis jets.  The resolvent
-    R = (A - mu)^(-1) (A itself for mu = INF) is built on first use.
+    R = (A - mu)^(-1) (A itself for mu = INF) is read from the pair on first
+    use: verify_definitizing solved it already at the default base point.
+    The plan keeps no reference to its pair, which caches it: without that
+    cycle a pair and its arrays are freed as soon as the caller drops them.
     """
 
-    __slots__ = ("pair", "mu", "size", "basis", "q_jets", "owner", "top", "below", "matrix", "_resolvent")
+    __slots__ = ("mu", "size", "basis", "q_jets", "owner", "top", "below", "matrix", "_resolvent")
 
     def __init__(self, pair: DefinitizablePair, mu):
         layout = lengths, owner, entry = _layout(pair)
-        self.pair = pair
         self.mu = mu
         self.size = int(np.sum(lengths - 1))  # total critical degree m
         m = self.size
@@ -310,9 +312,9 @@ class _CalculusPlan:
         self.matrix = self.basis[self.below]
         self._resolvent = None
 
-    def resolvent(self) -> np.ndarray:
+    def resolvent(self, pair: DefinitizablePair) -> np.ndarray:
         if self._resolvent is None:
-            self._resolvent = resolvent_at(self.pair.relation, self.mu, self.pair.report)
+            self._resolvent = pair.resolvent(self.mu)
         return self._resolvent
 
 
@@ -321,7 +323,7 @@ def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
     key = None if mu is None else as_point(mu)
     plans = pair._calculus_plans
     if key not in plans:
-        point = _default_mu(pair) if key is None else key
+        point = _calculus_point(pair.report, pair.q) if key is None else key
         if pair.report.contains(point):
             raise ValidationError("base point mu must lie in the resolvent set")
         plans[key] = _CalculusPlan(pair, point)
@@ -358,13 +360,6 @@ class Decomposition:
         plan = self._plan
         g = np.array([self.g[w] for w in self.pair.points], dtype=complex)
         return JetFunction._from_packed(self.pair, plan.basis @ self.coeffs + g[plan.owner] * plan.q_jets)
-
-
-def _default_mu(pair: DefinitizablePair) -> complex:
-    """i (1 + r), r the largest modulus of a spectral point or a zero of q: a
-    point at distance at least 1 from every spectral point and from the real axis."""
-    points = list(pair.points) + [z for z, _ in pair.q.zeros()]
-    return 1j * (1.0 + max((abs(complex(w)) for w in points if not is_inf(w)), default=0.0))
 
 
 def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decomposition:
@@ -434,7 +429,7 @@ def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
     if dec.coeffs.size:
         s_matrix = dec.coeffs[-1] * eye
         for c in dec.coeffs[-2::-1]:
-            s_matrix = c * eye + dec._plan.resolvent() @ s_matrix
+            s_matrix = c * eye + dec._plan.resolvent(pair) @ s_matrix
     if fact.rank == 0:
         return s_matrix
     left, right = fact.eigen_factors

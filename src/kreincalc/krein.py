@@ -4,12 +4,18 @@ A Krein space here is C^n with an invertible Hermitian Gram matrix G and
 inner product [x, y] = y* G x.  A self-adjoint relation A is definitizable
 when some rational q with poles in the resolvent set makes [q(A)x, x] >= 0;
 the Hermitian positive semidefinite matrix H = G q(A) then factors as
-q(A) = T T^+ through a Hilbert space C^r.  ran T = ran q(A) is invariant
-under the resolvent R of A at a real point mu, so R T = T X for one r x r
-matrix X, the compressed resolvent.  X is Hermitian: it is the resolvent at
-mu of the genuinely self-adjoint relation theta(A) on C^r, and its
-eigendecomposition X = V diag(x) V* is the spectral measure, kept in that
-form: the calculus adds phi(A) = s(A) + (T V) g (V* T^+).
+q(A) = T T^+ through a Hilbert space C^r.  From H = U diag(lambda) U* with
+U+ the columns of the kept eigenvalues, T = G^{-1} U+ diag(lambda)^(1/2) has
+the exact left inverse L = diag(1/lambda) T^+ G, with L T = I.  ran T = ran
+q(A) is invariant under the resolvent R of A at a real point mu, so R T = T X
+for the r x r matrix X = L R T, the compressed resolvent.  X is Hermitian:
+it is the resolvent at mu of the genuinely self-adjoint relation theta(A) on
+C^r, and its eigendecomposition X = V diag(x) V* is the spectral measure,
+kept in that form: the calculus adds phi(A) = s(A) + (T V) g (V* T^+).
+
+verify_definitizing knows every shift a request uses (the finite poles of
+q, mu, and the default base point of the calculus) and takes all of their
+resolvents from one stacked solve, kept on the pair.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .relations import (
     is_inf,
     require_finite,
 )
-from .spectral import SpectrumReport, rational_apply, resolvent_at, spectrum
+from .spectral import ResolventStack, SpectrumReport, rational_apply, resolvent_at, spectrum
 from .tolerances import (ATOM_MATCH_TOL, COMMUTANT_TOL, FACTOR_TOL, HERMITIAN_TOL, IDENTITY_TOL, MEASURE_TOL,
                          POINT_MATCH_TOL, PSD_CUTOFF, PSD_TOL, RANK_TOL, REALNESS_TOL)
 
@@ -121,12 +127,20 @@ class DefinitizablePair:
     diagnostics: dict = field(default_factory=dict)
     # eigh of the Hermitian part of G q(A): (eigenvalues, eigenvectors)
     psd_eig: tuple = field(default=None, repr=False)
+    # the resolvents solved with q(A): at the poles of q, _resolvent_point and _calculus_point
+    resolvents: ResolventStack = field(default=None, repr=False)
     # calculus plans by base point, built and read by jetcalc
     _calculus_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def critical_points(self) -> tuple[object, ...]:
         return tuple(w for w in self.points if self.degrees[w] > 0)
+
+    def resolvent(self, z) -> np.ndarray:
+        """(A - z)^{-1}, read from the stack solved with q(A) when it holds z, else from resolvent_at."""
+        if self.resolvents is not None and z in self.resolvents:
+            return self.resolvents[z]
+        return resolvent_at(self.relation, z, self.report)
 
     def resolve(self, z, tol: float = POINT_MATCH_TOL):
         """Match z against the canonical spectral points."""
@@ -172,7 +186,11 @@ def verify_definitizing(
     self_adjoint_residual = rel.self_adjoint_residual(space.gram)
     if not self_adjoint_residual <= HERMITIAN_TOL:
         raise NotSelfAdjointError("relation is not self-adjoint in this Krein space")
-    q_matrix = rational_apply(q, rel, report)  # raises when a pole meets the spectrum
+    # the resolvents at the finite poles of q, at the factor-space point and at
+    # the default calculus base point, all from one stacked solve
+    shifts = [p for p, _ in q.poles() if not is_inf(p)] + [_resolvent_point(report), _calculus_point(report, q)]
+    resolvents = ResolventStack(rel, shifts)
+    q_matrix = rational_apply(q, rel, report, resolvents)  # raises when a pole meets the spectrum
     hermitian_part = space.gram @ q_matrix
     q_residual = hermitian_residual(hermitian_part)
     psd_eig = np.linalg.eigh((hermitian_part + hermitian_part.conj().T) / 2.0)
@@ -207,6 +225,7 @@ def verify_definitizing(
         degrees=degrees,
         diagnostics=diagnostics,
         psd_eig=tuple(psd_eig),
+        resolvents=resolvents,
     )
 
 
@@ -245,14 +264,23 @@ def _resolvent_point(report: SpectrumReport) -> float:
     return 1.0 + max((abs(complex(w)) for w, _ in report.points if not is_inf(w)), default=0.0)
 
 
-def _pull_back(factor: np.ndarray, mat: np.ndarray) -> np.ndarray:
+def _calculus_point(report: SpectrumReport, q: RationalFunction) -> complex:
+    """i (1 + r), r the largest modulus of a spectral point or a zero of q: a
+    point at distance at least 1 from every spectral point and from the real
+    axis, the calculus's default base point."""
+    points = [w for w, _ in report.points] + [z for z, _ in q.zeros()]
+    return 1j * (1.0 + max((abs(complex(w)) for w in points if not is_inf(w)), default=0.0))
+
+
+def _pull_back(factor: np.ndarray, left_inverse: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """The Y with M T = T Y, for T of full column rank whose range M leaves invariant.
 
-    Y is the least-squares solution; a residual ||M T - T Y|| above
-    IDENTITY_TOL * max(1, ||M T||) means ran T is not invariant under M.
+    Y = L (M T) for a left inverse L of T (L T = I); a residual
+    ||M T - T Y|| above IDENTITY_TOL * max(1, ||M T||) means ran T is not
+    invariant under M.
     """
     image = mat @ factor
-    out, *_ = np.linalg.lstsq(factor, image, rcond=None)
+    out = left_inverse @ image
     resid = float(np.linalg.norm(image - factor @ out))
     if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(image))):
         raise InconsistencyError("range of the factor is not invariant under the operator")
@@ -313,6 +341,7 @@ class Factorization:
     rank: int
     factor: np.ndarray          # T: C^r -> C^n
     factor_adjoint: np.ndarray  # T^+ = T* G: C^n -> C^r
+    left_inverse: np.ndarray    # L = diag(1/lambda) T^+ G with L T = I, lambda the kept eigenvalues
     resolvent: np.ndarray       # X with R T = T X, R the resolvent of A at base_point
     base_point: float           # the real point mu of the resolvent set
     measure: SpectralMeasure
@@ -352,9 +381,14 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
 
     Eigenvalues of Hermitian(G q(A)) at or below PSD_CUTOFF * ||H|| are
     discarded as zeros; the retained part determines the rank r, the factor
-    T and its adjoint.  ran T = ran q(A) is invariant under the resolvent R
-    of A at a real point mu of the resolvent set, so R T = T X for an r x r
-    matrix X: the resolvent of theta(A) = {(X w, w + mu X w)} at mu, whose
+    T and its adjoint.  q(A) is invertible on the root subspace of every
+    spectral point where q does not vanish, so r below n minus the
+    multiplicities of the critical points is an inconsistency.  With
+    H = U diag(lambda) U* and U+ the kept columns, T = G^{-1} U+ diag(lambda)^(1/2)
+    has the exact left inverse L = diag(lambda)^(-1/2) U+* G.  ran T = ran q(A)
+    is invariant under the resolvent R of A at a real point mu of the
+    resolvent set, so R T = T X for the r x r matrix X = L R T: the
+    resolvent of theta(A) = {(X w, w + mu X w)} at mu, whose
     eigendecomposition is the spectral measure.
     """
     g = pair.space.gram
@@ -362,10 +396,15 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     eigvals, eigvecs = pair.psd_eig
     keep = _psd_kept(eigvals)
     rank = int(np.sum(keep))
+    # degrees holds the points in the report's order
+    bound = n - sum(m for (_, m), d in zip(pair.report.points, pair.degrees.values()) if d > 0)
+    if rank < bound:
+        raise InconsistencyError(f"rank {rank} of q(A) is below the structural bound {bound}")
     roots = np.sqrt(eigvals[keep])
     u_plus = eigvecs[:, keep]
     factor_adjoint = np.diag(roots) @ u_plus.conj().T
     factor = np.linalg.solve(g, factor_adjoint.conj().T)
+    left_inverse = (u_plus.conj().T @ g) / roots[:, None]
     resid_factor = float(np.linalg.norm(factor @ factor_adjoint - pair.q_matrix))
     if resid_factor > FACTOR_TOL * max(1.0, float(np.linalg.norm(pair.q_matrix))):
         raise InconsistencyError("T T^+ failed to reproduce q(A)")
@@ -374,7 +413,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
         res = np.zeros((0, 0), dtype=complex)
         measure = _NO_MEASURE
     else:
-        res = _pull_back(factor, resolvent_at(pair.relation, mu, pair.report))
+        res = _pull_back(factor, left_inverse, pair.resolvent(mu))
         measure = _measure_from_resolvent(res, mu, pair.report)
     diagnostics = {
         "factor_residual": resid_factor,
@@ -386,6 +425,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
         rank=rank,
         factor=factor,
         factor_adjoint=factor_adjoint,
+        left_inverse=left_inverse,
         resolvent=res,
         base_point=mu,
         measure=measure,
@@ -412,7 +452,7 @@ def theta_op(fact: Factorization, mat: np.ndarray) -> np.ndarray:
     _check_commutes(mat, fact.gram_product, "operator does not commute with q(A)")
     if fact.rank == 0:
         return np.zeros((0, 0), dtype=complex)
-    out = _pull_back(fact.factor, mat)
+    out = _pull_back(fact.factor, fact.left_inverse, mat)
     resid = float(np.linalg.norm(fact.factor_adjoint @ mat - out @ fact.factor_adjoint))
     if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(mat))):
         raise InconsistencyError("intertwining identity for the transported operator failed")

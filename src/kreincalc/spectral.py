@@ -207,30 +207,79 @@ def resolvent_at(rel: LinearRelation, lam, report: SpectrumReport | None = None)
     return _bounded_quotient(y, x) if is_inf(lam) else _bounded_quotient(x, y - complex(lam) * x)
 
 
-def _bounded_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num den^{-1}, one LU per matrix of a stack; NotBoundedError unless every one is bounded."""
+_UNBOUNDED = "relation is not an everywhere-defined operator"
+
+
+def _quotients(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """num den^{-1}, one LU per matrix of a stack, and whether each quotient is bounded."""
     try:
         out = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)
     except np.linalg.LinAlgError:
-        out = None
+        if den.ndim == 2:
+            out = np.full(den.shape, np.nan, dtype=complex)
+        else:
+            # one exactly singular matrix fails the whole stack: take the matrices one at a time
+            out = np.stack([_quotients(a, b)[0] for a, b in zip(np.broadcast_to(num, den.shape), den)])
     # the graph of a matrix R has a rank-deficient domain block, at RANK_TOL,
     # once ||R|| reaches about 1 / RANK_TOL
-    if out is None or not np.all(np.isfinite(out)) or np.any(np.linalg.norm(out, axis=(-2, -1)) * RANK_TOL >= 1.0):
-        raise NotBoundedError("relation is not an everywhere-defined operator")
+    finite = np.all(np.isfinite(out), axis=(-2, -1))
+    norms = np.linalg.norm(np.where(finite[..., None, None], out, 0.0), axis=(-2, -1))
+    return out, finite & (norms * RANK_TOL < 1.0)
+
+
+def _bounded_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num den^{-1}; NotBoundedError unless it is bounded."""
+    out, bounded = _quotients(num, den)
+    if not bounded.all():
+        raise NotBoundedError(_UNBOUNDED)
     return out
+
+
+class ResolventStack:
+    """R(z) = X (Y - z X)^{-1} of a relation with graph basis (X; Y) at a fixed set of finite shifts z.
+
+    All of them come from one solve over their (k, n, n) stack, made when the
+    first one is read.  A resolvent that is not bounded raises NotBoundedError
+    where it is read, so a caller that never reads it never sees the error.
+    Whether a shift lies in the resolvent set is the caller's to decide.
+    """
+
+    __slots__ = ("relation", "_index", "_stack", "_bounded")
+
+    def __init__(self, rel: LinearRelation, shifts):
+        self.relation = rel
+        self._index = {z: k for k, z in enumerate(dict.fromkeys(complex(z) for z in shifts))}
+        self._stack = None
+        self._bounded = None
+
+    def __contains__(self, z) -> bool:
+        return not is_inf(z) and complex(z) in self._index
+
+    def __getitem__(self, z) -> np.ndarray:
+        if self._stack is None:
+            x, y = self.relation.graph_columns()
+            shifts = np.array(list(self._index), dtype=complex)
+            # X as a (1, n, n) stack: numpy 1.x reads b as a stack of vectors when b.ndim == a.ndim - 1
+            self._stack, self._bounded = _quotients(x[None], y[None] - shifts[:, None, None] * x[None])
+        k = self._index[complex(z)]
+        if not self._bounded[k]:
+            raise NotBoundedError(_UNBOUNDED)
+        return self._stack[k]
 
 
 def rational_apply(
     func: RationalFunction,
     rel: LinearRelation,
     report: SpectrumReport | None = None,
+    resolvents: ResolventStack | None = None,
 ) -> np.ndarray:
     """Evaluate r = p + sum_k sum_j c_kj (z - p_k)^-j as p(A) + sum_k sum_j c_kj R(p_k)^j.
 
     Every pole, infinity included when p has degree >= 1, must lie in the
     resolvent set; all poles are tested against the spectrum in one match.  The
-    resolvents X (Y - p_k X)^{-1} of all finite poles come from one solve over
-    their stack, A = Y X^{-1} from one more, and each power is formed once.
+    resolvents X (Y - p_k X)^{-1} of all finite poles are read from
+    resolvents, which must hold them, or else from one ResolventStack of the
+    poles; A = Y X^{-1} comes from one more solve, and each power is formed once.
     """
     n = rel.space_dim
     report = spectrum(rel) if report is None else report
@@ -246,10 +295,8 @@ def rational_apply(
     mat = _bounded_quotient(y, x) if frac.poly.degree >= 1 else None
     series = [(np.eye(n, dtype=complex), mat, frac.poly.coeffs)]
     if parts and n:
-        poles = np.array([pole for pole, _ in parts], dtype=complex)
-        # X as a (1, n, n) stack: numpy 1.x reads b as a stack of vectors when b.ndim == a.ndim - 1
-        resolvents = _bounded_quotient(x[None], y[None] - poles[:, None, None] * x[None])
-        series += [(res, res, coeffs) for (_, coeffs), res in zip(parts, resolvents)]
+        resolvents = ResolventStack(rel, [pole for pole, _ in parts]) if resolvents is None else resolvents
+        series += [(res, res, coeffs) for pole, coeffs in parts for res in [resolvents[pole]]]
     out = np.zeros((n, n), dtype=complex)
     for power, factor, coeffs in series:
         for j, coeff in enumerate(coeffs):

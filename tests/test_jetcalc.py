@@ -1,5 +1,8 @@
 """Jet algebra and the jet-valued calculus."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,7 @@ from kreincalc import (
 
 from kreincalc import jetcalc
 from kreincalc.jetcalc import _basis_jets, _plan
+from kreincalc.krein import _calculus_point
 
 from helpers import random_definitizable, random_real_rational
 
@@ -375,13 +379,13 @@ class TestApplyCalculus:
 
     def test_plan_is_built_once_per_pair(self, monkeypatch):
         calls = []
-        real = jetcalc.resolvent_at
+        real = jetcalc._CalculusPlan
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(jetcalc, "resolvent_at", counting)
+        monkeypatch.setattr(jetcalc, "_CalculusPlan", counting)
         fact = gram_factorize(conjugate_pair_pair())
         pair = fact.pair
         phi = JetFunction(pair, {w: [1.0, 2.0] for w in pair.points})
@@ -389,6 +393,29 @@ class TestApplyCalculus:
         second = apply_calculus(fact, 3.0 * phi)
         assert len(calls) == 1
         assert np.allclose(second, 3.0 * first, atol=1e-12)
+
+    def test_pair_is_freed_without_the_cycle_collector(self):
+        # the pair caches its plans, so a plan that referred back to its pair
+        # kept the pair's matrices alive until the next cyclic collection
+        fact = gram_factorize(conjugate_pair_pair())
+        phi = JetFunction(fact.pair, {w: [1.0, 2.0] for w in fact.pair.points})
+        apply_calculus(fact, phi)
+        ref = weakref.ref(fact.pair)
+        gc.disable()
+        try:
+            del fact, phi
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_explicit_default_base_point_gives_the_same_bits(self):
+        rng = np.random.default_rng(47)
+        for trial in range(6):
+            pair = random_definitizable(rng, allow_mul=(trial % 2 == 0), allow_jordan=True).verify()
+            fact = gram_factorize(pair)
+            phi = JetFunction(pair, {w: rng.normal(size=pair.degrees[w] + 1) for w in pair.points})
+            mu = _calculus_point(pair.report, pair.q)
+            assert np.array_equal(apply_calculus(fact, phi, mu=mu), apply_calculus(fact, phi))
 
     def test_accepts_a_decomposition(self):
         fact = running_fact()

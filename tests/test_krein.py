@@ -36,6 +36,7 @@ from kreincalc import (
     xi,
 )
 
+from kreincalc import krein, spectral
 from kreincalc.krein import _measure_from_resolvent, _pull_back, _resolvent_point
 from kreincalc.tolerances import ATOM_MATCH_TOL, POINT_MATCH_TOL, RANK_TOL, ROOT_CLUSTER_TOL
 
@@ -562,6 +563,22 @@ class TestGramFactorize:
         assert fact.measure.atoms == ()
         assert fact.diagnostics["psd_margin"] == 0.0
 
+    def test_rank_below_the_structural_bound_is_an_inconsistency(self):
+        # q = z^2 + 1e-12 has its zeros at +-1e-6 i, clustered into a double
+        # zero at 0 that claims the point 1e-6 alone; q(A) ~ 1e-11 then
+        # falls below PSD_CUTOFF everywhere, and without the bound the
+        # projection onto 1e-6 came out as the identity, trace 4 for 1
+        rel = LinearRelation.from_operator(1e-6 * np.diag([1.0, 2.0, 3.0, 4.0]))
+        pair = verify_definitizing(GramSpace.standard(4), rel, RationalFunction(Polynomial([1e-12, 0.0, 1.0])))
+        assert [pair.degrees[w] for w in pair.points] == [2, 0, 0, 0]
+        with pytest.raises(InconsistencyError, match=r"rank 0 of q\(A\) is below the structural bound 3"):
+            gram_factorize(pair)
+
+    def test_structural_bound_leaves_the_diagnostics_as_they_were(self):
+        space, rel, q = running_example()
+        fact = gram_factorize(verify_definitizing(space, rel, q))
+        assert list(fact.diagnostics) == ["factor_residual", "psd_margin", "discarded_eigenvalue"]
+
     def test_theta_spectrum_inside_relation_spectrum(self):
         rng = np.random.default_rng(40)
         for trial in range(20):
@@ -619,9 +636,52 @@ class TestCompressedResolvent:
         bad[:, 0] = u[:, -1]  # orthogonal to ran T = ran q(A)
         mu = _resolvent_point(pair.report)
         res = resolvent_at(pair.relation, mu, pair.report)
-        _pull_back(fact.factor, res)
+        _pull_back(fact.factor, fact.left_inverse, res)
         with pytest.raises(InconsistencyError):
-            _pull_back(bad, res)
+            _pull_back(bad, np.linalg.pinv(bad), res)
+
+    @pytest.mark.parametrize("name", ["critical-838", "multivalued", "running"])
+    def test_left_inverse_agrees_with_least_squares(self, name):
+        if name == "critical-838":
+            pair, _ = fixture_pair(name)
+        else:
+            pair = multivalued_pair() if name == "multivalued" else verify_definitizing(*running_example())
+        fact = gram_factorize(pair)
+        factor, left = fact.factor, fact.left_inverse
+        assert np.allclose(left @ factor, np.eye(fact.rank), atol=1e-12 * np.linalg.cond(factor))
+        image = resolvent_at(pair.relation, fact.base_point, pair.report) @ factor
+        lsq = np.linalg.lstsq(factor, image, rcond=None)[0]
+        assert np.array_equal(fact.resolvent, left @ image)
+        # since L T = I, L (R T) - lsq = L (R T - T lsq): the two differ by
+        # the least-squares residual, which L carries into C^r
+        gap = float(np.linalg.norm(fact.resolvent - lsq))
+        assert gap <= 1.01 * float(np.linalg.norm(left, 2) * np.linalg.norm(image - factor @ lsq)) + 1e-13
+        if np.linalg.cond(factor) < 10.0:
+            assert gap <= 1e-12 * max(1.0, float(np.linalg.norm(lsq)))
+
+    def test_default_path_calls_neither_resolvent_at_nor_lstsq(self, monkeypatch):
+        counts = {"resolvent_at": 0, "lstsq": 0}
+        real_resolvent, real_lstsq = spectral.resolvent_at, np.linalg.lstsq
+
+        def resolvent(*args, **kwargs):
+            counts["resolvent_at"] += 1
+            return real_resolvent(*args, **kwargs)
+
+        def lstsq(*args, **kwargs):
+            counts["lstsq"] += 1
+            return real_lstsq(*args, **kwargs)
+
+        for module in (spectral, krein):
+            monkeypatch.setattr(module, "resolvent_at", resolvent)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        pair, case = fixture_pair("critical-838")
+        fact = gram_factorize(pair)
+        jets = {fixture_point(p): [complex(*v) for v in jet] for p, jet in case["jets"]}
+        calc = apply_calculus(fact, JetFunction.from_points(pair, jets))
+        proj = spectral_projection(fact, [fixture_point(p) for p in case["delta"]])
+        assert counts == {"resolvent_at": 0, "lstsq": 0}
+        assert relative_error(calc, fixture_matrix(case, "r_matrix")) < 1e-6
+        assert relative_error(proj, fixture_matrix(case, "delta_proj")) < 1e-6
 
 
 class TestTransport:

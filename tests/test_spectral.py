@@ -9,6 +9,7 @@ import pytest
 from kreincalc import (
     INF,
     GramSpace,
+    JetFunction,
     LinearRelation,
     MoebiusMap,
     NotBoundedError,
@@ -18,15 +19,19 @@ from kreincalc import (
     PreconditionError,
     RationalFunction,
     SpectrumReport,
+    apply_calculus,
     chordal_distance,
+    gram_factorize,
     in_resolvent_set,
     rational_apply,
     resolvent_at,
+    spectral_projection,
     spectrum,
     verify_definitizing,
 )
 from kreincalc.rational import cluster_values
 from kreincalc.relations import as_point, is_inf
+from kreincalc.spectral import ResolventStack
 from kreincalc.tolerances import RESOLVENT_DIST_TOL, SPECTRUM_CLUSTER_TOL
 
 from helpers import (
@@ -282,6 +287,16 @@ class TestResolvent:
             with pytest.raises(NotBoundedError):
                 resolvent_at(rel, lam, wrong)
 
+    def test_stack_raises_only_where_an_unbounded_resolvent_is_read(self):
+        rel = LinearRelation.from_operator(np.diag([1.0, 2.0]))
+        for bad in (2.0, 2.0 + 1e-12):  # exactly singular, and ||R|| = 1e12
+            stack = ResolventStack(rel, [5.0, bad, 3j])
+            for z in (5.0, 3j):
+                assert np.array_equal(stack[z], resolvent_at(rel, z))
+            with pytest.raises(NotBoundedError, match="relation is not an everywhere-defined operator"):
+                stack[bad]
+            assert bad in stack and 4.0 not in stack and INF not in stack
+
     def test_point_in_spectrum_rejected(self):
         rel = LinearRelation.from_operator(np.diag([1.0, 2.0]))
         with pytest.raises(NotInResolventSetError):
@@ -478,6 +493,44 @@ class TestRationalApply:
         vals, vecs = np.linalg.eig(a)
         want = vecs @ np.diag([complex(func(complex(v))) for v in vals]) @ np.linalg.inv(vecs)
         assert np.allclose(got, want, atol=1e-10 * max(1.0, np.linalg.norm(want)))
+
+    @pytest.mark.parametrize("n, n_poles", [(4, 0), (4, 2), (6, 4)])
+    def test_stacked_solve_through_verify_holds_under_the_numpy_1_reading(self, monkeypatch, n, n_poles):
+        # verify_definitizing stacks the poles of q with the factor-space point
+        # and the calculus base point: stacks of 2 (no poles) and of n
+        real = np.linalg.solve
+        shapes = []
+
+        def solve(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            if a.ndim == 3:
+                shapes.append(a.shape)
+            return real(a, b[..., None])[..., 0] if b.ndim == a.ndim - 1 else real(a, b)
+
+        rng = np.random.default_rng(45)
+        v = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        vinv = np.linalg.inv(v)
+        t = np.arange(1.0, n + 1.0)
+        # G A = V^-* diag(t) V^-1 is Hermitian, and q >= 0 on the real axis
+        space = GramSpace(vinv.conj().T @ vinv)
+        rel = LinearRelation.from_operator(v @ np.diag(t) @ vinv)
+        poles = [s * 1j * (10.0 + 2.0 * k) for k in range(n_poles // 2) for s in (1, -1)]
+        q = RationalFunction(Polynomial.from_roots([1.0, 1.0]), Polynomial.from_roots(poles))
+        phi = {1.0: [1.0, 2.0, 3.0], **{float(w): [w * w] for w in t[1:]}}
+
+        def run():
+            pair = verify_definitizing(space, rel, q)
+            fact = gram_factorize(pair)
+            return apply_calculus(fact, JetFunction.from_points(pair, phi)), spectral_projection(fact, [2.0])
+
+        want = run()
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        got = run()
+        monkeypatch.undo()
+        assert shapes == [(n_poles + 2, n, n)]
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, atol=1e-10 * max(1.0, np.linalg.norm(w)))
+        assert np.allclose(got[1], np.outer(v[:, 1], vinv[1]), atol=1e-9)
 
     def test_empty_pair_and_pole_free_function_make_no_stacked_solve(self, monkeypatch):
         calls = _record_solves(monkeypatch)
