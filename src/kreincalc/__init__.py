@@ -10,7 +10,6 @@ functions along the spectrum.
 from .errors import (
     InconsistencyError,
     JetAtPoleError,
-    JetNotInvertibleError,
     KreinCalcError,
     NotBoundedError,
     NotInCommutantError,
@@ -32,11 +31,9 @@ from .jetcalc import (
     decompose_polynomial,
     embed_rational,
     indicator,
-    jet_invert,
     jet_multiply,
     jet_one,
     norm_f,
-    q_jets,
     spectral_projection,
 )
 from .krein import (
@@ -67,7 +64,6 @@ from .relations import (
 )
 from .spectral import (
     SpectrumReport,
-    in_resolvent_set,
     rational_apply,
     resolvent_at,
     spectrum,
@@ -84,7 +80,6 @@ __all__ = [
     "InconsistencyError",
     "JetAtPoleError",
     "JetFunction",
-    "JetNotInvertibleError",
     "KreinCalcError",
     "LinearRelation",
     "MoebiusMap",
@@ -114,15 +109,12 @@ __all__ = [
     "diagonal_preimage",
     "embed_rational",
     "gram_factorize",
-    "in_resolvent_set",
     "indicator",
     "is_inf",
-    "jet_invert",
     "jet_one",
     "jet_multiply",
     "map_adjoint",
     "norm_f",
-    "q_jets",
     "rational_apply",
     "point_sort_key",
     "resolvent_at",

@@ -393,6 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, value in (("--tol-rank", args.tol_rank), ("--tol-psd", args.tol_psd)):
+            if not 0.0 <= value < np.inf:  # also false for nan
+                raise ValidationError(f"{flag} must be finite and nonnegative, got {value}")
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)

@@ -62,10 +62,6 @@ class NotInCommutantError(PreconditionError):
     code = "not-in-commutant"
 
 
-class JetNotInvertibleError(PreconditionError):
-    code = "jet-not-invertible"
-
-
 class NotBoundedError(PreconditionError):
     code = "not-bounded"
 

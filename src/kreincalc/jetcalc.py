@@ -44,19 +44,18 @@ import numpy as np
 
 from .errors import (
     InconsistencyError,
-    JetNotInvertibleError,
     NotBoundedError,
     PointNotInSpectrumError,
     PoleMeetsSpectrumError,
     ValidationError,
 )
 from .krein import DefinitizablePair, Factorization, _calculus_point
-from .rational import Polynomial, RationalFunction, _series_divide
+from .rational import Polynomial, RationalFunction
 from .relations import INF, as_point, conj_point, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import _pole_in_spectrum, rational_apply  # noqa: F401
-from .tolerances import IDENTITY_TOL, JET_INVERT_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL
+from .tolerances import IDENTITY_TOL, POINT_MATCH_TOL, ROUNDOFF_TOL
 
 # -- jet arithmetic ---------------------------------------------------------
 
@@ -68,15 +67,6 @@ def jet_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.size != b.size:
         raise ValidationError("jet lengths differ")
     return np.convolve(a, b)[: a.size]
-
-
-def jet_invert(a: np.ndarray) -> np.ndarray:
-    """Convolution inverse; exists iff the leading entry is nonzero."""
-    a = np.asarray(a, dtype=complex).ravel()
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if abs(a[0]) <= JET_INVERT_TOL * scale:
-        raise JetNotInvertibleError("jet has (numerically) vanishing leading entry")
-    return _series_divide(jet_one(a.size), a, a.size)
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -181,22 +171,11 @@ class JetFunction:
     def __neg__(self) -> "JetFunction":
         return self * (-1.0)
 
-    def invert(self) -> "JetFunction":
-        return JetFunction(self.pair, {w: jet_invert(v) for w, v in self.values.items()})
-
     def sharp(self) -> "JetFunction":
         """phi^#(w) = conj(phi(conj w)); the spectrum is conjugation symmetric."""
         points = self.pair.points
         mates = self.pair._match([conj_point(w) for w in points], POINT_MATCH_TOL)
         return JetFunction(self.pair, {w: np.conj(self.values[points[i]]) for w, i in zip(points, mates.tolist())})
-
-    def pi1(self) -> dict:
-        """First (scalar) component at every spectral point."""
-        return {w: complex(v[0]) for w, v in self.values.items()}
-
-    def max_abs(self) -> float:
-        """Largest entry modulus over all jets; 0.0 on a pair without points."""
-        return _max_abs(self._packed())
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{w}: {v.tolist()}" for w, v in sorted(self.values.items(), key=lambda t: point_sort_key(t[0])))
@@ -234,11 +213,6 @@ def _packed_jets(pair: DefinitizablePair, func: RationalFunction, layout) -> np.
     """Taylor jets of func at every spectral point, packed, from one table for the finite points."""
     return _pack(pair, layout, lambda z, length: func._jet_table(z, length).T,
                  lambda length: func.jet_at(INF, length - 1))
-
-
-def q_jets(pair: DefinitizablePair) -> JetFunction:
-    """The definitizing function as a jet function; lower entries vanish."""
-    return embed_rational(pair, pair.q)
 
 
 # -- decomposition ---------------------------------------------------------
@@ -355,11 +329,6 @@ class Decomposition:
             num = num * shift + Polynomial([c])
         den = Polynomial.from_roots([self.base_point] * max(self.coeffs.size - 1, 0))
         return RationalFunction(num, den)
-
-    def assemble(self) -> JetFunction:
-        plan = self._plan
-        g = np.array([self.g[w] for w in self.pair.points], dtype=complex)
-        return JetFunction._from_packed(self.pair, plan.basis @ self.coeffs + g[plan.owner] * plan.q_jets)
 
 
 def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decomposition:

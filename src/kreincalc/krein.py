@@ -82,11 +82,6 @@ class GramSpace:
         y = np.asarray(y, dtype=complex).ravel()
         return complex(y.conj() @ (self.gram @ x))
 
-    def is_positive(self, mat: np.ndarray, tol: float = PSD_TOL) -> bool:
-        """[Bx, x] >= 0 for all x, i.e. G B is Hermitian positive semidefinite."""
-        h = self.gram @ np.asarray(mat, dtype=complex)
-        return _is_psd(h, hermitian_residual(h), np.linalg.eigvalsh((h + h.conj().T) / 2.0), tol)
-
     def _abs_parts(self):
         if self._abs_cache is None:
             w, u = np.linalg.eigh(self.gram)

@@ -21,8 +21,8 @@ from .errors import (
     ValidationError,
 )
 from .relations import INF, MoebiusMap, Point, as_point, is_inf, require_finite
-from .tolerances import (COEFF_TRIM_TOL, JET_INVERT_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, RATIONAL_EQ_TOL,
-                         REALNESS_TOL, ROOT_CLUSTER_TOL)
+from .tolerances import (COEFF_TRIM_TOL, JET_INVERT_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, REALNESS_TOL,
+                         ROOT_CLUSTER_TOL)
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -71,7 +71,7 @@ def _cluster_members(values, tol: float) -> list[tuple[complex, list[int]]]:
     return out
 
 
-def cluster_values(values, tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
+def cluster_values(values, tol: float) -> list[tuple[complex, int]]:
     """Greedy clustering of complex values into (center, count) groups.
 
     The radius scales with |center| so large roots cluster sensibly.  Order of
@@ -128,12 +128,6 @@ class Polynomial:
     @classmethod
     def one(cls) -> "Polynomial":
         return cls([1.0])
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: complex = 1.0) -> "Polynomial":
-        c = np.zeros(degree + 1, dtype=complex)
-        c[degree] = coeff
-        return cls(c)
 
     @classmethod
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
@@ -323,10 +317,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     def __call__(self, z) -> complex | Point:
         """Evaluate; z may be the point infinity, and poles return infinity."""
         z = as_point(z)
@@ -380,16 +370,6 @@ class RationalFunction:
         if isinstance(x, Polynomial):
             return RationalFunction(x)
         return RationalFunction(Polynomial([complex(x)]))
-
-    def equals(self, other: "RationalFunction") -> bool:
-        """Cross-multiplied coefficient comparison."""
-        diff = self.num * other.den - other.num * self.den
-        scale = max(
-            (self.num * other.den).max_abs_coeff(),
-            (other.num * self.den).max_abs_coeff(),
-            1.0,
-        )
-        return diff.max_abs_coeff() <= RATIONAL_EQ_TOL * scale
 
     # -- structure -------------------------------------------------------
 

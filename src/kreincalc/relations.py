@@ -190,24 +190,12 @@ class Subspace:
     def zero(cls, n: int) -> "Subspace":
         return cls(np.zeros((n, 0), dtype=complex), n)
 
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n, dtype=complex), n)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
-
-    def complement(self) -> "Subspace":
-        return Subspace(null_space(self.basis.conj().T), self.ambient_dim)
-
-    def contains_vector(self, v) -> bool:
-        v = np.asarray(v, dtype=complex).ravel()
-        resid = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(resid)) <= CONTAINMENT_TOL * max(1.0, float(np.linalg.norm(v)))
 
     def contains(self, other: "Subspace") -> bool:
         if other.dim == 0:
@@ -224,15 +212,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValidationError("subspace sum needs a common ambient space")
         return Subspace.from_spanning(np.hstack([self.basis, other.basis]), self.ambient_dim)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValidationError("subspace intersection needs a common ambient space")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        coeffs = null_space(np.hstack([self.basis, -other.basis]))
-        vecs = self.basis @ coeffs[: self.dim, :]
-        return Subspace.from_spanning(vecs, self.ambient_dim)
 
     def image(self, mat: np.ndarray) -> "Subspace":
         mat = np.asarray(mat, dtype=complex)
@@ -314,17 +293,6 @@ class MoebiusMap:
         """z -> scale * z + shift."""
         return cls(scale, shift, 0.0, 1.0)
 
-    @classmethod
-    def resolvent_map(cls, lam: complex) -> "MoebiusMap":
-        """z -> 1 / (z - lam)."""
-        return cls(0.0, 1.0, 1.0, -lam)
-
-    @classmethod
-    def cayley(cls, mu: complex) -> "MoebiusMap":
-        """z -> (z - mu)/(z - conj mu); sends mu to 0 and conj mu to infinity."""
-        mu = complex(mu)
-        return cls(1.0, -mu, 1.0, -mu.conjugate())
-
 
 # -- linear relations ------------------------------------------------------
 
@@ -378,10 +346,6 @@ class LinearRelation:
         x, _ = self.graph_columns()
         return Subspace.from_spanning(x, self.space_dim)
 
-    def ran(self) -> Subspace:
-        _, y = self.graph_columns()
-        return Subspace.from_spanning(y, self.space_dim)
-
     def kernel(self, lam) -> Subspace:
         """ker(A - lam) = {x : (x; lam x) in A}; lam = INF gives mul A."""
         lam = as_point(lam)
@@ -406,14 +370,6 @@ class LinearRelation:
 
     def inverse(self) -> "LinearRelation":
         return self.moebius(MoebiusMap.inversion())
-
-    def shift(self, lam: complex) -> "LinearRelation":
-        """A - lam."""
-        return self.moebius(MoebiusMap.affine(1.0, -complex(lam)))
-
-    def scaled(self, mu: complex) -> "LinearRelation":
-        """mu * A."""
-        return self.moebius(MoebiusMap.affine(complex(mu), 0.0))
 
     def operator_matrix(self) -> np.ndarray:
         """Matrix of an everywhere-defined single-valued relation."""

@@ -55,9 +55,6 @@ class SpectrumReport:
     points: tuple[tuple[object, int], ...]
     is_full_sphere: bool = False
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.points)
-
     def inf_multiplicity(self) -> int:
         for p, m in self.points:
             if is_inf(p):
@@ -187,12 +184,6 @@ def _pole_in_spectrum(func: RationalFunction, report: SpectrumReport):
     return poles[int(np.argmax(hits))] if hits.any() else None
 
 
-def in_resolvent_set(rel: LinearRelation, z, report: SpectrumReport | None = None) -> bool:
-    """Membership in the resolvent set, decided against the computed spectrum."""
-    report = spectrum(rel) if report is None else report
-    return not report.contains(z)
-
-
 def resolvent_at(rel: LinearRelation, lam, report: SpectrumReport | None = None) -> np.ndarray:
     """Matrix of (A - lam)^{-1}; for lam = INF the matrix of A itself.
 
@@ -201,7 +192,7 @@ def resolvent_at(rel: LinearRelation, lam, report: SpectrumReport | None = None)
     """
     lam = as_point(lam)
     report = spectrum(rel) if report is None else report
-    if not in_resolvent_set(rel, lam, report):
+    if report.contains(lam):
         raise NotInResolventSetError(f"{lam} is not in the resolvent set")
     x, y = rel.graph_columns()
     return _bounded_quotient(y, x) if is_inf(lam) else _bounded_quotient(x, y - complex(lam) * x)

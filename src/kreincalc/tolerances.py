@@ -2,22 +2,24 @@
 
 All values assume "desk scale": matrices up to roughly 16 x 16 with entries of
 order one; "relative" cutoffs multiply a scale floored at 1.  The modules read
-these constants directly.  Seven parameters still take a tolerance, because a
-caller sets them:
+these constants directly.  Five parameters still take a tolerance with a
+default, because a caller sets them:
 
 - ``rank_tol`` of ``LinearRelation.from_graph_columns``,
   ``Subspace.from_spanning`` and ``orthonormal_columns``, the path of the
   CLI's ``--tol-rank`` to the rank of input graph columns;
-- ``psd_tol`` of ``verify_definitizing`` and ``tol`` of
-  ``GramSpace.is_positive``, the path of the CLI's ``--tol-psd``;
+- ``psd_tol`` of ``verify_definitizing``, the path of the CLI's
+  ``--tol-psd``;
 - ``tol`` of ``DefinitizablePair.resolve``: user labels match at
   ``POINT_MATCH_TOL``.  Every spectral-point decision goes through
   ``SpectrumReport.match``, whose ``tol`` has no default; at
   ``ATOM_MATCH_TOL`` it decides the atoms of the factor-space measure,
   assigning each eigenvalue of the compressed resolvent to a point of the
-  pair;
-- ``tol`` of ``rational.cluster_values``: polynomial roots cluster at
-  ``ROOT_CLUSTER_TOL``, pencil eigenvalues at ``SPECTRUM_CLUSTER_TOL``.
+  pair.
+
+The radius of ``rational.cluster_values`` has no default either: polynomial
+roots cluster at ``ROOT_CLUSTER_TOL``, pencil eigenvalues at
+``SPECTRUM_CLUSTER_TOL``.
 """
 
 # -- rank and subspaces
@@ -36,14 +38,13 @@ ROOT_CLUSTER_TOL = 1e-6
 # leading one; a sum or difference zeroes those below this times the larger
 # operand coefficient of their power, so cancellation cannot raise the degree.
 COEFF_TRIM_TOL = 1e-12
-# Leading jet entries below this (relative) count as zero: the jet is not
-# invertible, or a principal-part coefficient vanished.
+# Leading principal-part coefficients below this (relative) count as zero:
+# numerator and denominator were not coprime after normalization.
 JET_INVERT_TOL = 1e-12
 # Jet entries below this (relative) vanish: the derivative jet confirming a
 # multiple root.
 JET_ZERO_TOL = 1e-9
 POLE_SEPARATION_TOL = 1e-13  # partial fractions: other pole clusters vanish at a pole
-RATIONAL_EQ_TOL = 1e-9  # cross-multiplied coefficients of equal functions (relative)
 REALNESS_TOL = 1e-8  # imaginary parts below this (relative) count as real
 
 # -- spectra

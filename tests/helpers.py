@@ -11,6 +11,7 @@ import numpy as np
 from kreincalc import (
     INF,
     GramSpace,
+    JetFunction,
     LinearRelation,
     Polynomial,
     RationalFunction,
@@ -249,6 +250,18 @@ def random_definitizable(
     relation = LinearRelation.from_graph_columns(v @ x0, v @ y0)
     space = GramSpace(gram)
     return PlantedPair(space, relation, q, spectrum_plan, degree_plan, v)
+
+
+def jet_max_abs(phi):
+    """Largest entry modulus over the jets of a jet function; 0.0 on a pair without points."""
+    return float(max((np.max(np.abs(v)) for v in phi.values.values()), default=0.0))
+
+
+def reassemble(dec):
+    """The jets s + g q of a decomposition, in the packed arithmetic of its calculus plan."""
+    plan = dec._plan
+    g = np.array([dec.g[w] for w in dec.pair.points], dtype=complex)
+    return JetFunction._from_packed(dec.pair, plan.basis @ dec.coeffs + g[plan.owner] * plan.q_jets)
 
 
 def random_rational(rng, avoid=(), deg_num=None, deg_den=None, min_gap=0.3):

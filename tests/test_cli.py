@@ -359,6 +359,30 @@ class TestTolerances:
         assert doc["results"]["is_proper"] is False
         assert doc["spectrum"]["is_full_sphere"] is True
 
+    @pytest.mark.parametrize("flag", ["--tol-psd", "--tol-rank"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_value_that_is_not_finite_and_nonnegative_exits_2(self, flag, value):
+        # taken as given, --tol-psd nan or -1 made running.json not positive,
+        # and --tol-rank nan read mul.json as the full sphere
+        for command, fixture in (("definitize", "running.json"), ("spectrum", "mul.json"), ("calculus", "mul.json")):
+            rc, doc = run_on(command, fixture, flag, value)
+            assert rc == 2
+            assert doc["command"] == command and doc["status"] == "error"
+            assert doc["error"]["code"] == "validation"
+            assert doc["error"]["message"].startswith(f"{flag} must be finite and nonnegative")
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_on_every_fixture_ends_in_a_report(command, fixture):
+    """No input ends in a raw exception: a report, and exit 0 or an error family's code."""
+    rc, doc = run_on(command, fixture)
+    assert rc in (0, 2, 3, 4)
+    assert doc["command"] == command
+    assert doc["status"] == ("ok" if rc == 0 else "error")
+    if rc:
+        assert sorted(doc["error"]) == ["code", "message"]
+
 
 class TestBooleanInput:
     @pytest.mark.parametrize("operator", [

@@ -11,7 +11,6 @@ from kreincalc import (
     GramSpace,
     InconsistencyError,
     JetFunction,
-    JetNotInvertibleError,
     LinearRelation,
     NotBoundedError,
     PointNotInSpectrumError,
@@ -26,11 +25,8 @@ from kreincalc import (
     gram_factorize,
     indicator,
     is_inf,
-    jet_invert,
     jet_multiply,
-    jet_one,
     norm_f,
-    q_jets,
     rational_apply,
     spectral_projection,
     verify_definitizing,
@@ -40,7 +36,7 @@ from kreincalc import jetcalc
 from kreincalc.jetcalc import _basis_jets, _plan
 from kreincalc.krein import _calculus_point
 
-from helpers import random_definitizable, random_real_rational
+from helpers import jet_max_abs, random_definitizable, random_real_rational, reassemble
 
 
 def running_pair():
@@ -98,21 +94,6 @@ class TestJetPrimitives:
         with pytest.raises(ValidationError):
             jet_multiply([1.0, 2.0], [1.0])
 
-    def test_invert_golden(self):
-        assert np.allclose(jet_invert([2.0, 1.0]), [0.5, -0.25])
-
-    def test_invert_roundtrip(self):
-        rng = np.random.default_rng(46)
-        for _ in range(20):
-            length = int(rng.integers(1, 6))
-            a = rng.normal(size=length) + 1j * rng.normal(size=length)
-            a[0] += 3.0  # keep the leading entry away from zero
-            assert np.allclose(jet_multiply(a, jet_invert(a)), jet_one(length), atol=1e-10)
-
-    def test_invert_rejects_vanishing_lead(self):
-        with pytest.raises(JetNotInvertibleError):
-            jet_invert([0.0, 1.0])
-
 
 class TestJetFunction:
     def test_requires_all_points(self):
@@ -143,18 +124,12 @@ class TestJetFunction:
 
         a, b, c = rand_jet(), rand_jet(), rand_jet()
         one = JetFunction.one(pair)
-        assert ((a * b) - (b * a)).max_abs() < 1e-12
-        assert ((a * (b + c)) - (a * b + a * c)).max_abs() < 1e-10
-        assert ((a * (b * c)) - ((a * b) * c)).max_abs() < 1e-10
-        assert (a * one - a).max_abs() == 0.0
-        assert (a + (-a)).max_abs() == 0.0
-        assert ((2.0 * a) - (a + a)).max_abs() < 1e-12
-
-    def test_invert_is_multiplicative_inverse(self):
-        pair = running_pair()
-        phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [2.0, -1.0]})
-        prod = phi * phi.invert()
-        assert (prod - JetFunction.one(pair)).max_abs() < 1e-12
+        assert jet_max_abs((a * b) - (b * a)) < 1e-12
+        assert jet_max_abs((a * (b + c)) - (a * b + a * c)) < 1e-10
+        assert jet_max_abs((a * (b * c)) - ((a * b) * c)) < 1e-10
+        assert jet_max_abs(a * one - a) == 0.0
+        assert jet_max_abs(a + (-a)) == 0.0
+        assert jet_max_abs((2.0 * a) - (a + a)) < 1e-12
 
     def test_sharp_is_involutive_and_conjugates_across_mates(self):
         # pair with a genuine conjugate pair in the spectrum
@@ -166,20 +141,12 @@ class TestJetFunction:
         sharped = phi.sharp()
         w = pair.resolve(1.0j)
         assert np.allclose(sharped.values[w], np.conj(phi.values[pair.resolve(-1.0j)]))
-        assert (sharped.sharp() - phi).max_abs() == 0.0
+        assert jet_max_abs(sharped.sharp() - phi) == 0.0
 
     def test_two_labels_on_one_point_rejected(self):
         pair = running_pair()
         with pytest.raises(ValidationError, match="both match"):
             JetFunction.from_points(pair, {1.0: [3.0], 1.00000001: [5.0], 2.0: [1.0, -2.0]})
-
-    def test_pi1_and_max_abs(self):
-        pair = running_pair()
-        phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
-        scalars = phi.pi1()
-        assert scalars[pair.resolve(1.0)] == 3.0
-        assert scalars[pair.resolve(2.0)] == 1.0
-        assert phi.max_abs() == 3.0
 
 
 class TestEmbedRational:
@@ -212,7 +179,7 @@ class TestEmbedRational:
 
     def test_q_jets_embeds_q(self):
         pair = running_pair()
-        phi = q_jets(pair)
+        phi = embed_rational(pair, pair.q)
         w = pair.resolve(2.0)
         assert np.allclose(phi.values[w], [0.0, -1.0])
         assert np.allclose(phi.values[pair.resolve(1.0)], [1.0])
@@ -228,7 +195,7 @@ class TestDecompose:
         assert abs(complex(dec.s(5.0)) - 1.0) < 1e-12
         assert abs(dec.g[pair.resolve(1.0)] - 2.0) < 1e-12
         assert abs(dec.g[pair.resolve(2.0)] - 2.0) < 1e-12
-        assert (dec.assemble() - phi).max_abs() < 1e-12
+        assert jet_max_abs(reassemble(dec) - phi) < 1e-12
 
     def test_reassembly_random(self):
         rng = np.random.default_rng(49)
@@ -241,7 +208,7 @@ class TestDecompose:
                 + 1j * rng.normal(size=pair.degrees[w] + 1)
                 for w in pair.points})
             dec = decompose(pair, phi)
-            assert (dec.assemble() - phi).max_abs() < 1e-7 * max(1.0, phi.max_abs())
+            assert jet_max_abs(reassemble(dec) - phi) < 1e-7 * max(1.0, jet_max_abs(phi))
 
     def test_base_point_must_avoid_spectrum(self):
         pair = running_pair()
@@ -292,7 +259,7 @@ class TestDecompose:
         for w in (0.0, 1.0, -0.7 + 0.3j):
             got = _basis_jets(INF, w, m, order)
             for j in range(m):
-                want = RationalFunction(Polynomial.monomial(j)).jet_at(w, order)
+                want = RationalFunction(Polynomial([0.0] * j + [1.0])).jet_at(w, order)
                 assert np.allclose(got[:, j], want, rtol=1e-12, atol=1e-12), (w, j)
 
     def test_base_point_at_infinity_is_the_polynomial_variant(self):
@@ -304,7 +271,7 @@ class TestDecompose:
                 + 1j * rng.normal(size=pair.degrees[w] + 1)
                 for w in pair.points})
             dec = decompose(pair, phi, mu=INF)
-            assert (dec.assemble() - phi).max_abs() < 1e-7 * max(1.0, phi.max_abs())
+            assert jet_max_abs(reassemble(dec) - phi) < 1e-7 * max(1.0, jet_max_abs(phi))
             assert dec.s.den.degree == 0
             poly = decompose_polynomial(pair, phi)
             assert np.allclose(dec.coeffs, poly.coeffs, rtol=1e-12, atol=1e-12), trial
@@ -315,7 +282,7 @@ class TestDecompose:
         phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
         dec = decompose_polynomial(pair, phi)
         assert dec.s.den.degree == 0
-        assert (dec.assemble() - phi).max_abs() < 1e-10
+        assert jet_max_abs(reassemble(dec) - phi) < 1e-10
 
 
 class TestApplyCalculus:
@@ -334,7 +301,7 @@ class TestApplyCalculus:
             planted = random_definitizable(rng, allow_jordan=True)
             pair = planted.verify()
             fact = gram_factorize(pair)
-            got = apply_calculus(fact, q_jets(pair))
+            got = apply_calculus(fact, embed_rational(pair, pair.q))
             assert np.allclose(got, pair.q_matrix, atol=1e-7 * max(1.0, np.linalg.norm(pair.q_matrix)))
 
     def test_extends_the_rational_calculus(self):
@@ -600,6 +567,6 @@ class TestPackedLayout:
         pair = verify_definitizing(space, rel, RationalFunction(Polynomial([1.0])))
         fact = gram_factorize(pair)
         phi = JetFunction.one(pair)
-        assert phi.max_abs() == 0.0
+        assert jet_max_abs(phi) == 0.0
         assert apply_calculus(fact, phi).shape == (0, 0)
         assert spectral_projection(fact, []).shape == (0, 0)

@@ -15,17 +15,16 @@ PACKAGE = Path(kreincalc.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 # (module, qualified name, parameter): the CLI's --tol-rank and --tol-psd
-# reach the first five, and two values are in use for the last two.  The
-# radius of rational._cluster_members is an argument of the algorithm and
-# has no default.
+# reach the first four, and DefinitizablePair.resolve matches a caller's
+# labels at POINT_MATCH_TOL unless told otherwise.  The radius of
+# rational.cluster_values and rational._cluster_members is an argument of
+# the algorithm and has no default.
 SETTABLE = {
     ("relations", "orthonormal_columns", "rank_tol"),
     ("relations", "Subspace.from_spanning", "rank_tol"),
     ("relations", "LinearRelation.from_graph_columns", "rank_tol"),
     ("krein", "verify_definitizing", "psd_tol"),
-    ("krein", "GramSpace.is_positive", "tol"),
     ("krein", "DefinitizablePair.resolve", "tol"),
-    ("rational", "cluster_values", "tol"),
 }
 
 
