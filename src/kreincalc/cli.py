@@ -17,16 +17,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import KreinCalcError, ValidationError
-from .jetcalc import JetFunction, apply_calculus, decompose, embed_rational, norm_f, spectral_projection
-from .krein import GramSpace, gram_factorize, theta_op, verify_definitizing, xi
 from .rational import Polynomial, RationalFunction
 from .relations import INF, LinearRelation, is_inf
 from .spectral import rational_apply, spectrum
 from .tolerances import PSD_TOL, RANK_TOL
+
+# krein and jetcalc are imported inside the commands that run them, so that
+# `spectrum` and `rational-apply` load neither and seven commands skip jetcalc
+if TYPE_CHECKING:
+    from .jetcalc import JetFunction
+    from .krein import GramSpace
+
+
+def __getattr__(name):
+    # cli.decompose stays readable although _cmd_calculus imports it where it
+    # runs: the tracing test in bench/test_bench.py checks that it is wrapped
+    if name == "decompose":
+        from .jetcalc import decompose
+
+        return decompose
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # -- JSON decoding -----------------------------------------------------------
 
@@ -139,6 +155,8 @@ class Problem:
         raise ValidationError("relation must give 'operator' or graph columns 'X' and 'Y'")
 
     def gram(self, dim: int) -> GramSpace:
+        from .krein import GramSpace
+
         obj = self.raw.get("gram")
         if obj is None:
             return GramSpace.standard(dim)
@@ -153,6 +171,8 @@ class Problem:
         return _decode_rational(self.raw["q"], "q")
 
     def pair(self):
+        from .krein import verify_definitizing
+
         rel = self.relation()
         space = self.gram(rel.space_dim)
         return verify_definitizing(space, rel, self.q(), psd_tol=self.psd_tol)
@@ -164,6 +184,8 @@ class Problem:
         return _decode_rational(obj["rational"], "function.rational")
 
     def jet_function(self, pair) -> JetFunction:
+        from .jetcalc import JetFunction, embed_rational
+
         obj = self.raw.get("function")
         if not isinstance(obj, dict):
             raise ValidationError("problem needs a 'function' object")
@@ -236,6 +258,8 @@ def _cmd_definitize(problem: Problem, args) -> dict:
 
 
 def _factorize(problem: Problem):
+    from .krein import gram_factorize
+
     pair = problem.pair()
     return pair, gram_factorize(pair)
 
@@ -261,6 +285,8 @@ def _cmd_factorize(problem: Problem, args) -> dict:
 
 
 def _cmd_theta(problem: Problem, args) -> dict:
+    from .krein import theta_op
+
     pair, fact = _factorize(problem)
     func = problem.rational_function()
     mat = rational_apply(func, pair.relation, pair.report)
@@ -274,6 +300,8 @@ def _cmd_theta(problem: Problem, args) -> dict:
 
 
 def _cmd_xi(problem: Problem, args) -> dict:
+    from .krein import xi
+
     pair, fact = _factorize(problem)
     func = problem.rational_function()
     if fact.rank == 0:
@@ -307,6 +335,8 @@ def _mu_of(args):
 
 
 def _cmd_calculus(problem: Problem, args) -> dict:
+    from .jetcalc import apply_calculus, decompose
+
     pair, fact = _factorize(problem)
     phi = problem.jet_function(pair)
     dec = decompose(pair, phi, _mu_of(args))
@@ -325,6 +355,8 @@ def _cmd_calculus(problem: Problem, args) -> dict:
 
 
 def _cmd_project(problem: Problem, args) -> dict:
+    from .jetcalc import spectral_projection
+
     pair, fact = _factorize(problem)
     proj = spectral_projection(fact, problem.delta(), _mu_of(args))
     return {
@@ -337,6 +369,8 @@ def _cmd_project(problem: Problem, args) -> dict:
 
 
 def _cmd_norm_f(problem: Problem, args) -> dict:
+    from .jetcalc import norm_f
+
     pair = problem.pair()
     phi = problem.jet_function(pair)
     return {"results": {"value": float(norm_f(phi))}}

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .relations import INF, MoebiusMap, Point, as_point, is_inf, require_finite
-from .tolerances import (COEFF_TRIM_TOL, JET_INVERT_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, REALNESS_TOL,
+from .tolerances import (COEFF_TRIM_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, PRINCIPAL_PART_TOL, REALNESS_TOL,
                          ROOT_CLUSTER_TOL)
 
 
@@ -481,7 +481,7 @@ class RationalFunction:
         order = int(nu.max())
         t = _series_divide(_taylor_shift(w.coeffs, alpha, order)[:order], cofactor, order)
         t[np.arange(order)[:, None] >= nu] = 0.0  # column k keeps its nu_k entries
-        if (np.abs(t[0]) <= JET_INVERT_TOL * np.maximum(np.abs(t).max(axis=0), 1.0)).any():
+        if (np.abs(t[0]) <= PRINCIPAL_PART_TOL * np.maximum(np.abs(t).max(axis=0), 1.0)).any():
             raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
                                      "denominator were not coprime after normalization")
         terms = tuple((a, j, jet[m - j]) for a, m, jet in zip(alpha.tolist(), nu.tolist(), t.T.tolist())

@@ -40,7 +40,7 @@ ROOT_CLUSTER_TOL = 1e-6
 COEFF_TRIM_TOL = 1e-12
 # Leading principal-part coefficients below this (relative) count as zero:
 # numerator and denominator were not coprime after normalization.
-JET_INVERT_TOL = 1e-12
+PRINCIPAL_PART_TOL = 1e-12
 # Jet entries below this (relative) vanish: the derivative jet confirming a
 # multiple root.
 JET_ZERO_TOL = 1e-9

@@ -13,7 +13,6 @@ from kreincalc import (
     RationalFunction,
     SingularMoebiusError,
     ValidationError,
-    chordal_distance,
 )
 from kreincalc.rational import _cluster_members, _series_divide
 
