@@ -21,8 +21,8 @@ The basis jets have closed forms, so the decomposition finds no roots, and
 s(A) is a Horner sum in R = (A - mu)^(-1).  The base point mu = INF stands
 for the polynomial basis z^j, with R = A; it needs a bounded relation.
 Everything that does not depend on phi (the base point, the basis and q
-jets at every spectral point, the interpolation matrix and R) is a plan
-built once per pair and base point and cached on the pair.
+jets at every spectral point and the interpolation matrix) is a plan built
+once per pair and base point and cached on the pair; R comes from the pair.
 
 The plan and the decomposition work on packed jets: the entries 0..d(w) of
 each point's jet are consecutive rows, and the points follow the pair's
@@ -263,14 +263,14 @@ class _CalculusPlan:
     Holds the base point and, in packed rows (see the module docstring), the
     basis jets, the q jets, the point of each row (owner), the top row of
     each point and the rows below the tops; the latter pick the Hermite
-    interpolation matrix out of the basis jets.  The resolvent
-    R = (A - mu)^(-1) (A itself for mu = INF) is read from the pair on first
-    use: verify_definitizing solved it already at the default base point.
+    interpolation matrix out of the basis jets.  The plan keeps no
+    resolvent: apply_calculus reads R = (A - mu)^(-1) (A itself for
+    mu = INF) from the pair, whose stack holds it at the default base point.
     The plan keeps no reference to its pair, which caches it: without that
     cycle a pair and its arrays are freed as soon as the caller drops them.
     """
 
-    __slots__ = ("mu", "size", "basis", "q_jets", "owner", "top", "below", "matrix", "_resolvent")
+    __slots__ = ("mu", "size", "basis", "q_jets", "owner", "top", "below", "matrix")
 
     def __init__(self, pair: DefinitizablePair, mu):
         layout = lengths, owner, entry = _layout(pair)
@@ -284,12 +284,6 @@ class _CalculusPlan:
         self.top = np.cumsum(lengths) - 1
         self.below = np.flatnonzero(entry < lengths[owner] - 1)
         self.matrix = self.basis[self.below]
-        self._resolvent = None
-
-    def resolvent(self, pair: DefinitizablePair) -> np.ndarray:
-        if self._resolvent is None:
-            self._resolvent = pair.resolvent(self.mu)
-        return self._resolvent
 
 
 def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
@@ -396,9 +390,10 @@ def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     s_matrix = np.zeros((n, n), dtype=complex)
     if dec.coeffs.size:
+        res = pair.resolvent(dec.base_point)
         s_matrix = dec.coeffs[-1] * eye
         for c in dec.coeffs[-2::-1]:
-            s_matrix = c * eye + dec._plan.resolvent(pair) @ s_matrix
+            s_matrix = c * eye + res @ s_matrix
     if fact.rank == 0:
         return s_matrix
     left, right = fact.eigen_factors

@@ -51,7 +51,7 @@ from .tolerances import (ATOM_MATCH_TOL, COMMUTANT_TOL, FACTOR_TOL, HERMITIAN_TO
 class GramSpace:
     """C^n with an invertible Hermitian Gram matrix."""
 
-    __slots__ = ("gram", "_abs_cache")
+    __slots__ = ("gram",)
 
     def __init__(self, gram: np.ndarray):
         gram = np.asarray(gram, dtype=complex)
@@ -66,7 +66,6 @@ class GramSpace:
             if float(np.min(np.abs(w))) <= RANK_TOL * max(1.0, float(np.max(np.abs(w)))):
                 raise ValidationError("Gram matrix must be invertible")
         self.gram = gram
-        self._abs_cache = None
 
     @classmethod
     def standard(cls, n: int) -> "GramSpace":
@@ -82,17 +81,11 @@ class GramSpace:
         y = np.asarray(y, dtype=complex).ravel()
         return complex(y.conj() @ (self.gram @ x))
 
-    def _abs_parts(self):
-        if self._abs_cache is None:
-            w, u = np.linalg.eigh(self.gram)
-            sq = u @ np.diag(np.sqrt(np.abs(w))) @ u.conj().T
-            isq = u @ np.diag(1.0 / np.sqrt(np.abs(w))) @ u.conj().T
-            self._abs_cache = (sq, isq)
-        return self._abs_cache
-
     def hilbert_norm(self, mat: np.ndarray) -> float:
-        """Operator norm w.r.t. the compatible product (x, y) = y* |G| x."""
-        sq, isq = self._abs_parts()
+        """Operator norm w.r.t. the compatible product (x, y) = y* |G| x: ||G|^(1/2) M |G|^(-1/2)||."""
+        w, u = np.linalg.eigh(self.gram)
+        sq = u @ np.diag(np.sqrt(np.abs(w))) @ u.conj().T
+        isq = u @ np.diag(1.0 / np.sqrt(np.abs(w))) @ u.conj().T
         return float(np.linalg.norm(sq @ np.asarray(mat, dtype=complex) @ isq, 2))
 
 

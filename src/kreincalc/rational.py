@@ -112,6 +112,19 @@ def _series_divide(num, den, length: int) -> np.ndarray:
     return out
 
 
+def _jet_quotient(num, den, length: int, w) -> np.ndarray:
+    """_series_divide(num, den, length) for the jets of num/den at w (INF, a point or an array of them).
+
+    JetAtPoleError where den[0] vanishes against den's largest coefficient,
+    floored at 1: w is a pole.
+    """
+    pole = np.abs(den[0]) <= COEFF_TRIM_TOL * np.maximum(np.max(np.abs(den), axis=0), 1.0)
+    if np.any(pole):
+        where = "the pole infinity" if is_inf(w) else f"pole {complex(np.ravel(w)[np.argmax(pole)])}"
+        raise JetAtPoleError(f"jet requested at {where}")
+    return _series_divide(num, den, length)
+
+
 class Polynomial:
     """Polynomial with ascending complex coefficients."""
 
@@ -191,10 +204,6 @@ class Polynomial:
     def shifted(self, w: complex) -> np.ndarray:
         """Coefficients of t -> p(w + t), i.e. the full Taylor jet at w."""
         return _taylor_shift(self.coeffs, complex(w))
-
-    def reversed_coeffs(self) -> np.ndarray:
-        """Coefficients of z^deg * p(1/z)."""
-        return self.coeffs[::-1].copy()
 
     def roots(self) -> np.ndarray:
         if self.degree < 1:
@@ -440,21 +449,15 @@ class RationalFunction:
         if is_inf(w):
             dn, dd = max(self.num.degree, 0), max(self.den.degree, 0)
             big = max(dn, dd)
-            gnum = np.concatenate([np.zeros(big - dn, dtype=complex), self.num.reversed_coeffs()])
-            gden = np.concatenate([np.zeros(big - dd, dtype=complex), self.den.reversed_coeffs()])
-            if abs(gden[0]) <= COEFF_TRIM_TOL * max(np.max(np.abs(gden)), 1.0):
-                raise JetAtPoleError("jet requested at the pole infinity")
-            return _series_divide(gnum, gden, length)
+            gnum = np.concatenate([np.zeros(big - dn, dtype=complex), self.num.coeffs[::-1]])
+            gden = np.concatenate([np.zeros(big - dd, dtype=complex), self.den.coeffs[::-1]])
+            return _jet_quotient(gnum, gden, length, INF)
         return self._jet_table(complex(w), length)
 
     def _jet_table(self, w, length: int) -> np.ndarray:
         """Taylor jets through entry length - 1 at a finite point w, or at an
         array of them with one column each."""
-        dshift = _taylor_shift(self.den.coeffs, w)
-        pole = np.abs(dshift[0]) <= COEFF_TRIM_TOL * np.maximum(np.max(np.abs(dshift), axis=0), 1.0)
-        if np.any(pole):
-            raise JetAtPoleError(f"jet requested at pole {complex(np.ravel(w)[np.argmax(pole)])}")
-        return _series_divide(_taylor_shift(self.num.coeffs, w, length), dshift, length)
+        return _jet_quotient(_taylor_shift(self.num.coeffs, w, length), _taylor_shift(self.den.coeffs, w), length, w)
 
     def partial_fractions(self) -> PartialFractions:
         """Polynomial part plus principal parts at the clustered poles, all at once.

@@ -165,6 +165,34 @@ def null_space(mat: np.ndarray) -> np.ndarray:
     return vh[rank:, :].conj().T
 
 
+_UNBOUNDED = "relation is not an everywhere-defined operator"
+
+
+def _quotients(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """num den^{-1}, one LU per matrix of a stack, and whether each quotient is bounded."""
+    try:
+        out = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)
+    except np.linalg.LinAlgError:
+        if den.ndim == 2:
+            out = np.full(den.shape, np.nan, dtype=complex)
+        else:
+            # one exactly singular matrix fails the whole stack: take the matrices one at a time
+            out = np.stack([_quotients(a, b)[0] for a, b in zip(np.broadcast_to(num, den.shape), den)])
+    # the graph of a matrix R has a rank-deficient domain block, at RANK_TOL,
+    # once ||R|| reaches about 1 / RANK_TOL
+    finite = np.all(np.isfinite(out), axis=(-2, -1))
+    norms = np.linalg.norm(np.where(finite[..., None, None], out, 0.0), axis=(-2, -1))
+    return out, finite & (norms * RANK_TOL < 1.0)
+
+
+def _bounded_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num den^{-1}; NotBoundedError unless it is bounded."""
+    out, bounded = _quotients(num, den)
+    if not bounded.all():
+        raise NotBoundedError(_UNBOUNDED)
+    return out
+
+
 class Subspace:
     """Subspace of C^n held as an orthonormal column basis."""
 
@@ -180,11 +208,11 @@ class Subspace:
         self.basis = basis
 
     @classmethod
-    def from_spanning(cls, vectors, ambient_dim: int | None = None, rank_tol: float = RANK_TOL) -> "Subspace":
+    def from_spanning(cls, vectors, ambient_dim: int | None = None) -> "Subspace":
         mat = np.asarray(vectors, dtype=complex)
         if mat.ndim == 1:
             mat = mat.reshape(-1, 1)
-        return cls(orthonormal_columns(mat, rank_tol), ambient_dim if ambient_dim is not None else mat.shape[0])
+        return cls(orthonormal_columns(mat), ambient_dim if ambient_dim is not None else mat.shape[0])
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -327,7 +355,7 @@ class LinearRelation:
             raise ValidationError("graph columns need matching n x k shapes")
         require_finite(x, "graph column block X")
         require_finite(y, "graph column block Y")
-        return cls(x.shape[0], Subspace.from_spanning(np.vstack([x, y]), 2 * x.shape[0], rank_tol))
+        return cls(x.shape[0], Subspace(orthonormal_columns(np.vstack([x, y]), rank_tol), 2 * x.shape[0]))
 
     def graph_columns(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.space_dim
@@ -372,17 +400,11 @@ class LinearRelation:
         return self.moebius(MoebiusMap.inversion())
 
     def operator_matrix(self) -> np.ndarray:
-        """Matrix of an everywhere-defined single-valued relation."""
-        n = self.space_dim
-        if self.dim != n:
+        """Matrix Y X^{-1} of an everywhere-defined single-valued relation with graph basis (X; Y)."""
+        if self.dim != self.space_dim:
             raise NotBoundedError("graph dimension does not match the space")
-        if n == 0:
-            return np.zeros((0, 0), dtype=complex)
         x, y = self.graph_columns()
-        u, s, vh = stable_svd(x)
-        if s.size == 0 or s[-1] <= _sv_cutoff(s, RANK_TOL):
-            raise NotBoundedError("relation is not an everywhere-defined operator")
-        return y @ (vh.conj().T @ np.diag(1.0 / s) @ u.conj().T)
+        return _bounded_quotient(y, x)
 
     def boxplus(self, other: "LinearRelation") -> "LinearRelation":
         """Linear span of the two graphs inside the doubled space."""

@@ -32,8 +32,11 @@ from .errors import (
 from .rational import RationalFunction, cluster_values
 from .relations import (
     INF,
+    _UNBOUNDED,
     LinearRelation,
     Subspace,
+    _bounded_quotient,
+    _quotients,
     _sv_cutoff,
     as_point,
     is_inf,
@@ -187,43 +190,17 @@ def _pole_in_spectrum(func: RationalFunction, report: SpectrumReport):
 def resolvent_at(rel: LinearRelation, lam, report: SpectrumReport | None = None) -> np.ndarray:
     """Matrix of (A - lam)^{-1}; for lam = INF the matrix of A itself.
 
-    With graph basis (X; Y) this is X (Y - lam X)^{-1}, and Y X^{-1} at INF,
-    from one LU factorization.
+    With graph basis (X; Y) this is X (Y - lam X)^{-1}, and Y X^{-1} at INF
+    (``operator_matrix``), from one LU factorization.
     """
     lam = as_point(lam)
     report = spectrum(rel) if report is None else report
     if report.contains(lam):
         raise NotInResolventSetError(f"{lam} is not in the resolvent set")
+    if is_inf(lam):
+        return rel.operator_matrix()
     x, y = rel.graph_columns()
-    return _bounded_quotient(y, x) if is_inf(lam) else _bounded_quotient(x, y - complex(lam) * x)
-
-
-_UNBOUNDED = "relation is not an everywhere-defined operator"
-
-
-def _quotients(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """num den^{-1}, one LU per matrix of a stack, and whether each quotient is bounded."""
-    try:
-        out = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)
-    except np.linalg.LinAlgError:
-        if den.ndim == 2:
-            out = np.full(den.shape, np.nan, dtype=complex)
-        else:
-            # one exactly singular matrix fails the whole stack: take the matrices one at a time
-            out = np.stack([_quotients(a, b)[0] for a, b in zip(np.broadcast_to(num, den.shape), den)])
-    # the graph of a matrix R has a rank-deficient domain block, at RANK_TOL,
-    # once ||R|| reaches about 1 / RANK_TOL
-    finite = np.all(np.isfinite(out), axis=(-2, -1))
-    norms = np.linalg.norm(np.where(finite[..., None, None], out, 0.0), axis=(-2, -1))
-    return out, finite & (norms * RANK_TOL < 1.0)
-
-
-def _bounded_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num den^{-1}; NotBoundedError unless it is bounded."""
-    out, bounded = _quotients(num, den)
-    if not bounded.all():
-        raise NotBoundedError(_UNBOUNDED)
-    return out
+    return _bounded_quotient(x, y - complex(lam) * x)
 
 
 class ResolventStack:
@@ -270,7 +247,7 @@ def rational_apply(
     resolvent set; all poles are tested against the spectrum in one match.  The
     resolvents X (Y - p_k X)^{-1} of all finite poles are read from
     resolvents, which must hold them, or else from one ResolventStack of the
-    poles; A = Y X^{-1} comes from one more solve, and each power is formed once.
+    poles; A = Y X^{-1} is ``rel.operator_matrix()``, and each power is formed once.
     """
     n = rel.space_dim
     report = spectrum(rel) if report is None else report
@@ -281,9 +258,8 @@ def rational_apply(
         raise PoleMeetsSpectrumError(f"pole {pole} of the function meets the spectrum")
     frac = func.partial_fractions()
     parts = [(pole, [coeff for _, _, coeff in terms]) for pole, terms in groupby(frac.terms, key=lambda t: t[0])]
-    x, y = rel.graph_columns()
     # (first power, factor, coefficients): p(A) in the power basis, then each pole's sum c_kj R(p_k)^j
-    mat = _bounded_quotient(y, x) if frac.poly.degree >= 1 else None
+    mat = rel.operator_matrix() if frac.poly.degree >= 1 else None
     series = [(np.eye(n, dtype=complex), mat, frac.poly.coeffs)]
     if parts and n:
         resolvents = ResolventStack(rel, [pole for pole, _ in parts]) if resolvents is None else resolvents

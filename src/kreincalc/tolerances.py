@@ -2,12 +2,12 @@
 
 All values assume "desk scale": matrices up to roughly 16 x 16 with entries of
 order one; "relative" cutoffs multiply a scale floored at 1.  The modules read
-these constants directly.  Five parameters still take a tolerance with a
+these constants directly.  Four parameters still take a tolerance with a
 default, because a caller sets them:
 
-- ``rank_tol`` of ``LinearRelation.from_graph_columns``,
-  ``Subspace.from_spanning`` and ``orthonormal_columns``, the path of the
-  CLI's ``--tol-rank`` to the rank of input graph columns;
+- ``rank_tol`` of ``LinearRelation.from_graph_columns`` and
+  ``orthonormal_columns``, the path of the CLI's ``--tol-rank`` to the rank
+  of input graph columns;
 - ``psd_tol`` of ``verify_definitizing``, the path of the CLI's
   ``--tol-psd``;
 - ``tol`` of ``DefinitizablePair.resolve``: user labels match at

@@ -296,6 +296,41 @@ class TestResolvent:
                 stack[bad]
             assert bad in stack and 4.0 not in stack and INF not in stack
 
+    @pytest.mark.parametrize("build", [
+        lambda: random_proper_relation(np.random.default_rng(41), 5),
+        lambda: random_proper_relation(np.random.default_rng(42), 5, with_mul=True),
+        # span{(e1; 0), (0; e2)}: proper, with an exactly singular X
+        lambda: LinearRelation.from_graph_columns(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+        # ||A|| = 1.2e10 sits past 1 / RANK_TOL
+        lambda: LinearRelation.from_operator(6e9 * np.eye(4)),
+    ], ids=["proper", "multivalued", "singular_x", "6e9_identity"])
+    def test_operator_matrix_resolvent_at_inf_and_rational_apply_of_z_agree(self, build, monkeypatch):
+        """One quotient Y X^{-1} and one boundedness rule behind the three ways to ask for A."""
+        rel = build()
+        # no spectral points, so infinity passes the resolvent-set test and the boundedness rule alone decides
+        report = SpectrumReport(rel.space_dim, ())
+        z = RationalFunction(Polynomial([0.0, 1.0]))
+        asks = (rel.operator_matrix, lambda: resolvent_at(rel, INF, report), lambda: rational_apply(z, rel, report))
+        results = []
+        for ask in asks:
+            try:
+                results.append(ask())
+            except NotBoundedError:
+                results.append(None)
+        if results[0] is None:
+            assert all(r is None for r in results)
+        else:
+            assert all(r is not None and np.array_equal(r, results[0]) for r in results)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("operator_matrix took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        try:
+            rel.operator_matrix()
+        except NotBoundedError:
+            pass
+
     def test_point_in_spectrum_rejected(self):
         rel = LinearRelation.from_operator(np.diag([1.0, 2.0]))
         with pytest.raises(NotInResolventSetError):

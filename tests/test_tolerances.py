@@ -21,7 +21,6 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 # the algorithm and has no default.
 SETTABLE = {
     ("relations", "orthonormal_columns", "rank_tol"),
-    ("relations", "Subspace.from_spanning", "rank_tol"),
     ("relations", "LinearRelation.from_graph_columns", "rank_tol"),
     ("krein", "verify_definitizing", "psd_tol"),
     ("krein", "DefinitizablePair.resolve", "tol"),
