@@ -26,7 +26,8 @@ once per pair and base point and cached on the pair; R comes from the pair.
 
 The plan and the decomposition work on packed jets: the entries 0..d(w) of
 each point's jet are consecutive rows, and the points follow the pair's
-canonical order, so a jet function is one vector of length sum (d(w) + 1).
+canonical order, so a jet function is one vector of length sum (d(w) + 1),
+as JetFunction holds it; the layout is built once per pair, with its plans.
 The basis jets are one matrix with a row per jet entry and a column per
 basis function, the jets of q one vector in the same rows.  Two index
 arrays pick out the top row of each point, where g is read off, and the
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .errors import (
 )
 from .krein import DefinitizablePair, Factorization, _calculus_point
 from .rational import Polynomial, RationalFunction
-from .relations import INF, as_point, conj_point, is_inf, point_sort_key
+from .relations import INF, as_point, conj_point, frobenius, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import _pole_in_spectrum, rational_apply  # noqa: F401
@@ -70,19 +72,29 @@ def jet_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _max_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values), initial=0.0))
+    return float(np.abs(values).max(initial=0.0))
 
 
-def _jet_lengths(pair: DefinitizablePair) -> np.ndarray:
-    return np.array([pair.degrees[w] + 1 for w in pair.points], dtype=int)
+class _Layout:
+    """The packed layout of a pair's jets: the jet length at each point, the point (owner) and entry of
+    each row, the first and top row of each point, the rows below the tops and each point's (start, end)."""
+
+    def __init__(self, pair: DefinitizablePair):
+        self.lengths = lengths = np.array([pair.degrees[w] + 1 for w in pair.points], dtype=int)
+        ends = np.cumsum(lengths)
+        self.starts, self.top = ends - lengths, ends - 1
+        self.owner = np.repeat(np.arange(lengths.size), lengths)
+        self.entry = np.arange(self.owner.size) - self.starts[self.owner]
+        self.below = np.flatnonzero(self.entry < lengths[self.owner] - 1)
+        self.bounds = list(zip(self.starts.tolist(), ends.tolist()))
 
 
-def _layout(pair: DefinitizablePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The packed layout: jet length at each point, and the point and entry of each row."""
-    lengths = _jet_lengths(pair)
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    entry = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return lengths, owner, entry
+def _layout(pair: DefinitizablePair) -> _Layout:
+    """The pair's packed layout, built on first use and cached with its calculus plans."""
+    plans = pair._calculus_plans
+    if "layout" not in plans:
+        plans["layout"] = _Layout(pair)
+    return plans["layout"]
 
 
 def jet_one(length: int) -> np.ndarray:
@@ -92,29 +104,32 @@ def jet_one(length: int) -> np.ndarray:
 
 
 class JetFunction:
-    """A map from the spectral points of a pair to jets of the right lengths."""
+    """A map from the spectral points of a pair to jets of the right lengths, held packed."""
 
-    __slots__ = ("pair", "values")
+    __slots__ = ("pair", "_jets")
 
     def __init__(self, pair: DefinitizablePair, values: dict):
-        self.pair = pair
-        cleaned: dict = {}
+        jets = []
         for w in pair.points:
             if w not in values:
                 raise ValidationError(f"missing value at spectral point {w}")
             v = np.asarray(values[w], dtype=complex).ravel()
             if v.size != pair.degrees[w] + 1:
-                raise ValidationError(
-                    f"jet at {w} must have length {pair.degrees[w] + 1}, got {v.size}"
-                )
-            cleaned[w] = v
-        self.values = cleaned
+                raise ValidationError(f"jet at {w} must have length {pair.degrees[w] + 1}, got {v.size}")
+            jets.append(v)
+        self.pair = pair
+        self._jets = np.concatenate(jets) if jets else np.zeros(0, dtype=complex)
+
+    @property
+    def values(self) -> MappingProxyType:
+        """The jet at each spectral point, read-only: views of the packed jets, so never out of step."""
+        return MappingProxyType({w: self._jets[a:b] for w, (a, b) in zip(self.pair.points, _layout(self.pair).bounds)})
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls, pair: DefinitizablePair) -> "JetFunction":
-        return cls(pair, {w: jet_one(pair.degrees[w] + 1) for w in pair.points})
+        return indicator(pair, pair.points)
 
     @classmethod
     def from_points(cls, pair: DefinitizablePair, mapping: dict) -> "JetFunction":
@@ -135,24 +150,18 @@ class JetFunction:
 
     @classmethod
     def _from_packed(cls, pair: DefinitizablePair, packed: np.ndarray) -> "JetFunction":
-        """Split packed jets at the points; built in the pair's layout, so nothing is checked."""
+        """Jets packed in the pair's layout, held as they are; nothing is checked."""
         out = cls.__new__(cls)
-        out.pair = pair
-        ends = np.cumsum(_jet_lengths(pair)).tolist()
-        out.values = {w: packed[a:b] for w, a, b in zip(pair.points, [0] + ends, ends)}
+        out.pair, out._jets = pair, packed
         return out
-
-    def _packed(self) -> np.ndarray:
-        """The jets concatenated in canonical point order."""
-        jets = [self.values[w] for w in self.pair.points]
-        return np.concatenate(jets) if jets else np.zeros(0, dtype=complex)
 
     # -- algebra -------------------------------------------------------------
 
     def _binary(self, other: "JetFunction", op) -> "JetFunction":
         if other.pair is not self.pair and other.pair.points != self.pair.points:
             raise ValidationError("jet functions live on different pairs")
-        return JetFunction(self.pair, {w: op(self.values[w], other.values[w]) for w in self.pair.points})
+        a, b = self.values, other.values
+        return JetFunction(self.pair, {w: op(a[w], b[w]) for w in self.pair.points})
 
     def __add__(self, other: "JetFunction") -> "JetFunction":
         return self._binary(other, lambda a, b: a + b)
@@ -163,8 +172,7 @@ class JetFunction:
     def __mul__(self, other) -> "JetFunction":
         if isinstance(other, JetFunction):
             return self._binary(other, jet_multiply)
-        c = complex(other)
-        return JetFunction(self.pair, {w: c * v for w, v in self.values.items()})
+        return JetFunction._from_packed(self.pair, complex(other) * self._jets)
 
     __rmul__ = __mul__
 
@@ -175,7 +183,8 @@ class JetFunction:
         """phi^#(w) = conj(phi(conj w)); the spectrum is conjugation symmetric."""
         points = self.pair.points
         mates = self.pair._match([conj_point(w) for w in points], POINT_MATCH_TOL)
-        return JetFunction(self.pair, {w: np.conj(self.values[points[i]]) for w, i in zip(points, mates.tolist())})
+        values = self.values
+        return JetFunction(self.pair, {w: np.conj(values[points[i]]) for w, i in zip(points, mates.tolist())})
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{w}: {v.tolist()}" for w, v in sorted(self.values.items(), key=lambda t: point_sort_key(t[0])))
@@ -194,19 +203,19 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
     return JetFunction._from_packed(pair, _packed_jets(pair, func, _layout(pair)))
 
 
-def _pack(pair: DefinitizablePair, layout, finite_jets, inf_jets, shape: tuple = ()) -> np.ndarray:
+def _pack(pair: DefinitizablePair, layout: _Layout, finite_jets, inf_jets, shape: tuple = ()) -> np.ndarray:
     """Jets at every spectral point, packed; each row has the given trailing shape.
 
     finite_jets(points, length) gives the jets of all finite points at once,
     shaped (points, length) + shape; inf_jets(length) gives the jet at INF.
     """
-    lengths, owner, entry = layout
+    lengths = layout.lengths
     values, finite = pair.report._point_array
-    table = np.zeros((lengths.size, int(np.max(lengths, initial=1))) + shape, dtype=complex)
+    table = np.zeros((lengths.size, int(lengths.max(initial=1))) + shape, dtype=complex)
     table[finite] = finite_jets(values[finite], table.shape[1])
     for i in np.flatnonzero(~finite).tolist():
         table[i, : lengths[i]] = inf_jets(int(lengths[i]))
-    return table[owner, entry]
+    return table[layout.owner, layout.entry]
 
 
 def _packed_jets(pair: DefinitizablePair, func: RationalFunction, layout) -> np.ndarray:
@@ -261,11 +270,11 @@ class _CalculusPlan:
     """The part of the calculus on one pair that does not depend on phi.
 
     Holds the base point and, in packed rows (see the module docstring), the
-    basis jets, the q jets, the point of each row (owner), the top row of
-    each point and the rows below the tops; the latter pick the Hermite
-    interpolation matrix out of the basis jets.  The plan keeps no
-    resolvent: apply_calculus reads R = (A - mu)^(-1) (A itself for
-    mu = INF) from the pair, whose stack holds it at the default base point.
+    basis jets and the q jets, and from the pair's layout the point of each
+    row (owner), the top row of each point and the rows below the tops; the
+    latter pick the Hermite interpolation matrix.  The plan keeps no
+    resolvent: apply_calculus reads R = (A - mu)^(-1) (A itself for mu = INF)
+    from the pair, whose stack holds it at the default base point.
     The plan keeps no reference to its pair, which caches it: without that
     cycle a pair and its arrays are freed as soon as the caller drops them.
     """
@@ -273,16 +282,13 @@ class _CalculusPlan:
     __slots__ = ("mu", "size", "basis", "q_jets", "owner", "top", "below", "matrix")
 
     def __init__(self, pair: DefinitizablePair, mu):
-        layout = lengths, owner, entry = _layout(pair)
+        layout = _layout(pair)
         self.mu = mu
-        self.size = int(np.sum(lengths - 1))  # total critical degree m
-        m = self.size
+        self.size = m = layout.below.size  # total critical degree m
         self.basis = _pack(pair, layout, lambda z, length: _basis_table(mu, z, m, length - 1),
                            lambda length: _basis_jets(mu, INF, m, length - 1), (m,))
         self.q_jets = _packed_jets(pair, pair.q, layout)
-        self.owner = owner
-        self.top = np.cumsum(lengths) - 1
-        self.below = np.flatnonzero(entry < lengths[owner] - 1)
+        self.owner, self.top, self.below = layout.owner, layout.top, layout.below
         self.matrix = self.basis[self.below]
 
 
@@ -303,7 +309,7 @@ class Decomposition:
     """phi = (jets of s) + g * (jets of q) along the spectrum.
 
     The rational part is s = sum of coeffs[j] (z - base_point)^(-j), or of
-    coeffs[j] z^j when base_point is INF.
+    coeffs[j] z^j when base_point is INF.  _g holds g in the pair's point order.
     """
 
     pair: DefinitizablePair
@@ -311,6 +317,7 @@ class Decomposition:
     g: dict
     base_point: object
     _plan: _CalculusPlan = field(repr=False)
+    _g: np.ndarray = field(repr=False)
 
     @property
     def s(self) -> RationalFunction:
@@ -343,7 +350,7 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
     if phi.pair is not pair and phi.pair.points != pair.points:
         raise ValidationError("jet function does not belong to this pair")
     plan = _plan(pair, mu)
-    packed = phi._packed()
+    packed = phi._jets
     scale = max(1.0, _max_abs(packed))
     rhs = packed[plan.below]
     if rhs.size == 0 or _max_abs(rhs) <= ROUNDOFF_TOL * scale:
@@ -359,7 +366,7 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
     if not _max_abs(s_jets + g[plan.owner] * plan.q_jets - packed) <= IDENTITY_TOL * scale:
         raise InconsistencyError("decomposition failed to reassemble the jet function")
     return Decomposition(pair=pair, coeffs=coeffs, g=dict(zip(pair.points, g.tolist())), base_point=plan.mu,
-                         _plan=plan)
+                         _plan=plan, _g=g)
 
 
 def decompose_polynomial(pair: DefinitizablePair, phi: JetFunction) -> Decomposition:
@@ -397,7 +404,7 @@ def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
     if fact.rank == 0:
         return s_matrix
     left, right = fact.eigen_factors
-    return s_matrix + (left * fact.measure.column_values(dec.g)) @ right
+    return s_matrix + (left * dec._g[fact.measure.index]) @ right  # the measure's points are the pair's
 
 
 def indicator(pair: DefinitizablePair, delta) -> JetFunction:
@@ -410,17 +417,17 @@ def indicator(pair: DefinitizablePair, delta) -> JetFunction:
         hits = pair._match(delta, POINT_MATCH_TOL)
     except ValidationError as exc:
         raise PointNotInSpectrumError(str(exc)) from exc
-    lengths = _jet_lengths(pair)
-    packed = np.zeros(int(np.sum(lengths)), dtype=complex)
-    packed[(np.cumsum(lengths) - lengths)[hits]] = 1.0
+    layout = _layout(pair)
+    packed = np.zeros(layout.owner.size, dtype=complex)
+    packed[layout.starts[hits]] = 1.0
     return JetFunction._from_packed(pair, packed)
 
 
 def spectral_projection(fact: Factorization, delta, mu=None) -> np.ndarray:
     """The calculus applied to the indicator of delta; a bounded projection."""
     proj = apply_calculus(fact, indicator(fact.pair, delta), mu)
-    resid = float(np.linalg.norm(proj @ proj - proj))
-    if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(proj)) ** 2):
+    resid = frobenius(proj @ proj - proj)
+    if resid > IDENTITY_TOL * max(1.0, frobenius(proj) ** 2):
         raise InconsistencyError("spectral projection failed to be idempotent")
     return proj
 
@@ -428,11 +435,12 @@ def spectral_projection(fact: Factorization, delta, mu=None) -> np.ndarray:
 def norm_f(phi: JetFunction) -> float:
     """Sup of |phi| off the critical points plus the sum of critical jet norms."""
     pair = phi.pair
+    values = phi.values
     flat = 0.0
     jets = 0.0
     for w in pair.points:
         if pair.degrees[w] == 0:
-            flat = max(flat, abs(complex(phi.values[w][0])))
+            flat = max(flat, abs(complex(values[w][0])))
         else:
-            jets += float(np.max(np.abs(phi.values[w])))
+            jets += float(np.abs(values[w]).max())
     return flat + jets

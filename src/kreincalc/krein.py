@@ -36,9 +36,9 @@ from .errors import (
 )
 from .rational import RationalFunction
 from .relations import (
-    INF,
     LinearRelation,
     as_point,
+    frobenius,
     hermitian_residual,
     is_inf,
     require_finite,
@@ -62,8 +62,8 @@ class GramSpace:
             raise ValidationError("Gram matrix must be Hermitian")
         gram = (gram + gram.conj().T) / 2.0
         if gram.shape[0] > 0:
-            w = np.linalg.eigvalsh(gram)
-            if float(np.min(np.abs(w))) <= RANK_TOL * max(1.0, float(np.max(np.abs(w)))):
+            w = np.abs(np.linalg.eigvalsh(gram))
+            if float(w.min()) <= RANK_TOL * max(1.0, float(w.max())):
                 raise ValidationError("Gram matrix must be invertible")
         self.gram = gram
 
@@ -89,10 +89,10 @@ class GramSpace:
         return float(np.linalg.norm(sq @ np.asarray(mat, dtype=complex) @ isq, 2))
 
 
-def _is_psd(h: np.ndarray, resid: float, eigvals: np.ndarray, tol: float) -> bool:
-    """h = G B is psd at tol, from its Hermitian residual and the eigenvalues of its Hermitian part."""
+def _is_psd(h_norm: float, resid: float, eigvals: np.ndarray, tol: float) -> bool:
+    """h = G B is psd at tol, from ||h||, its Hermitian residual and the eigenvalues of its Hermitian part."""
     # floor the scale so a numerically vanishing matrix counts as psd
-    return resid <= tol and (eigvals.size == 0 or bool(np.min(eigvals) >= -tol * max(float(np.linalg.norm(h)), 1.0)))
+    return resid <= tol and (eigvals.size == 0 or bool(eigvals.min() >= -tol * max(h_norm, 1.0)))
 
 
 def map_adjoint(mat: np.ndarray, domain: GramSpace, codomain: GramSpace) -> np.ndarray:
@@ -180,28 +180,30 @@ def verify_definitizing(
     resolvents = ResolventStack(rel, shifts)
     q_matrix = rational_apply(q, rel, report, resolvents)  # raises when a pole meets the spectrum
     hermitian_part = space.gram @ q_matrix
-    q_residual = hermitian_residual(hermitian_part)
+    h_norm = frobenius(hermitian_part)
+    q_residual = frobenius(hermitian_part - hermitian_part.conj().T) / max(1.0, h_norm)  # hermitian_residual
     psd_eig = np.linalg.eigh((hermitian_part + hermitian_part.conj().T) / 2.0)
-    if not _is_psd(hermitian_part, q_residual, psd_eig[0], psd_tol):
+    if not _is_psd(h_norm, q_residual, psd_eig[0], psd_tol):
         raise NotPositiveError("[q(A)x, x] takes negative values")
     points = tuple(w for w, _ in report.points)
     degrees = dict(zip(points, q._zero_degrees(points)))
-    for w, d in degrees.items():
-        # a point counts as real when its imaginary part is below REALNESS_TOL (relative)
-        if d == 0 and not is_inf(w) and abs(complex(w).imag) > REALNESS_TOL * max(1.0, abs(complex(w))):
-            raise InconsistencyError(
-                f"spectral point {w} is neither real nor a zero of q; the "
-                "definitizability conclusion fails, input tolerances are suspect"
-            )
-    crit = [w for w in points if degrees[w] > 0 and not is_inf(w)]
-    mates = report.match([complex(w).conjugate() for w in crit], POINT_MATCH_TOL).tolist()
-    if any(i < 0 or degrees[points[i]] == 0 for i in mates):
+    values, finite = report._point_array
+    zero = np.array(list(degrees.values())) == 0
+    # a point counts as real when its imaginary part is below REALNESS_TOL (relative)
+    nonreal = finite & zero & (np.abs(values.imag) > REALNESS_TOL * np.maximum(1.0, np.abs(values)))
+    if nonreal.any():
+        raise InconsistencyError(
+            f"spectral point {points[int(nonreal.argmax())]} is neither real nor a zero of q; the "
+            "definitizability conclusion fails, input tolerances are suspect"
+        )
+    mates = report.match(values[finite & ~zero].conj(), POINT_MATCH_TOL)
+    if (mates < 0).any() or zero[mates].any():
         raise InconsistencyError("critical spectrum is not symmetric under conjugation")
     kept = psd_eig[0][_psd_kept(psd_eig[0])]
     diagnostics = {
         "self_adjoint_residual": self_adjoint_residual,
         "hermitian_residual": q_residual,
-        "psd_margin": float(np.min(kept)) if kept.size else 0.0,
+        "psd_margin": float(kept.min()) if kept.size else 0.0,
     }
     return DefinitizablePair(
         space=space,
@@ -232,13 +234,10 @@ class SpectralMeasure:
         return tuple((self.points[i], vecs @ vecs.conj().T)
                      for i in sorted(set(self.index.tolist())) for vecs in [self.basis[:, self.index == i]])
 
-    def column_values(self, values: dict) -> np.ndarray:
-        """values[point] at the point of each column of the basis."""
-        return np.array([values[self.points[i]] for i in self.index.tolist()], dtype=complex)
-
     def integrate(self, values: dict) -> np.ndarray:
         """Sum of values[point] * projector over all atoms (including infinity)."""
-        return (self.basis * self.column_values(values)) @ self.basis.conj().T
+        at_columns = np.array([values[self.points[i]] for i in self.index.tolist()], dtype=complex)
+        return (self.basis * at_columns) @ self.basis.conj().T
 
     def total(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -249,15 +248,18 @@ _NO_MEASURE = SpectralMeasure(np.zeros((0, 0), dtype=complex), np.zeros(0, dtype
 
 def _resolvent_point(report: SpectrumReport) -> float:
     """A real point at distance at least 1 from the finite spectrum."""
-    return 1.0 + max((abs(complex(w)) for w, _ in report.points if not is_inf(w)), default=0.0)
+    # Python's abs(complex) and numpy's complex abs differ in the last bit on
+    # about a third of inputs; mu feeds every result, so the moduli stay scalar
+    values, finite = report._point_array
+    return 1.0 + max(map(abs, values[finite].tolist()), default=0.0)
 
 
 def _calculus_point(report: SpectrumReport, q: RationalFunction) -> complex:
     """i (1 + r), r the largest modulus of a spectral point or a zero of q: a
     point at distance at least 1 from every spectral point and from the real
     axis, the calculus's default base point."""
-    points = [w for w, _ in report.points] + [z for z, _ in q.zeros()]
-    return 1j * (1.0 + max((abs(complex(w)) for w in points if not is_inf(w)), default=0.0))
+    # scalar moduli, as in _resolvent_point; 1 + max(r_k) is max(1 + r_k) in floating point too
+    return 1j * max([_resolvent_point(report)] + [1.0 + abs(complex(z)) for z, _ in q.zeros() if not is_inf(z)])
 
 
 def _pull_back(factor: np.ndarray, left_inverse: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -269,8 +271,8 @@ def _pull_back(factor: np.ndarray, left_inverse: np.ndarray, mat: np.ndarray) ->
     """
     image = mat @ factor
     out = left_inverse @ image
-    resid = float(np.linalg.norm(image - factor @ out))
-    if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(image))):
+    resid = frobenius(image - factor @ out)
+    if resid > IDENTITY_TOL * max(1.0, frobenius(image)):
         raise InconsistencyError("range of the factor is not invariant under the operator")
     return out
 
@@ -289,19 +291,20 @@ def _measure_from_resolvent(res: np.ndarray, mu: float, report: SpectrumReport) 
         raise NotSelfAdjointError("relation is not self-adjoint on the Hilbert space")
     res = (res + res.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(res)
-    at_inf = np.abs(eigvals) <= RANK_TOL * max(1.0, float(np.max(np.abs(eigvals))))
-    hits = report.match([INF if inf else mu + 1.0 / x for x, inf in zip(eigvals.tolist(), at_inf)], ATOM_MATCH_TOL)
+    at_inf = np.abs(eigvals) <= RANK_TOL * max(1.0, float(np.abs(eigvals).max()))
+    hits = report.match(mu + np.divide(1.0, eigvals, out=np.full(r, np.inf), where=~at_inf), ATOM_MATCH_TOL)
     if (hits < 0).any():
         raise InconsistencyError("an eigenvalue of the compressed resolvent matches no spectral point")
     measure = SpectralMeasure(eigvecs, hits, tuple(w for w, _ in report.points))
     eye = np.eye(r, dtype=complex)
-    if float(np.linalg.norm(measure.total() - eye)) > MEASURE_TOL * max(1.0, float(np.sqrt(r))):
+    if frobenius(measure.total() - eye) > MEASURE_TOL * max(1.0, float(np.sqrt(r))):
         raise InconsistencyError("spectral projectors do not sum to the identity")
     probe = 0.2131 + 1.3703j
-    recon = measure.integrate({p: 0.0 if is_inf(p) else 1.0 / (complex(p) - probe) for p in measure.points})
+    at_probe = np.array([0.0 if is_inf(p) else 1.0 / (complex(p) - probe) for p in measure.points], dtype=complex)
+    recon = (eigvecs * at_probe[hits]) @ eigvecs.conj().T  # the integral of 1 / (p - probe), column by column
     # the resolvent at the probe, res (I + (mu - probe) res)^{-1}
-    resid = float(np.linalg.norm(recon - np.linalg.solve(eye + (mu - probe) * res, res)))
-    if resid > MEASURE_TOL * max(1.0, float(np.linalg.norm(recon))):
+    resid = frobenius(recon - np.linalg.solve(eye + (mu - probe) * res, res))
+    if resid > MEASURE_TOL * max(1.0, frobenius(recon)):
         raise InconsistencyError("spectral measure does not reproduce the resolvent")
     return measure
 
@@ -359,7 +362,7 @@ class Factorization:
 
 def _psd_kept(eigvals: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalues of Hermitian(G q(A)) above PSD_CUTOFF * ||H||."""
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
+    scale = float(np.abs(eigvals).max()) if eigvals.size else 0.0
     # floored scale: rounding noise in a numerically vanishing q(A) is not rank
     return eigvals > PSD_CUTOFF * max(scale, 1.0)
 
@@ -383,7 +386,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     n = pair.space.dim
     eigvals, eigvecs = pair.psd_eig
     keep = _psd_kept(eigvals)
-    rank = int(np.sum(keep))
+    rank = int(keep.sum())
     # degrees holds the points in the report's order
     bound = n - sum(m for (_, m), d in zip(pair.report.points, pair.degrees.values()) if d > 0)
     if rank < bound:
@@ -393,8 +396,8 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     factor_adjoint = np.diag(roots) @ u_plus.conj().T
     factor = np.linalg.solve(g, factor_adjoint.conj().T)
     left_inverse = (u_plus.conj().T @ g) / roots[:, None]
-    resid_factor = float(np.linalg.norm(factor @ factor_adjoint - pair.q_matrix))
-    if resid_factor > FACTOR_TOL * max(1.0, float(np.linalg.norm(pair.q_matrix))):
+    resid_factor = frobenius(factor @ factor_adjoint - pair.q_matrix)
+    if resid_factor > FACTOR_TOL * max(1.0, frobenius(pair.q_matrix)):
         raise InconsistencyError("T T^+ failed to reproduce q(A)")
     mu = _resolvent_point(pair.report)
     if rank == 0:
@@ -406,7 +409,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     diagnostics = {
         "factor_residual": resid_factor,
         "psd_margin": pair.diagnostics["psd_margin"],
-        "discarded_eigenvalue": float(np.max(np.abs(eigvals[~keep]))) if rank < n else 0.0,
+        "discarded_eigenvalue": float(np.abs(eigvals[~keep]).max()) if rank < n else 0.0,
     }
     return Factorization(
         pair=pair,
@@ -422,8 +425,8 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
 
 
 def _check_commutes(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-    if float(np.linalg.norm(a @ b - b @ a)) > COMMUTANT_TOL * scale:
+    scale = max(1.0, frobenius(a) * frobenius(b))
+    if frobenius(a @ b - b @ a) > COMMUTANT_TOL * scale:
         raise NotInCommutantError(what)
 
 
@@ -441,8 +444,8 @@ def theta_op(fact: Factorization, mat: np.ndarray) -> np.ndarray:
     if fact.rank == 0:
         return np.zeros((0, 0), dtype=complex)
     out = _pull_back(fact.factor, fact.left_inverse, mat)
-    resid = float(np.linalg.norm(fact.factor_adjoint @ mat - out @ fact.factor_adjoint))
-    if resid > IDENTITY_TOL * max(1.0, float(np.linalg.norm(mat))):
+    resid = frobenius(fact.factor_adjoint @ mat - out @ fact.factor_adjoint)
+    if resid > IDENTITY_TOL * max(1.0, frobenius(mat)):
         raise InconsistencyError("intertwining identity for the transported operator failed")
     return out
 

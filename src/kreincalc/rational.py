@@ -34,7 +34,7 @@ def _trim(coeffs) -> np.ndarray:
         return np.zeros(1, dtype=complex)
     c = c[: nonzero[-1] + 1].copy()
     lower = c[:-1]
-    lower[np.abs(lower) <= COEFF_TRIM_TOL * float(np.max(np.abs(c)))] = 0.0
+    lower[np.abs(lower) <= COEFF_TRIM_TOL * float(np.abs(c).max())] = 0.0
     return c
 
 
@@ -118,7 +118,7 @@ def _jet_quotient(num, den, length: int, w) -> np.ndarray:
     JetAtPoleError where den[0] vanishes against den's largest coefficient,
     floored at 1: w is a pole.
     """
-    pole = np.abs(den[0]) <= COEFF_TRIM_TOL * np.maximum(np.max(np.abs(den), axis=0), 1.0)
+    pole = np.abs(den[0]) <= COEFF_TRIM_TOL * np.maximum(np.abs(den).max(axis=0), 1.0)
     if np.any(pole):
         where = "the pole infinity" if is_inf(w) else f"pole {complex(np.ravel(w)[np.argmax(pole)])}"
         raise JetAtPoleError(f"jet requested at {where}")
@@ -188,7 +188,10 @@ class Polynomial:
 
     def _divided(self, c: complex) -> "Polynomial":
         """self / c for a nonzero scalar c; the roots, and so the cached clusters, carry over."""
-        out = Polynomial(self.coeffs / c)
+        out = Polynomial.__new__(Polynomial)
+        out.coeffs = self.coeffs / c  # still trimmed, unless the division over- or underflows
+        if out.coeffs[-1] == 0.0 or not np.isfinite(out.coeffs).all():
+            out.coeffs = _trim(out.coeffs)
         out._clustered = self._clustered
         return out
 
@@ -211,13 +214,13 @@ class Polynomial:
         # roots are scale invariant; renormalize by an exact power of two so
         # subnormal or huge coefficients cannot poison the companion matrix
         # (complex division by a subnormal scalar yields nan in numpy)
-        exp = int(np.floor(np.log2(float(np.max(np.abs(self.coeffs))))))
+        exp = int(np.floor(np.log2(float(np.abs(self.coeffs).max()))))
         c = np.ldexp(self.coeffs.real, -exp) + 1j * np.ldexp(self.coeffs.imag, -exp)
         return np.asarray(npp.polyroots(c), dtype=complex)
 
     def _jet_validates(self, center: complex, mult: int) -> bool:
         jet = self.shifted(center)
-        scale = float(np.max(np.abs(jet))) or 1.0
+        scale = float(np.abs(jet).max()) or 1.0
         return all(abs(jet[j]) <= JET_ZERO_TOL * scale for j in range(mult))
 
     def clustered_roots(self) -> list[tuple[complex, int]]:
@@ -259,7 +262,7 @@ class Polynomial:
         return out
 
     def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        return float(np.abs(self.coeffs).max())
 
     def __repr__(self) -> str:
         return f"Polynomial({self.coeffs.tolist()})"
@@ -389,8 +392,8 @@ class RationalFunction:
     def is_real(self) -> bool:
         scale = max(self.num.max_abs_coeff(), self.den.max_abs_coeff(), 1.0)
         im = max(
-            float(np.max(np.abs(self.num.coeffs.imag))),
-            float(np.max(np.abs(self.den.coeffs.imag))),
+            float(np.abs(self.num.coeffs.imag).max()),
+            float(np.abs(self.den.coeffs.imag).max()),
         )
         return im <= REALNESS_TOL * scale
 

@@ -28,18 +28,19 @@ from .errors import (
     NotInResolventSetError,
     PoleMeetsSpectrumError,
     PreconditionError,
+    ValidationError,
 )
 from .rational import RationalFunction, cluster_values
 from .relations import (
     INF,
     _UNBOUNDED,
     LinearRelation,
-    Subspace,
     _bounded_quotient,
     _quotients,
     _sv_cutoff,
     as_point,
     is_inf,
+    null_space,
     point_sort_key,
     stable_svd,
 )
@@ -74,18 +75,23 @@ class SpectrumReport:
     def match(self, labels, tol: float) -> np.ndarray:
         """Index into points of each label, -1 where no point lies within tol.
 
+        labels are points, or a complex array with inf at the point infinity.
         A finite label takes the nearest finite point, the first on ties;
         infinity matches only infinity.
         """
-        labels = [as_point(z) for z in labels]
-        if not labels or not self.points:
-            return np.full(len(labels), -1, dtype=int)
+        if not isinstance(labels, np.ndarray):
+            labels = [np.inf if is_inf(z) else z for z in map(as_point, labels)]
+        labels = np.asarray(labels, dtype=complex).ravel()
+        at_inf = np.isinf(labels)  # as in as_point: an infinite part makes the point infinity
+        if np.isnan(labels[~at_inf]).any():
+            raise ValidationError("NaN is not a spectral point")
+        if not labels.size or not self.points:
+            return np.full(labels.size, -1, dtype=int)
         values, finite = self._point_array
         # the point infinity is inf in values, so no finite label comes within tol of it
-        dist = np.abs(np.array([0.0 if is_inf(z) else z for z in labels], dtype=complex)[:, None] - values)
-        at_inf = -1 if finite.all() else int(finite.argmin())
-        return np.array([at_inf if is_inf(z) else (i if row[i] <= tol else -1)
-                         for z, i, row in zip(labels, dist.argmin(axis=1).tolist(), dist)], dtype=int)
+        dist = np.abs(np.where(at_inf, 0.0, labels)[:, None] - values)
+        hits = np.where(dist.min(axis=1) <= tol, dist.argmin(axis=1), -1)
+        return np.where(at_inf, -1 if finite.all() else int(finite.argmin()), hits)
 
     def multiplicity_of(self, z) -> int:
         if self.is_full_sphere:
@@ -150,9 +156,9 @@ def _rayleigh_points(xv: np.ndarray, yv: np.ndarray, inf_count: int) -> list[com
     taken from whichever of x and y is longer; the inf_count pairs nearest to
     infinity in the chordal metric are dropped.
     """
-    xx = np.sum(np.abs(xv) ** 2, axis=0)
-    yy = np.sum(np.abs(yv) ** 2, axis=0)
-    xy = np.sum(xv.conj() * yv, axis=0)
+    xx = (np.abs(xv) ** 2).sum(axis=0)
+    yy = (np.abs(yv) ** 2).sum(axis=0)
+    xy = (xv.conj() * yv).sum(axis=0)
     from_x = xx >= yy
     alpha = np.where(from_x, xy, yy)
     beta = np.where(from_x, xx, xy.conj())
@@ -171,13 +177,19 @@ def _inf_multiplicity(k: np.ndarray, lam0: complex, nu: np.ndarray) -> int:
     is found by rank decisions as well, and the larger count is taken.
     """
     size = np.maximum(np.maximum(np.abs(1.0 + lam0 * nu), np.abs(nu)), 1.0)
-    by_eigenvalue = int(np.sum(np.abs(nu) <= INF_EIGENVALUE_TOL * size))
-    kernel = Subspace.zero(k.shape[0])
+    by_eigenvalue = int((np.abs(nu) <= INF_EIGENVALUE_TOL * size).sum())
+    kernel = np.zeros((k.shape[0], 0), dtype=complex)  # orthonormal basis of ker K^j
     while True:
-        grown = kernel.preimage(k)  # {v : K v in kernel}
-        if grown.dim == kernel.dim:
-            return max(by_eigenvalue, kernel.dim)
-        kernel = grown
+        dim = kernel.shape[1]
+        resid = k - kernel @ (kernel.conj().T @ k)  # its kernel is {v : K v in ker K^j}
+        # singular values first, and vectors only when the kernel grows, as it does below by_eigenvalue
+        if dim >= by_eigenvalue:
+            s = stable_svd(resid, compute_uv=False)
+            if k.shape[0] - int((s > _sv_cutoff(s, RANK_TOL)).sum()) == dim:
+                return max(by_eigenvalue, dim)
+        kernel = null_space(resid)
+        if kernel.shape[1] == dim:
+            return max(by_eigenvalue, dim)
 
 
 def _pole_in_spectrum(func: RationalFunction, report: SpectrumReport):

@@ -26,6 +26,7 @@ from kreincalc import (
     indicator,
     is_inf,
     jet_multiply,
+    jet_one,
     norm_f,
     rational_apply,
     spectral_projection,
@@ -570,3 +571,43 @@ class TestPackedLayout:
         assert jet_max_abs(phi) == 0.0
         assert apply_calculus(fact, phi).shape == (0, 0)
         assert spectral_projection(fact, []).shape == (0, 0)
+
+
+class TestPackedJets:
+    """JetFunction holds its jets packed; values is derived from them and cannot fall out of step."""
+
+    def test_values_are_views_of_the_packed_jets(self):
+        rng = np.random.default_rng(73)
+        pair, lams, _ = degree_ten_pair()
+        labels = {complex(w) + 1e-9: rng.normal(size=pair.degrees[w] + 1) for w in pair.points}
+        phi = JetFunction.from_points(pair, labels)
+        psi = embed_rational(pair, RationalFunction(Polynomial([1.0, -0.5j, 0.25]), Polynomial([4.0j, 1.0])))
+        made = {
+            "from_points": phi,
+            "init": random_jets(rng, pair),
+            "one": JetFunction.one(pair),
+            "indicator": indicator(pair, [lams[0], np.conj(lams[0]), 3.5]),
+            "embed_rational": psi,
+            "sum": phi + psi,
+            "difference": phi - psi,
+            "product": phi * psi,
+            "scaled": 2.5j * phi,
+            "negated": -phi,
+            "sharp": phi.sharp(),
+        }
+        for name, f in made.items():
+            values = f.values
+            assert list(values) == list(pair.points), name
+            assert np.array_equal(np.concatenate([values[w] for w in pair.points]), f._jets), name
+            assert all(values[w].size == pair.degrees[w] + 1 for w in pair.points), name
+            assert all(np.shares_memory(values[w], f._jets) for w in pair.points), name
+            with pytest.raises(TypeError):
+                values[pair.points[0]] = jet_one(pair.degrees[pair.points[0]] + 1)
+        for w in pair.points:
+            assert np.array_equal(made["one"].values[w], jet_one(pair.degrees[w] + 1))
+            assert np.array_equal(made["from_points"].values[w], np.asarray(labels[complex(w) + 1e-9], dtype=complex))
+        # a write to the packed jets shows in values, and the other way round
+        phi._jets[0] = 7.0
+        assert phi.values[pair.points[0]][0] == 7.0
+        phi.values[pair.points[-1]][-1] = 9.0
+        assert phi._jets[-1] == 9.0

@@ -105,7 +105,8 @@ class TestGramSpace:
         def is_positive(mat):
             """[Bx, x] >= 0 for all x: G B is Hermitian positive semidefinite."""
             h = space.gram @ mat
-            return _is_psd(h, hermitian_residual(h), np.linalg.eigvalsh((h + h.conj().T) / 2.0), PSD_TOL)
+            return _is_psd(float(np.linalg.norm(h)), hermitian_residual(h), np.linalg.eigvalsh((h + h.conj().T) / 2.0),
+                           PSD_TOL)
 
         assert is_positive(np.diag([1.0, 0.0]))
         assert is_positive(np.zeros((2, 2)))

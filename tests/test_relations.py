@@ -15,7 +15,7 @@ from kreincalc import (
     diagonal_image,
     diagonal_preimage,
 )
-from kreincalc.relations import null_space, stable_svd
+from kreincalc.relations import frobenius, null_space, stable_svd
 
 from helpers import random_definitizable, random_gram, random_invertible, random_operator, random_relation
 
@@ -359,3 +359,19 @@ def test_diagonal_image_and_preimage():
         assert img.graph.contains(Subspace.from_spanning(col))
     back = diagonal_preimage(t, img)
     assert back.contains(rel)
+
+
+class TestFrobenius:
+    def test_equals_numpy_norm_bit_for_bit(self):
+        # the same two dot products on the raveled array: equal, not merely close
+        rng = np.random.default_rng(111)
+        for trial in range(200):
+            scale = 10.0 ** rng.uniform(-150, 150)
+            z = scale * (rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7)))
+            arrays = [z, z.real, z.T, z.real.T, np.asfortranarray(z), z[::2, 1::3], z.real[::-1, ::2],
+                      z.ravel(), z.real.ravel(), z[0], z[:, 0], z[:, :0], np.zeros((0, 3), dtype=complex),
+                      np.zeros(0), np.zeros((4, 4)), -np.zeros((2, 2), dtype=complex)]
+            for a in arrays:
+                got, want = frobenius(a), float(np.linalg.norm(a))
+                assert type(got) is float
+                assert got == want, (trial, a.shape, a.dtype, a.strides)

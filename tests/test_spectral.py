@@ -19,6 +19,8 @@ from kreincalc import (
     PreconditionError,
     RationalFunction,
     SpectrumReport,
+    Subspace,
+    ValidationError,
     apply_calculus,
     chordal_distance,
     gram_factorize,
@@ -28,10 +30,11 @@ from kreincalc import (
     spectrum,
     verify_definitizing,
 )
+from kreincalc import spectral
 from kreincalc.rational import cluster_values
 from kreincalc.relations import as_point, is_inf
 from kreincalc.spectral import ResolventStack
-from kreincalc.tolerances import RESOLVENT_DIST_TOL, SPECTRUM_CLUSTER_TOL
+from kreincalc.tolerances import INF_EIGENVALUE_TOL, RESOLVENT_DIST_TOL, SPECTRUM_CLUSTER_TOL
 
 from helpers import (
     match_point_sets,
@@ -55,6 +58,19 @@ def _record_solves(monkeypatch) -> list:
         return out
 
     monkeypatch.setattr(np.linalg, "solve", solve)
+    return calls
+
+
+def _record_svds(monkeypatch) -> list:
+    """Wrap np.linalg.svd; each call appends whether it asked for singular vectors."""
+    calls = []
+    real = np.linalg.svd
+
+    def svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append(compute_uv)
+        return real(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
     return calls
 
 
@@ -633,3 +649,101 @@ class TestMatch:
             for z in probes:
                 assert rep.multiplicity_of(z) == reference_multiplicity(rep, as_point(z))
                 assert rep.contains(z) == (reference_multiplicity(rep, as_point(z)) > 0)
+
+    def test_array_labels_match_as_their_points(self):
+        rng = np.random.default_rng(92)
+        reports = [SpectrumReport(4, ((1.0 + 0j, 1), (1.5 + 0j, 2), (INF, 1))),
+                   SpectrumReport(3, ((-1.0 + 0.5j, 1), (-1.0 - 0.5j, 1), (2.0 + 0j, 1))),
+                   SpectrumReport(0, ()), SpectrumReport(3, (), is_full_sphere=True)]
+        # 1.25 lies as near 1.0 as 1.5 (the first wins); infinity only meets infinity
+        fixed = [1.0, 1.25, 1.5 + 1e-8, INF, float("inf"), complex(float("inf"), float("nan")),
+                 complex(1.0, float("-inf")), 1e300, -1.0 + 0.5j, 3.0]
+        for rep in reports:
+            for labels in [fixed, [], [INF], [2.0]] + [list(rng.normal(size=7) + 1j * rng.normal(size=7))
+                                                    for _ in range(5)]:
+                points = [as_point(z) for z in labels]
+                arr = np.array([np.inf if is_inf(z) else z for z in points], dtype=complex)
+                for tol in (1e-7, 0.3, 1.0, 1e300):
+                    want = rep.match(labels, tol)
+                    got = rep.match(arr, tol)
+                    assert got.dtype.kind == want.dtype.kind == "i"
+                    assert np.array_equal(got, want), (rep, labels, tol)
+            assert np.array_equal(rep.match(np.zeros(0, dtype=complex), 1.0), rep.match([], 1.0))
+
+    def test_nan_in_an_array_raises_as_as_point_does(self):
+        rep = SpectrumReport(2, ((1.0 + 0j, 1), (INF, 1)))
+        for bad in (float("nan"), complex(1.0, float("nan")), complex(float("nan"), 0.0)):
+            with pytest.raises(ValidationError):
+                as_point(bad)
+            for report in (rep, SpectrumReport(0, ())):
+                with pytest.raises(ValidationError, match="NaN"):
+                    report.match(np.array([1.0, bad], dtype=complex), 1.0)
+        # an infinite part makes the point infinity, a NaN beside it included
+        assert rep.match(np.array([complex(float("inf"), float("nan"))]), 1.0).tolist() == [1]
+
+
+def all_vectors_inf_count(k, lam0, nu):
+    """The infinity count with the singular vectors of every step: ker K^j by
+    Subspace.preimage until the kernel stops growing."""
+    size = np.maximum(np.maximum(np.abs(1.0 + lam0 * nu), np.abs(nu)), 1.0)
+    by_eigenvalue = int(np.sum(np.abs(nu) <= INF_EIGENVALUE_TOL * size))
+    kernel = Subspace(np.zeros((k.shape[0], 0), dtype=complex))
+    while True:
+        grown = kernel.preimage(k)
+        if grown.dim == kernel.dim:
+            return max(by_eigenvalue, kernel.dim)
+        kernel = grown
+
+
+def _jordan_pencil(name):
+    case = json.loads((FIXTURES / "jordan_pencils.json").read_text())["cases"][name]
+    x, y = (np.array(case[k])[..., 0] + 1j * np.array(case[k])[..., 1] for k in ("X", "Y"))
+    return LinearRelation.from_graph_columns(x, y)
+
+
+def _inf_count_relations():
+    """Jordan pencils, multivalued parts, and nilpotent and unitarily mixed chains at infinity, by label."""
+    rng = np.random.default_rng(93)
+    cases = [(name, _jordan_pencil(name)) for name in ("critical-981", "critical-3804")]
+    mul = json.loads((FIXTURES / "mul.json").read_text())["relation"]
+    cases.append(("mul.json", LinearRelation.from_graph_columns(np.array(mul["X"]), np.array(mul["Y"]))))
+    cases += [(f"mul n={n}", random_proper_relation(rng, n, with_mul=True)) for n in (3, 6, 9, 12, 16) for _ in range(3)]
+    for mix in ("permutation", "unitary"):
+        for chains in ([2], [3], [2, 1], [4], [2, 2], [3, 1, 1], [5]):
+            finite = [(complex(*rng.normal(size=2)), 1) for _ in range(3)] + [(0.5, 2)]
+            cases.append((f"{mix} chains {chains}", weierstrass_pencil(rng, finite, chains, mix)[0]))
+    return [pytest.param(rel, id=label) for label, rel in cases]
+
+
+class TestInfinityCount:
+    @pytest.mark.parametrize("rel", _inf_count_relations())
+    def test_singular_values_first_equals_vectors_at_every_step(self, monkeypatch, rel):
+        seen = []
+        real = spectral._inf_multiplicity
+
+        def both(k, lam0, nu):
+            got = real(k, lam0, nu)
+            seen.append((got, all_vectors_inf_count(k, lam0, nu)))
+            return got
+
+        monkeypatch.setattr(spectral, "_inf_multiplicity", both)
+        rep = spectrum(rel)
+        assert len(seen) == 1 and seen[0][0] == seen[0][1], seen
+        assert rep.inf_multiplicity() == seen[0][0]
+
+    def test_no_point_at_infinity_asks_for_no_singular_vectors(self, monkeypatch):
+        rel = LinearRelation.from_operator(random_operator(np.random.default_rng(62), 8))
+        calls = _record_svds(monkeypatch)
+        rep = spectrum(rel)
+        assert rep.inf_multiplicity() == 0
+        # the pencil probe, then the kernel of K = M^-1 X, found empty from its singular values alone
+        assert calls == [False, False]
+
+    def test_semisimple_multivalued_part_asks_for_vectors_once(self, monkeypatch):
+        rel = random_proper_relation(np.random.default_rng(61), 6, with_mul=True)
+        calls = _record_svds(monkeypatch)
+        rep = spectrum(rel)
+        # as many calls as with vectors at every step ([False, True, True]):
+        # the probe, the kernel found with vectors, and its growth ruled out from values
+        assert calls == [False, True, False]
+        assert rep.inf_multiplicity() == rel.mul().dim == 2
