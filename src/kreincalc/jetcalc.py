@@ -38,6 +38,7 @@ operations, with no loop over the points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -95,6 +96,12 @@ def _layout(pair: DefinitizablePair) -> _Layout:
     if "layout" not in plans:
         plans["layout"] = _Layout(pair)
     return plans["layout"]
+
+
+def _require_layout(pair: DefinitizablePair, other: DefinitizablePair, message: str) -> None:
+    """ValidationError unless the two pairs pack jets alike: the same points with the same jet lengths."""
+    if other is not pair and (other.points != pair.points or other.degrees != pair.degrees):
+        raise ValidationError(message)
 
 
 def jet_one(length: int) -> np.ndarray:
@@ -157,21 +164,19 @@ class JetFunction:
 
     # -- algebra -------------------------------------------------------------
 
-    def _binary(self, other: "JetFunction", op) -> "JetFunction":
-        if other.pair is not self.pair and other.pair.points != self.pair.points:
-            raise ValidationError("jet functions live on different pairs")
-        a, b = self.values, other.values
-        return JetFunction(self.pair, {w: op(a[w], b[w]) for w in self.pair.points})
-
     def __add__(self, other: "JetFunction") -> "JetFunction":
-        return self._binary(other, lambda a, b: a + b)
+        _require_layout(self.pair, other.pair, "jet functions live on different pairs")
+        return JetFunction._from_packed(self.pair, self._jets + other._jets)
 
     def __sub__(self, other: "JetFunction") -> "JetFunction":
-        return self._binary(other, lambda a, b: a - b)
+        _require_layout(self.pair, other.pair, "jet functions live on different pairs")
+        return JetFunction._from_packed(self.pair, self._jets - other._jets)
 
     def __mul__(self, other) -> "JetFunction":
         if isinstance(other, JetFunction):
-            return self._binary(other, jet_multiply)
+            _require_layout(self.pair, other.pair, "jet functions live on different pairs")
+            a, b = self.values, other.values
+            return JetFunction(self.pair, {w: jet_multiply(a[w], b[w]) for w in self.pair.points})
         return JetFunction._from_packed(self.pair, complex(other) * self._jets)
 
     __rmul__ = __mul__
@@ -203,25 +208,15 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
     return JetFunction._from_packed(pair, _packed_jets(pair, func, _layout(pair)))
 
 
-def _pack(pair: DefinitizablePair, layout: _Layout, finite_jets, inf_jets, shape: tuple = ()) -> np.ndarray:
-    """Jets at every spectral point, packed; each row has the given trailing shape.
-
-    finite_jets(points, length) gives the jets of all finite points at once,
-    shaped (points, length) + shape; inf_jets(length) gives the jet at INF.
-    """
-    lengths = layout.lengths
-    values, finite = pair.report._point_array
-    table = np.zeros((lengths.size, int(lengths.max(initial=1))) + shape, dtype=complex)
-    table[finite] = finite_jets(values[finite], table.shape[1])
+def _packed_jets(pair: DefinitizablePair, func: RationalFunction, layout: _Layout) -> np.ndarray:
+    """Taylor jets of func at every spectral point, packed and as long as the layout asks."""
+    finite = pair.report._point_array[1]
+    points = [(w, n) for w, n in zip(pair.points, layout.lengths.tolist()) if not is_inf(w)]
+    packed = np.empty(layout.owner.size, dtype=complex)
+    packed[finite[layout.owner]] = func._jets(*zip(*points)) if points else []
     for i in np.flatnonzero(~finite).tolist():
-        table[i, : lengths[i]] = inf_jets(int(lengths[i]))
-    return table[layout.owner, layout.entry]
-
-
-def _packed_jets(pair: DefinitizablePair, func: RationalFunction, layout) -> np.ndarray:
-    """Taylor jets of func at every spectral point, packed, from one table for the finite points."""
-    return _pack(pair, layout, lambda z, length: func._jet_table(z, length).T,
-                 lambda length: func.jet_at(INF, length - 1))
+        packed[layout.starts[i]: layout.top[i] + 1] = func.jet_at(INF, layout.lengths[i] - 1)
+    return packed
 
 
 # -- decomposition ---------------------------------------------------------
@@ -252,18 +247,25 @@ def _basis_table(mu, points: np.ndarray, m: int, order: int) -> np.ndarray:
     Entry k of (z - mu)^(-j) at w is (-1)^k C(j+k-1, k) (w - mu)^(-j-k) for
     j >= 1; entry k of z^j (mu = INF) is C(j, k) w^(j-k).
     """
-    k = np.arange(order + 1)[:, None]
-    j = np.arange(m)[None, :]
-    if is_inf(mu):
-        base = points
+    coeff, exponent = _basis_terms(m, order, is_inf(mu))
+    base = points if is_inf(mu) else 1.0 / (points - mu)
+    return coeff * base[:, None, None] ** exponent
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_terms(m: int, order: int, polynomial: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The binomial factors and exponents of _basis_table, per (m, order) and basis, read-only."""
+    k, j = np.arange(order + 1)[:, None], np.arange(m)[None, :]
+    if polynomial:
         exponent = np.maximum(j - k, 0)
         coeff = [[math.comb(jj, kk) for jj in range(m)] for kk in range(order + 1)]
     else:
-        base = 1.0 / (points - mu)
         exponent = j + k
         coeff = [[(-1) ** kk * math.comb(jj + kk - 1, kk) if jj else float(kk == 0) for jj in range(m)]
                  for kk in range(order + 1)]
-    return np.asarray(coeff, dtype=float) * base[:, None, None] ** exponent
+    coeff = np.asarray(coeff, dtype=float)
+    coeff.flags.writeable = exponent.flags.writeable = False
+    return coeff, exponent
 
 
 class _CalculusPlan:
@@ -285,8 +287,12 @@ class _CalculusPlan:
         layout = _layout(pair)
         self.mu = mu
         self.size = m = layout.below.size  # total critical degree m
-        self.basis = _pack(pair, layout, lambda z, length: _basis_table(mu, z, m, length - 1),
-                           lambda length: _basis_jets(mu, INF, m, length - 1), (m,))
+        lengths, (values, finite) = layout.lengths, pair.report._point_array
+        table = np.zeros((lengths.size, int(lengths.max(initial=1)), m), dtype=complex)  # basis jets by point
+        table[finite] = _basis_table(mu, values[finite], m, table.shape[1] - 1)
+        for i in np.flatnonzero(~finite).tolist():
+            table[i, : lengths[i]] = _basis_jets(mu, INF, m, int(lengths[i]) - 1)
+        self.basis = table[layout.owner, layout.entry]
         self.q_jets = _packed_jets(pair, pair.q, layout)
         self.owner, self.top, self.below = layout.owner, layout.top, layout.below
         self.matrix = self.basis[self.below]
@@ -297,7 +303,9 @@ def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
     key = None if mu is None else as_point(mu)
     plans = pair._calculus_plans
     if key not in plans:
-        point = _calculus_point(pair.report, pair.q) if key is None else key
+        point = pair.calculus_point if key is None else key
+        if point is None:  # a pair not made by verify_definitizing keeps no calculus point
+            point = _calculus_point(pair.report, pair.q)
         if pair.report.contains(point):
             raise ValidationError("base point mu must lie in the resolvent set")
         plans[key] = _CalculusPlan(pair, point)
@@ -347,8 +355,7 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
     Everything that does not depend on phi is a plan built on the first call
     for the pair and mu and cached on the pair.
     """
-    if phi.pair is not pair and phi.pair.points != pair.points:
-        raise ValidationError("jet function does not belong to this pair")
+    _require_layout(pair, phi.pair, "jet function does not belong to this pair")
     plan = _plan(pair, mu)
     packed = phi._jets
     scale = max(1.0, _max_abs(packed))

@@ -9,6 +9,7 @@ are derived from the degree gap, and Taylor jets at infinity are jets of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,17 @@ from .tolerances import (COEFF_TRIM_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, PRIN
 
 def _trim(coeffs) -> np.ndarray:
     """Drop exactly-zero leading coefficients; zero the lower ones negligible against the largest."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
-    require_finite(c, "polynomial coefficients")
-    nonzero = np.flatnonzero(c)
-    if nonzero.size == 0:
-        return np.zeros(1, dtype=complex)
-    c = c[: nonzero[-1] + 1].copy()
-    lower = c[:-1]
-    lower[np.abs(lower) <= COEFF_TRIM_TOL * float(np.abs(c).max())] = 0.0
-    return c
+    c = np.array(coeffs, dtype=complex, ndmin=1).ravel()
+    mags = np.abs(c).tolist()
+    if not math.isfinite(sum(mags)):  # a NaN or infinite part, or moduli too large to add
+        require_finite(c, "polynomial coefficients")
+    cut, size = COEFF_TRIM_TOL * max(mags, default=0.0), len(mags)
+    while size and mags[size - 1] == 0.0:
+        size -= 1
+    for i in range(size - 1):
+        if mags[i] <= cut:
+            c[i] = 0.0
+    return c[:size] if size else np.zeros(1, dtype=complex)
 
 
 def _cancel(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
@@ -55,16 +58,19 @@ def _cluster_members(values, tol: float) -> list[tuple[complex, list[int]]]:
     """
     vals = [complex(v) for v in values]
     centers: list[complex] = []
+    radii: list[float] = []  # tol * max(1, |mean|) of each group
     members: list[list[int]] = []
     for k in sorted(range(len(vals)), key=lambda k: (vals[k].real, vals[k].imag)):
         v = vals[k]
         for i, c in enumerate(centers):
-            if abs(v - c) <= tol * max(1.0, abs(c)):
+            if abs(v - c) <= radii[i]:
                 members[i].append(k)
-                centers[i] = sum(vals[j] for j in members[i]) / len(members[i])
+                centers[i] = c = sum(vals[j] for j in members[i]) / len(members[i])
+                radii[i] = tol * max(1.0, abs(c))
                 break
         else:
             centers.append(v)
+            radii.append(tol * max(1.0, abs(v)))
             members.append([k])
     out = list(zip(centers, members))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -80,49 +86,47 @@ def cluster_values(values, tol: float) -> list[tuple[complex, int]]:
     return [(c, len(m)) for c, m in _cluster_members(values, tol)]
 
 
-def _taylor_shift(coeffs, w, terms: int | None = None) -> np.ndarray:
-    """Taylor coefficients of t -> p(w + t) at a point w or an array of points.
+def _taylor_shift(coeffs: list, w: complex, terms: int | None = None) -> list:
+    """Taylor coefficients of t -> p(w + t), by repeated synthetic division in Python complex arithmetic.
 
-    Repeated synthetic division.  For an array of points, row k holds
-    coefficient k at every point; a single point keeps to Python complex
-    arithmetic.  Pass j fixes coefficient j, so ``terms`` leading
-    coefficients need only that many passes (all by default).
+    Pass j fixes coefficient j, so ``terms`` leading coefficients need only
+    that many passes (all by default); the entries past them are left half-shifted.
     """
-    c = [complex(a) + 0.0 * w for a in coeffs]
-    n = len(c)
-    for j in range(n if terms is None else min(terms, n)):
-        for i in range(n - 2, j - 1, -1):
-            c[i] = c[i] + w * c[i + 1]
-    return np.array(c, dtype=complex)
+    c = list(coeffs)
+    for j in range(len(c) if terms is None else min(terms, len(c))):
+        for i in range(len(c) - 2, j - 1, -1):
+            c[i] += w * c[i + 1]
+    return c
 
 
-def _series_divide(num, den, length: int) -> np.ndarray:
-    """Truncated power-series quotient num/den mod t^length; den[0] != 0.
-
-    Works along the first axis, so columns of 2-D input divide pointwise.
-    """
-    num = np.asarray(num, dtype=complex)
-    den = np.asarray(den, dtype=complex)
-    out = np.zeros((length,) + den.shape[1:], dtype=complex)
+def _series_divide(num, den, length: int) -> list:
+    """Truncated power-series quotient num/den mod t^length; den[0] != 0."""
+    out: list = []
     for j in range(length):
-        acc = num[j] if j < num.shape[0] else 0.0
-        for k in range(max(0, j - den.shape[0] + 1), j):
+        acc = num[j] if j < len(num) else 0.0
+        for k in range(max(0, j - len(den) + 1), j):
             acc = acc - out[k] * den[j - k]
-        out[j] = acc / den[0]
+        out.append(acc / den[0])
     return out
 
 
-def _jet_quotient(num, den, length: int, w) -> np.ndarray:
-    """_series_divide(num, den, length) for the jets of num/den at w (INF, a point or an array of them).
+def _vanishes(jet: list, tol: float) -> bool:
+    """Whether jet[0] is at most tol times the largest |entry| of the jet, floored at 1."""
+    return abs(jet[0]) <= tol * max(max(map(abs, jet)), 1.0)
 
-    JetAtPoleError where den[0] vanishes against den's largest coefficient,
-    floored at 1: w is a pole.
-    """
-    pole = np.abs(den[0]) <= COEFF_TRIM_TOL * np.maximum(np.abs(den).max(axis=0), 1.0)
-    if np.any(pole):
-        where = "the pole infinity" if is_inf(w) else f"pole {complex(np.ravel(w)[np.argmax(pole)])}"
-        raise JetAtPoleError(f"jet requested at {where}")
-    return _series_divide(num, den, length)
+
+def _cofactor_jet(poles: list, k: int, length: int) -> list:
+    """Taylor coefficients at alpha_k of v_k = prod_{i != k} (z - alpha_i)^nu_i through entry length - 1, a
+    product of factors alpha_k - alpha_i + t; each factor updates the entries up to the degree so far."""
+    alpha, jet, top = poles[k][0], [1.0] + [0j] * (length - 1), 0
+    for i, (other, nu) in enumerate(poles):
+        c = alpha - other
+        for _ in range(nu if i != k else 0):
+            top = min(top + 1, length - 1)
+            for j in range(top, 0, -1):
+                jet[j] = c * jet[j] + jet[j - 1]
+            jet[0] *= c
+    return jet
 
 
 class Polynomial:
@@ -183,8 +187,13 @@ class Polynomial:
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
             raise ValidationError("polynomial division by zero")
-        quo, rem = npp.polydiv(self.coeffs, other.coeffs)
-        return Polynomial(quo), Polynomial(rem)
+        num, den = self.coeffs.tolist(), other.coeffs.tolist()  # synthetic division
+        rem, quo, d = list(num), [0j] * max(len(num) - len(den) + 1, 1), len(den) - 1
+        for k in range(len(num) - 1 - d, -1, -1):
+            t = quo[k] = rem[k + d] / den[-1]
+            for i in range(d):
+                rem[k + i] -= t * den[i]
+        return Polynomial(quo), Polynomial(rem[:d] or [0j])
 
     def _divided(self, c: complex) -> "Polynomial":
         """self / c for a nonzero scalar c; the roots, and so the cached clusters, carry over."""
@@ -206,21 +215,20 @@ class Polynomial:
 
     def shifted(self, w: complex) -> np.ndarray:
         """Coefficients of t -> p(w + t), i.e. the full Taylor jet at w."""
-        return _taylor_shift(self.coeffs, complex(w))
+        return np.array(_taylor_shift(self.coeffs.tolist(), complex(w)), dtype=complex)
 
     def roots(self) -> np.ndarray:
         if self.degree < 1:
             return np.zeros(0, dtype=complex)
-        # roots are scale invariant; renormalize by an exact power of two so
-        # subnormal or huge coefficients cannot poison the companion matrix
-        # (complex division by a subnormal scalar yields nan in numpy)
-        exp = int(np.floor(np.log2(float(np.abs(self.coeffs).max()))))
+        # an exact power-of-two scale keeps subnormal or huge coefficients out of the companion matrix (complex
+        # division by a subnormal scalar yields nan in numpy) and leaves its c[:-1] / c[-1], so the roots, as they are
+        exp = math.frexp(max(map(abs, self.coeffs.tolist())))[1]
         c = np.ldexp(self.coeffs.real, -exp) + 1j * np.ldexp(self.coeffs.imag, -exp)
         return np.asarray(npp.polyroots(c), dtype=complex)
 
     def _jet_validates(self, center: complex, mult: int) -> bool:
-        jet = self.shifted(center)
-        scale = float(np.abs(jet).max()) or 1.0
+        jet = _taylor_shift(self.coeffs.tolist(), center)
+        scale = max(map(abs, jet)) or 1.0
         return all(abs(jet[j]) <= JET_ZERO_TOL * scale for j in range(mult))
 
     def clustered_roots(self) -> list[tuple[complex, int]]:
@@ -239,9 +247,9 @@ class Polynomial:
         """
         if self._clustered is not None:
             return list(self._clustered)
-        eps = float(np.finfo(float).eps)
+        eps = math.ulp(1.0)
         out: list[tuple[complex, int]] = []
-        work: list[tuple[float, list[complex]]] = [(0.05, list(self.roots()))]
+        work: list[tuple[float, list[complex]]] = [(0.05, self.roots().tolist())]
         while work:
             radius, vals = work.pop()
             for center, idx in _cluster_members(vals, radius):
@@ -260,9 +268,6 @@ class Polynomial:
         out.sort(key=lambda t: (t[0].real, t[0].imag))
         self._clustered = tuple(out)
         return out
-
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self.coeffs).max())
 
     def __repr__(self) -> str:
         return f"Polynomial({self.coeffs.tolist()})"
@@ -285,26 +290,22 @@ class PartialFractions:
 class RationalFunction:
     """Quotient of polynomials, normalized coprime with monic denominator."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_fractions")
 
     def __init__(self, num, den=None):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = Polynomial([1.0]) if den is None else (den if isinstance(den, Polynomial) else Polynomial(den))
         if den.is_zero:
             raise ValidationError("rational function with zero denominator")
-        num, den = self._normalize(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = self._normalize(num, den)
+        self._fractions = None  # partial_fractions(), computed on first use
 
     @staticmethod
     def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
         if num.is_zero:
             return Polynomial.zero(), Polynomial.one()
         if den.degree >= 1 and num.degree >= 1:
-            nroots = num.clustered_roots()
-            droots = den.clustered_roots()
-            cancelled = False
-            kept_n = []
+            nroots, droots, cancelled, kept_n = num.clustered_roots(), den.clustered_roots(), False, []
             for nc, nm in nroots:
                 for i, (dc, dm) in enumerate(droots):
                     if dm > 0 and abs(nc - dc) <= ROOT_CLUSTER_TOL * max(1.0, abs(dc)):
@@ -316,14 +317,9 @@ class RationalFunction:
                 if nm > 0:
                     kept_n.append((nc, nm))
             if cancelled:
-                num = Polynomial.from_roots(
-                    [c for c, m in kept_n for _ in range(m)], leading=num.leading
-                )
-                den = Polynomial.from_roots(
-                    [c for c, m in droots for _ in range(m)], leading=den.leading
-                )
-        lead = den.leading
-        return num._divided(lead), den._divided(lead)
+                num = Polynomial.from_roots([c for c, m in kept_n for _ in range(m)], leading=num.leading)
+                den = Polynomial.from_roots([c for c, m in droots for _ in range(m)], leading=den.leading)
+        return num._divided(den.leading), den._divided(den.leading)
 
     @property
     def is_zero(self) -> bool:
@@ -390,12 +386,8 @@ class RationalFunction:
         return RationalFunction(self.num.conj_reflect(), self.den.conj_reflect())
 
     def is_real(self) -> bool:
-        scale = max(self.num.max_abs_coeff(), self.den.max_abs_coeff(), 1.0)
-        im = max(
-            float(np.abs(self.num.coeffs.imag).max()),
-            float(np.abs(self.den.coeffs.imag).max()),
-        )
-        return im <= REALNESS_TOL * scale
+        coeffs = self.num.coeffs.tolist() + self.den.coeffs.tolist()
+        return max(abs(c.imag) for c in coeffs) <= REALNESS_TOL * max(max(map(abs, coeffs)), 1.0)
 
     def poles(self) -> list[tuple[Point, int]]:
         """Clustered poles including infinity when numerator degree wins."""
@@ -416,30 +408,19 @@ class RationalFunction:
 
     def zero_degree_at(self, w) -> int:
         """Multiplicity of w as a zero (0 when r(w) != 0); w may be infinity."""
-        return self._zero_degrees([w])[0]
+        return self._zero_degrees([as_point(w)])[0]
 
     def _zero_degrees(self, points) -> list[int]:
-        """zero_degree_at for every point, from one distance matrix.
+        """zero_degree_at for every point of a sequence of points as as_point makes them (complex or INF).
 
         A finite point takes the multiplicity of the first root cluster
         within ROOT_CLUSTER_TOL * max(1, |center|) of it.
         """
         if self.is_zero:
             raise ValidationError("zero degree of the zero rational function")
-        points = [as_point(w) for w in points]
         gap = max(0, self.den.degree - self.num.degree)
-        out = [gap if is_inf(w) else 0 for w in points]
-        roots = self.num.clustered_roots()
-        finite = [k for k, w in enumerate(points) if not is_inf(w)]
-        if roots and finite:
-            centers = np.array([c for c, _ in roots], dtype=complex)
-            mults = np.array([m for _, m in roots])
-            z = np.array([points[k] for k in finite], dtype=complex)
-            hit = np.abs(z[:, None] - centers[None, :]) <= ROOT_CLUSTER_TOL * np.maximum(1.0, np.abs(centers))
-            degrees = np.where(hit.any(axis=1), mults[np.argmax(hit, axis=1)], 0)
-            for k, d in zip(finite, degrees.tolist()):
-                out[k] = d
-        return out
+        roots = [(c, m, ROOT_CLUSTER_TOL * max(1.0, abs(c))) for c, m in self.num.clustered_roots()]
+        return [gap if is_inf(w) else next((m for c, m, radius in roots if abs(w - c) <= radius), 0) for w in points]
 
     def jet_at(self, w, order: int) -> np.ndarray:
         """Taylor jet (f(w), f'(w)/1!, ..., f^(order)(w)/order!).
@@ -448,51 +429,50 @@ class RationalFunction:
         a pole.
         """
         w = as_point(w)
-        length = order + 1
-        if is_inf(w):
-            dn, dd = max(self.num.degree, 0), max(self.den.degree, 0)
-            big = max(dn, dd)
-            gnum = np.concatenate([np.zeros(big - dn, dtype=complex), self.num.coeffs[::-1]])
-            gden = np.concatenate([np.zeros(big - dd, dtype=complex), self.den.coeffs[::-1]])
-            return _jet_quotient(gnum, gden, length, INF)
-        return self._jet_table(complex(w), length)
+        if is_inf(w):  # num and den reversed, the shorter padded: r(1/t) at t = 0
+            num, den = self.num.coeffs[::-1].tolist(), self.den.coeffs[::-1].tolist()
+            num, den = ([0j] * (max(len(num), len(den)) - len(c)) + c for c in (num, den))
+            if _vanishes(den, COEFF_TRIM_TOL):  # the pole test of a jet quotient
+                raise JetAtPoleError("jet requested at the pole infinity")
+            return np.array(_series_divide(num, den, order + 1), dtype=complex)
+        return np.array(self._jets([w], [order + 1]), dtype=complex)
 
-    def _jet_table(self, w, length: int) -> np.ndarray:
-        """Taylor jets through entry length - 1 at a finite point w, or at an
-        array of them with one column each."""
-        return _jet_quotient(_taylor_shift(self.num.coeffs, w, length), _taylor_shift(self.den.coeffs, w), length, w)
+    def _jets(self, points, lengths) -> list:
+        """jet_at at finite points, the k-th jet through entry lengths[k] - 1, end to end in one list.
+
+        A jet takes as many Taylor-shift passes of num as it has entries; den is shifted in full, for the
+        pole test, and its leading entries divide."""
+        num, den, out = self.num.coeffs.tolist(), self.den.coeffs.tolist(), []
+        for w, length in zip(points, lengths):
+            bottom = _taylor_shift(den, w)
+            if _vanishes(bottom, COEFF_TRIM_TOL):
+                raise JetAtPoleError(f"jet requested at pole {w}")
+            out += _series_divide(_taylor_shift(num, w, length), bottom, length)
+        return out
 
     def partial_fractions(self) -> PartialFractions:
-        """Polynomial part plus principal parts at the clustered poles, all at once.
+        """Polynomial part plus principal parts at the clustered poles; computed once per function.
 
-        With w = num mod den, the principal part at a pole alpha_k of order
-        nu_k is the jet of w / v_k there, v_k = prod_{i != k} (z - alpha_i)^nu_i.
-        Column k of one table holds the jet of v_k at alpha_k, grown from the
-        root differences alpha_k - alpha_i; one Taylor shift gives w's jets.
+        With w = num mod den, the principal part at a pole alpha_k of order nu_k is the jet of w / v_k there
+        through entry nu_k - 1, v_k = prod_{i != k} (z - alpha_i)^nu_i (_cofactor_jet).  The overlap test takes
+        v_k's full jet, of degree + 1 - nu_k entries, at every pole before any principal part is formed.
         """
+        if self._fractions is not None:
+            return self._fractions
         p, w = self.num.divmod(self.den)
-        if self.den.degree < 1:
-            return PartialFractions(p, ())
-        alpha, nu = (np.array(v) for v in zip(*self.den.clustered_roots()))
-        # factor i of column k is alpha_k - alpha_i + t (1 for i = k); row 0 stays zero
-        const = alpha[:, None] - alpha + np.eye(alpha.size)
-        slope = 1.0 - np.eye(alpha.size)
-        table = np.zeros((self.den.degree + 2, alpha.size), dtype=complex)
-        table[1] = 1.0
-        for i in np.repeat(np.arange(alpha.size), nu):
-            table[1:] = const[:, i] * table[1:] + slope[:, i] * table[:-1]
-        cofactor = table[1:]
-        if (np.abs(cofactor[0]) <= POLE_SEPARATION_TOL * np.maximum(np.abs(cofactor).max(axis=0), 1.0)).any():
+        poles = self.den.clustered_roots()
+        cofactors = [_cofactor_jet(poles, k, max(nu, self.den.degree + 1 - nu)) for k, (_, nu) in enumerate(poles)]
+        if any(_vanishes(jet, POLE_SEPARATION_TOL) for jet in cofactors):
             raise InconsistencyError("pole clusters of the denominator overlap")
-        order = int(nu.max())
-        t = _series_divide(_taylor_shift(w.coeffs, alpha, order)[:order], cofactor, order)
-        t[np.arange(order)[:, None] >= nu] = 0.0  # column k keeps its nu_k entries
-        if (np.abs(t[0]) <= PRINCIPAL_PART_TOL * np.maximum(np.abs(t).max(axis=0), 1.0)).any():
-            raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
-                                     "denominator were not coprime after normalization")
-        terms = tuple((a, j, jet[m - j]) for a, m, jet in zip(alpha.tolist(), nu.tolist(), t.T.tolist())
-                      for j in range(1, m + 1))
-        return PartialFractions(p, terms)
+        terms = []
+        for (alpha, nu), jet in zip(poles, cofactors):
+            t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha, nu), jet, nu)
+            if _vanishes(t, PRINCIPAL_PART_TOL):
+                raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
+                                         "denominator were not coprime after normalization")
+            terms += [(alpha, j, t[nu - j]) for j in range(1, nu + 1)]
+        self._fractions = PartialFractions(p, tuple(terms))
+        return self._fractions
 
     def compose_moebius(self, moebius: MoebiusMap) -> "RationalFunction":
         """The composition z -> r((a z + b) / (c z + d)).

@@ -93,15 +93,24 @@ class SpectrumReport:
         hits = np.where(dist.min(axis=1) <= tol, dist.argmin(axis=1), -1)
         return np.where(at_inf, -1 if finite.all() else int(finite.argmin()), hits)
 
+    def _index_of(self, z) -> int:
+        """match([z], RESOLVENT_DIST_TOL)[0] for one point, in scalar arithmetic."""
+        z, (values, finite) = as_point(z), self._point_array
+        if is_inf(z):
+            return -1 if finite.all() else int(finite.argmin())
+        dist = [abs(z - p) for p in values.tolist()]  # inf at the point infinity
+        i = dist.index(min(dist)) if dist else -1
+        return i if i >= 0 and dist[i] <= RESOLVENT_DIST_TOL else -1
+
     def multiplicity_of(self, z) -> int:
         if self.is_full_sphere:
             return self.space_dim
-        i = int(self.match([z], RESOLVENT_DIST_TOL)[0])
+        i = self._index_of(z)
         return self.points[i][1] if i >= 0 else 0
 
     def contains(self, z) -> bool:
         """Whether z is a spectral point; the resolvent set is exactly where it is not."""
-        return self.multiplicity_of(z) > 0
+        return self.is_full_sphere or self._index_of(z) >= 0
 
 
 def spectrum(rel: LinearRelation) -> SpectrumReport:
@@ -193,10 +202,8 @@ def _inf_multiplicity(k: np.ndarray, lam0: complex, nu: np.ndarray) -> int:
 
 
 def _pole_in_spectrum(func: RationalFunction, report: SpectrumReport):
-    """The first pole of func, in poles() order, that is a spectral point (one match call), or None."""
-    poles = [pole for pole, _ in func.poles()]
-    hits = report.match(poles, RESOLVENT_DIST_TOL) >= 0
-    return poles[int(np.argmax(hits))] if hits.any() else None
+    """The first pole of func, in poles() order, that is a spectral point, or None."""
+    return next((pole for pole, _ in func.poles() if report.contains(pole)), None)
 
 
 def resolvent_at(rel: LinearRelation, lam, report: SpectrumReport | None = None) -> np.ndarray:
@@ -256,7 +263,7 @@ def rational_apply(
     """Evaluate r = p + sum_k sum_j c_kj (z - p_k)^-j as p(A) + sum_k sum_j c_kj R(p_k)^j.
 
     Every pole, infinity included when p has degree >= 1, must lie in the
-    resolvent set; all poles are tested against the spectrum in one match.  The
+    resolvent set; each pole is tested with SpectrumReport.contains.  The
     resolvents X (Y - p_k X)^{-1} of all finite poles are read from
     resolvents, which must hold them, or else from one ResolventStack of the
     poles; A = Y X^{-1} is ``rel.operator_matrix()``, and each power is formed once.

@@ -12,10 +12,10 @@ default, because a caller sets them:
   ``--tol-psd``;
 - ``tol`` of ``DefinitizablePair.resolve``: user labels match at
   ``POINT_MATCH_TOL``.  Every spectral-point decision goes through
-  ``SpectrumReport.match``, whose ``tol`` has no default; at
-  ``ATOM_MATCH_TOL`` it decides the atoms of the factor-space measure,
-  assigning each eigenvalue of the compressed resolvent to a point of the
-  pair.
+  ``SpectrumReport.match`` (``contains`` and ``multiplicity_of`` apply its
+  rule to one point in scalar arithmetic), whose ``tol`` has no default; at ``ATOM_MATCH_TOL``
+  it decides the atoms of the factor-space measure, assigning each
+  eigenvalue of the compressed resolvent to a point of the pair.
 
 The radius of ``rational.cluster_values`` has no default either: polynomial
 roots cluster at ``ROOT_CLUSTER_TOL``, pencil eigenvalues at

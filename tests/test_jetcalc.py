@@ -1,9 +1,13 @@
 """Jet algebra and the jet-valued calculus."""
 
+import dataclasses
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from kreincalc import (
@@ -17,6 +21,7 @@ from kreincalc import (
     PoleMeetsSpectrumError,
     Polynomial,
     RationalFunction,
+    SpectrumReport,
     ValidationError,
     apply_calculus,
     decompose,
@@ -385,6 +390,18 @@ class TestApplyCalculus:
             mu = _calculus_point(pair.report, pair.q)
             assert np.array_equal(apply_calculus(fact, phi, mu=mu), apply_calculus(fact, phi))
 
+    def test_a_copied_pair_takes_the_base_point_of_its_own_report(self):
+        pair = running_pair()
+        assert pair.calculus_point == _calculus_point(pair.report, pair.q)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(pair, calculus_point=0j)  # set by verify_definitizing alone
+        # the spectral point 2 moved to 20: a copy must not keep the base point of the old report
+        points = tuple(20.0 + 0j if abs(w - 2.0) < 1e-9 else w for w in pair.points)
+        copy = dataclasses.replace(pair, report=SpectrumReport(2, tuple(zip(points, (1, 1)))), points=points,
+                                   degrees=dict(zip(points, pair.degrees.values())))
+        assert copy.calculus_point is None
+        assert _plan(copy, None).mu == _calculus_point(copy.report, copy.q) != pair.calculus_point
+
     def test_accepts_a_decomposition(self):
         fact = running_fact()
         phi = JetFunction.from_points(fact.pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
@@ -611,3 +628,93 @@ class TestPackedJets:
         assert phi.values[pair.points[0]][0] == 7.0
         phi.values[pair.points[-1]][-1] = 9.0
         assert phi._jets[-1] == 9.0
+
+
+def same_points_pairs():
+    """Two pairs on the points 1 and 2 of diag(1, 2) with G = diag(1, -1): q = 2 - z vanishes at 2,
+    so that pair's jets there have length 2; q = 1.5 - z vanishes at neither point."""
+    space = GramSpace(np.diag([1.0, -1.0]))
+    rel = LinearRelation.from_operator(np.diag([1.0, 2.0]))
+    return (verify_definitizing(space, rel, RationalFunction(Polynomial([2.0, -1.0]))),
+            verify_definitizing(space, rel, RationalFunction(Polynomial([1.5, -1.0]))))
+
+
+class TestLayoutMismatch:
+    """Jet functions whose pairs have the same points but other jet lengths do not mix."""
+
+    def test_operators_reject_another_layout(self):
+        pair, other = same_points_pairs()
+        assert pair.points == other.points and pair.degrees != other.degrees
+        a = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, 5.0]})
+        e = JetFunction.from_points(other, {1.0: [3.0], 2.0: [4.0]})
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            for x, y in ((a, e), (e, a)):
+                with pytest.raises(ValidationError, match="different pairs"):
+                    op(x, y)
+
+    def test_decompose_and_calculus_reject_another_layout(self):
+        pair, other = same_points_pairs()
+        e = JetFunction.from_points(other, {1.0: [3.0], 2.0: [4.0]})
+        a = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, 5.0]})
+        for target, phi in ((pair, e), (other, a)):
+            with pytest.raises(ValidationError, match="does not belong"):
+                decompose(target, phi)
+            with pytest.raises(ValidationError, match="does not belong"):
+                apply_calculus(gram_factorize(target), phi)
+
+    def test_equal_layouts_add_their_packed_jets(self):
+        pair, _ = same_points_pairs()
+        twin, _ = same_points_pairs()
+        a = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, 5.0]})
+        b = JetFunction.from_points(twin, {1.0: [-1.0], 2.0: [2.0, 0.5]})
+        assert np.array_equal((a + b)._jets, [2.0, 3.0, 5.5])
+        assert np.array_equal((a - b)._jets, [4.0, -1.0, 4.5])
+        assert (a + b).pair is pair and (b - a).pair is twin
+        assert np.array_equal((a * b)._jets, [-3.0, 2.0, 10.5])
+
+
+class TestRootFindsPerRequest:
+    """Each non-constant polynomial of q has its roots found once per request: q keeps its clusters and
+    partial fractions, and the pair keeps the calculus base point."""
+
+    @pytest.fixture
+    def found(self, monkeypatch):
+        calls = []
+        polyroots = npp.polyroots
+        monkeypatch.setattr(npp, "polyroots", lambda c: calls.append(len(c) - 1) or polyroots(c))
+        return calls
+
+    @staticmethod
+    def request(space, rel, q, jets, deltas):
+        pair = verify_definitizing(space, rel, q)
+        fact = gram_factorize(pair)
+        apply_calculus(fact, JetFunction(pair, jets(pair)))
+        for delta in deltas:
+            spectral_projection(fact, delta(pair))
+        return pair
+
+    def test_running_fixture(self, found):
+        doc = json.loads((Path(__file__).parent / "fixtures" / "running.json").read_text())
+        q = RationalFunction(Polynomial(doc["q"]["num"]))
+        # the denominator is constant; the numerator's roots wait for their first use
+        assert found == []
+        self.request(GramSpace(np.array(doc["gram"], dtype=float)),
+                     LinearRelation.from_operator(np.array(doc["relation"]["operator"], dtype=float)), q,
+                     lambda pair: {w: np.ones(pair.degrees[w] + 1) for w in pair.points},
+                     [lambda pair: [1.0], lambda pair: [2.0]])
+        assert found == [1]
+
+    def test_critical_pair(self, found):
+        planted = random_definitizable(np.random.default_rng(5), allow_mul=True, allow_jordan=True,
+                                       force_rational=True)
+        num, den = planted.q.num.coeffs, planted.q.den.coeffs
+        del found[:]
+        # a denominator with leading coefficient 2 makes normalization divide both polynomials
+        q = RationalFunction(Polynomial(2.0 * num), Polynomial(2.0 * den))
+        assert found == [num.size - 1, den.size - 1]
+        pair = self.request(planted.space, planted.relation, q,
+                            lambda pair: {w: np.arange(1.0, pair.degrees[w] + 2) for w in pair.points},
+                            [lambda pair: pair.points[:1], lambda pair: pair.points[1:]])
+        assert found == [num.size - 1, den.size - 1]
+        # the pair is critical-like: a zero of q, the point infinity and a pole of q all take part
+        assert any(d > 0 for d in pair.degrees.values()) and INF in pair.points and q.den.degree > 0

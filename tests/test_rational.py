@@ -1,5 +1,8 @@
 """Polynomial and rational function algebra, jets, partial fractions."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,3 +320,150 @@ class TestRationalFunction:
 
     def test_is_constant_and_zero(self):
         assert RationalFunction(Polynomial.zero()).is_zero
+
+
+# -- exact references ---------------------------------------------------------
+# q with dyadic zeros and poles has float coefficients that are exact, so the
+# float routines can be held to the answers of Fraction arithmetic.
+
+
+def _exact_from_roots(roots, lead=1):
+    """Ascending Fraction coefficients of lead * prod (z - r)."""
+    c = [Fraction(lead)]
+    for r in roots:
+        c = [Fraction(0)] + c
+        for i in range(len(c) - 1):
+            c[i] -= r * c[i + 1]
+    return c
+
+
+def _exact_shift(c, w):
+    """Taylor coefficients of p at w: entry k is p^(k)(w) / k! = sum_i C(i, k) c_i w^(i - k)."""
+    return [sum(math.comb(i, k) * c[i] * w ** (i - k) for i in range(k, len(c))) for k in range(len(c))]
+
+
+def _exact_series(num, den, length):
+    out = []
+    for j in range(length):
+        acc = num[j] if j < len(num) else Fraction(0)
+        out.append((acc - sum(out[k] * den[j - k] for k in range(j) if j - k < len(den))) / den[0])
+    return out
+
+
+def _exact_jet(num, den, w, length):
+    """Taylor jet of num / den at w through entry length - 1; at INF the jet of z -> r(1/z) at 0."""
+    if w is INF:
+        big = max(len(num), len(den))
+        pad = lambda c: [Fraction(0)] * (big - len(c)) + c[::-1]  # noqa: E731
+        return _exact_series(pad(num), pad(den), length)
+    return _exact_series(_exact_shift(num, w), _exact_shift(den, w), length)
+
+
+def _exact_divmod(num, den):
+    rem, quo = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    for k in range(len(num) - len(den), -1, -1):
+        quo[k] = rem[k + len(den) - 1] / den[-1]
+        for i, d in enumerate(den):
+            rem[k + i] -= quo[k] * d
+    return quo, rem[: len(den) - 1] or [Fraction(0)]
+
+
+def _close(got, want, rtol=1e-12):
+    """Every entry of got within rtol times the largest |want| of the exact want."""
+    want = [complex(w) for w in want]
+    scale = max(map(abs, want)) or 1.0
+    return len(got) == len(want) and all(abs(complex(g) - w) <= rtol * scale for g, w in zip(got, want))
+
+
+class ExactCase:
+    """q = lead * prod (z - zero)^m / prod (z - pole)^n with dyadic zeros and poles."""
+
+    def __init__(self, lead, zeros, poles):
+        self.zeros, self.poles = zeros, poles
+        self.num = _exact_from_roots([Fraction(z) for z, m in zeros.items() for _ in range(m)], lead)
+        self.den = _exact_from_roots([Fraction(p) for p, n in poles.items() for _ in range(n)])
+        self.q = RationalFunction(Polynomial([float(c) for c in self.num]), Polynomial([float(c) for c in self.den]))
+        assert self.q.num.coeffs.tolist() == [complex(c) for c in self.num]  # the float q is the exact one
+        assert self.q.den.coeffs.tolist() == [complex(c) for c in self.den]
+
+
+# a zero at infinity (degree 1) over double and triple poles; a polynomial part
+# of degree 5 (a pole of order 5 at infinity) with double and triple zeros
+PROPER = ExactCase(3, {"1/2": 2, "-3/2": 1, "2": 1, "-1": 1}, {"-1/4": 2, "5/4": 3, "3": 1})
+IMPROPER = ExactCase(-2, {"1": 1, "-2": 2, "1/2": 3, "-3/4": 1, "0": 1}, {"3/2": 2, "-1/2": 1})
+PROBES = ["1/8", "-7/4", "5/2", "7/16"]
+
+
+class TestExactReference:
+    @pytest.mark.parametrize("case", [PROPER, IMPROPER], ids=["proper", "improper"])
+    def test_divmod(self, case):
+        quo, rem = case.q.num.divmod(case.q.den)
+        want_quo, want_rem = _exact_divmod(case.num, case.den)
+        assert _close(quo.coeffs, want_quo) and _close(rem.coeffs, want_rem)
+
+    @pytest.mark.parametrize("case", [PROPER, IMPROPER], ids=["proper", "improper"])
+    def test_partial_fractions(self, case):
+        pf = case.q.partial_fractions()
+        assert pf is case.q.partial_fractions()  # computed once per function
+        assert _close(pf.poly.coeffs, _exact_divmod(case.num, case.den)[0])
+        want = []
+        for pole in sorted(map(Fraction, case.poles)):
+            n = case.poles[str(pole)]
+            cofactor = _exact_from_roots([Fraction(p) for p, k in case.poles.items() if Fraction(p) != pole
+                                          for _ in range(k)])
+            t = _exact_series(_exact_shift(case.num, pole), _exact_shift(cofactor, pole), n)
+            want += [(pole, j, t[n - j]) for j in range(1, n + 1)]
+        assert [j for _, j, _ in pf.terms] == [j for _, j, _ in want]
+        assert _close([p for p, _, _ in pf.terms], [p for p, _, _ in want])
+        assert _close([c for _, _, c in pf.terms], [c for _, _, c in want])
+
+    @pytest.mark.parametrize("case", [PROPER, IMPROPER], ids=["proper", "improper"])
+    def test_zero_degrees(self, case):
+        points = [complex(Fraction(z)) for z in case.zeros] + [complex(Fraction(p)) for p in case.poles]
+        points += [complex(Fraction(w)) for w in PROBES] + [INF]
+        want = list(case.zeros.values()) + [0] * (len(case.poles) + len(PROBES))
+        gap = max(0, len(case.den) - len(case.num))  # the degree of infinity as a zero
+        want.append(gap)
+        # ROOT_CLUSTER_TOL * max(1, |z|) around each zero: inside at 5e-7, outside at 3e-6
+        points += [complex(Fraction(z)) + off for off in (5e-7, 3e-6j) for z in case.zeros]
+        want += list(case.zeros.values()) + [0] * len(case.zeros)
+        assert case.q._zero_degrees(points) == want
+        assert [case.q.zero_degree_at(w) for w in points] == want
+        # zero_degree_at takes any point as_point accepts: an infinite float is the point infinity
+        assert case.q.zero_degree_at(float("inf")) == case.q.zero_degree_at(complex(1.0, -math.inf)) == gap
+        with pytest.raises(ValidationError, match="NaN"):
+            case.q.zero_degree_at(float("nan"))
+
+    @pytest.mark.parametrize("case", [PROPER, IMPROPER], ids=["proper", "improper"])
+    def test_finite_jets(self, case):
+        points = [Fraction(w) for w in PROBES] + [Fraction(z) for z in case.zeros]
+        for w in points:
+            for length in range(1, 5):
+                assert _close(case.q.jet_at(complex(w), length - 1), _exact_jet(case.num, case.den, w, length))
+        # the batch the calculus plan takes: all values, longer jets where asked
+        lengths = [1 + k % 4 for k in range(len(points))]
+        want = [e for w, n in zip(points, lengths) for e in _exact_jet(case.num, case.den, w, n)]
+        got = case.q._jets([complex(w) for w in points], lengths)
+        start = 0
+        for w, n in zip(points, lengths):
+            assert _close(got[start: start + n], want[start: start + n]), (w, n)
+            start += n
+
+    def test_jet_at_infinity(self):
+        for length in range(1, 6):
+            assert _close(PROPER.q.jet_at(INF, length - 1), _exact_jet(PROPER.num, PROPER.den, INF, length))
+        with pytest.raises(JetAtPoleError, match="infinity"):
+            IMPROPER.q.jet_at(INF, 0)
+
+    @pytest.mark.parametrize("near", [False, True], ids=["at", "near"])
+    def test_jets_at_a_pole_raise(self, near):
+        # near: off a pole by less than the pole test resolves (a double pole by 1e-8, a triple one by
+        # 1e-6, a simple one by 1e-14), with den(w) != 0 in floating point
+        poles = {"-1/4": 1e-8, "5/4": 1e-6, "3": 1e-14} if near else dict.fromkeys(PROPER.poles, 0.0)
+        for pole, off in poles.items():
+            w = complex(Fraction(pole)) + off
+            for length in (1, 2):
+                with pytest.raises(JetAtPoleError, match="pole"):
+                    PROPER.q._jets([0.5, w], [1, length])
+                with pytest.raises(JetAtPoleError, match="pole"):
+                    PROPER.q.jet_at(w, length - 1)
