@@ -52,7 +52,7 @@ from .errors import (
     PoleMeetsSpectrumError,
     ValidationError,
 )
-from .krein import DefinitizablePair, Factorization, _calculus_point
+from .krein import DefinitizablePair, Factorization
 from .rational import Polynomial, RationalFunction
 from .relations import INF, as_point, conj_point, frobenius, is_inf, point_sort_key
 # rational_apply is unused here but stays a module attribute: the tracing
@@ -210,60 +210,43 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
 
 def _packed_jets(pair: DefinitizablePair, func: RationalFunction, layout: _Layout) -> np.ndarray:
     """Taylor jets of func at every spectral point, packed and as long as the layout asks."""
-    finite = pair.report._point_array[1]
-    points = [(w, n) for w, n in zip(pair.points, layout.lengths.tolist()) if not is_inf(w)]
-    packed = np.empty(layout.owner.size, dtype=complex)
-    packed[finite[layout.owner]] = func._jets(*zip(*points)) if points else []
-    for i in np.flatnonzero(~finite).tolist():
-        packed[layout.starts[i]: layout.top[i] + 1] = func.jet_at(INF, layout.lengths[i] - 1)
-    return packed
+    return np.array(func._jets(pair.points, layout.lengths.tolist()), dtype=complex)
 
 
 # -- decomposition ---------------------------------------------------------
 
 
-def _basis_jets(mu, w, m: int, order: int) -> np.ndarray:
-    """Taylor jets at w of the pole-residue basis (z - mu)^(-j), j < m.
+def _basis_table(mu, values: np.ndarray, finite: np.ndarray, m: int, order: int) -> np.ndarray:
+    """Basis jets at points: out[i, k, j] is entry k of basis function j at the point values[i].
 
-    Column j holds jet entries 0..order of the j-th basis function; for
-    mu = INF the basis is z^j instead.  At INF, entry l of (z - mu)^(-j) is
-    C(l-1, l-j) mu^(l-j) for l >= j >= 1; finite w is _basis_table's
-    one-point case.
+    values and finite are a spectrum's points as SpectrumReport._point_array
+    holds them.  Entry k of (z - mu)^(-j) at w is (-1)^k C(j+k-1, k)
+    (w - mu)^(-j-k) for j >= 1, and C(k-1, k-j) mu^(k-j) at INF; entry k of
+    z^j (mu = INF) is C(j, k) w^(j-k).
     """
-    if not is_inf(w):
-        return _basis_table(mu, np.array([complex(w)]), m, order)[0]
-    out = np.zeros((order + 1, m), dtype=complex)
-    if m:
-        out[0, 0] = 1.0
-    for j in range(1, m):
-        for k in range(j, order + 1):
-            out[k, j] = math.comb(k - 1, k - j) * mu ** (k - j)
+    out = np.empty((values.size, order + 1, m), dtype=complex)
+    coeff, exponent = _basis_terms(m, order, "polynomial" if is_inf(mu) else "pole")
+    base = values[finite] if is_inf(mu) else 1.0 / (values[finite] - mu)
+    out[finite] = coeff * base[:, None, None] ** exponent
+    if not finite.all():
+        coeff, exponent = _basis_terms(m, order, "infinity")
+        out[~finite] = coeff * np.power(mu, exponent)
     return out
 
 
-def _basis_table(mu, points: np.ndarray, m: int, order: int) -> np.ndarray:
-    """Basis jets at finite points: out[i, k, j] is entry k of basis function j at points[i].
-
-    Entry k of (z - mu)^(-j) at w is (-1)^k C(j+k-1, k) (w - mu)^(-j-k) for
-    j >= 1; entry k of z^j (mu = INF) is C(j, k) w^(j-k).
-    """
-    coeff, exponent = _basis_terms(m, order, is_inf(mu))
-    base = points if is_inf(mu) else 1.0 / (points - mu)
-    return coeff * base[:, None, None] ** exponent
+# (factor, exponent) of entry k of basis function j in _basis_table, by the kind of basis and point
+_BASIS_TERMS = {
+    "pole": lambda k, j: ((-1) ** k * math.comb(j + k - 1, k) if j else float(k == 0), j + k),
+    "polynomial": lambda k, j: (math.comb(j, k), max(j - k, 0)),
+    "infinity": lambda k, j: (math.comb(k - 1, k - j), k - j) if 1 <= j <= k else (float(j == k == 0), 0),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_terms(m: int, order: int, polynomial: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The binomial factors and exponents of _basis_table, per (m, order) and basis, read-only."""
-    k, j = np.arange(order + 1)[:, None], np.arange(m)[None, :]
-    if polynomial:
-        exponent = np.maximum(j - k, 0)
-        coeff = [[math.comb(jj, kk) for jj in range(m)] for kk in range(order + 1)]
-    else:
-        exponent = j + k
-        coeff = [[(-1) ** kk * math.comb(jj + kk - 1, kk) if jj else float(kk == 0) for jj in range(m)]
-                 for kk in range(order + 1)]
-    coeff = np.asarray(coeff, dtype=float)
+def _basis_terms(m: int, order: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The factors and exponents of _basis_table for one kind of _BASIS_TERMS, per (m, order), read-only."""
+    terms = np.array([[_BASIS_TERMS[kind](k, j) for j in range(m)] for k in range(order + 1)], dtype=float)
+    coeff, exponent = terms.reshape(order + 1, m, 2).transpose(2, 0, 1)
     coeff.flags.writeable = exponent.flags.writeable = False
     return coeff, exponent
 
@@ -287,11 +270,7 @@ class _CalculusPlan:
         layout = _layout(pair)
         self.mu = mu
         self.size = m = layout.below.size  # total critical degree m
-        lengths, (values, finite) = layout.lengths, pair.report._point_array
-        table = np.zeros((lengths.size, int(lengths.max(initial=1)), m), dtype=complex)  # basis jets by point
-        table[finite] = _basis_table(mu, values[finite], m, table.shape[1] - 1)
-        for i in np.flatnonzero(~finite).tolist():
-            table[i, : lengths[i]] = _basis_jets(mu, INF, m, int(lengths[i]) - 1)
+        table = _basis_table(mu, *pair.report._point_array, m, int(layout.lengths.max(initial=1)) - 1)
         self.basis = table[layout.owner, layout.entry]
         self.q_jets = _packed_jets(pair, pair.q, layout)
         self.owner, self.top, self.below = layout.owner, layout.top, layout.below
@@ -304,8 +283,6 @@ def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
     plans = pair._calculus_plans
     if key not in plans:
         point = pair.calculus_point if key is None else key
-        if point is None:  # a pair not made by verify_definitizing keeps no calculus point
-            point = _calculus_point(pair.report, pair.q)
         if pair.report.contains(point):
             raise ValidationError("base point mu must lie in the resolvent set")
         plans[key] = _CalculusPlan(pair, point)
@@ -378,7 +355,7 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
 
 def decompose_polynomial(pair: DefinitizablePair, phi: JetFunction) -> Decomposition:
     """decompose with mu = INF: a polynomial rational part; needs a bounded relation."""
-    if pair.report.inf_multiplicity() > 0:
+    if pair.report.multiplicity_of(INF) > 0:
         raise NotBoundedError("polynomial decomposition needs infinity in the resolvent set")
     return decompose(pair, phi, mu=INF)
 

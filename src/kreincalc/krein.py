@@ -117,10 +117,13 @@ class DefinitizablePair:
     psd_eig: tuple = field(default=None, repr=False)
     # the resolvents solved with q(A): at the poles of q, _resolvent_point and _calculus_point
     resolvents: ResolventStack = field(default=None, repr=False)
-    # _calculus_point(report, q) as verify_definitizing found it; None on a pair built otherwise
-    calculus_point: complex = field(default=None, init=False, repr=False)
     # calculus plans by base point, built and read by jetcalc
     _calculus_plans: dict = field(default_factory=dict, init=False, repr=False)
+
+    @functools.cached_property
+    def calculus_point(self) -> complex:
+        """The calculus's default base point, _calculus_point of the pair's own report and q."""
+        return _calculus_point(self.report, self.q)
 
     @property
     def critical_points(self) -> tuple[object, ...]:
@@ -207,7 +210,7 @@ def verify_definitizing(
         "hermitian_residual": q_residual,
         "psd_margin": float(kept.min()) if kept.size else 0.0,
     }
-    pair = DefinitizablePair(
+    return DefinitizablePair(
         space=space,
         relation=rel,
         q=q,
@@ -219,8 +222,6 @@ def verify_definitizing(
         psd_eig=tuple(psd_eig),
         resolvents=resolvents,
     )
-    object.__setattr__(pair, "calculus_point", shifts[-1])
-    return pair
 
 
 @dataclass(frozen=True, eq=False)

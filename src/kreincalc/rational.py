@@ -428,26 +428,23 @@ class RationalFunction:
         At infinity this is the jet of z -> r(1/z) at zero.  Raises when w is
         a pole.
         """
-        w = as_point(w)
-        if is_inf(w):  # num and den reversed, the shorter padded: r(1/t) at t = 0
-            num, den = self.num.coeffs[::-1].tolist(), self.den.coeffs[::-1].tolist()
-            num, den = ([0j] * (max(len(num), len(den)) - len(c)) + c for c in (num, den))
-            if _vanishes(den, COEFF_TRIM_TOL):  # the pole test of a jet quotient
-                raise JetAtPoleError("jet requested at the pole infinity")
-            return np.array(_series_divide(num, den, order + 1), dtype=complex)
-        return np.array(self._jets([w], [order + 1]), dtype=complex)
+        return np.array(self._jets([as_point(w)], [order + 1]), dtype=complex)
 
     def _jets(self, points, lengths) -> list:
-        """jet_at at finite points, the k-th jet through entry lengths[k] - 1, end to end in one list.
+        """jet_at at points (complex or INF), the k-th jet through entry lengths[k] - 1, end to end in one list.
 
         A jet takes as many Taylor-shift passes of num as it has entries; den is shifted in full, for the
-        pole test, and its leading entries divide."""
+        pole test, and its leading entries divide.  At infinity num and den are reversed, the shorter padded."""
         num, den, out = self.num.coeffs.tolist(), self.den.coeffs.tolist(), []
         for w, length in zip(points, lengths):
-            bottom = _taylor_shift(den, w)
+            if is_inf(w):
+                top, bottom = num[::-1], den[::-1]
+                top, bottom = ([0j] * (max(len(top), len(bottom)) - len(c)) + c for c in (top, bottom))
+            else:
+                top, bottom = _taylor_shift(num, w, length), _taylor_shift(den, w)
             if _vanishes(bottom, COEFF_TRIM_TOL):
-                raise JetAtPoleError(f"jet requested at pole {w}")
-            out += _series_divide(_taylor_shift(num, w, length), bottom, length)
+                raise JetAtPoleError(f"jet requested at {'the pole infinity' if is_inf(w) else f'pole {w}'}")
+            out += _series_divide(top, bottom, length)
         return out
 
     def partial_fractions(self) -> PartialFractions:

@@ -59,12 +59,6 @@ class SpectrumReport:
     points: tuple[tuple[object, int], ...]
     is_full_sphere: bool = False
 
-    def inf_multiplicity(self) -> int:
-        for p, m in self.points:
-            if is_inf(p):
-                return m
-        return 0
-
     @functools.cached_property
     def _point_array(self) -> tuple[np.ndarray, np.ndarray]:
         """The points as a complex array, inf at the point infinity, and the mask of the finite ones."""

@@ -440,10 +440,13 @@ class TestExactReference:
         for w in points:
             for length in range(1, 5):
                 assert _close(case.q.jet_at(complex(w), length - 1), _exact_jet(case.num, case.den, w, length))
-        # the batch the calculus plan takes: all values, longer jets where asked
+        # the batch the calculus plan takes: all values, infinity among them where it is no pole, longer jets
+        # where asked
+        if len(case.num) <= len(case.den):
+            points.insert(2, INF)
         lengths = [1 + k % 4 for k in range(len(points))]
         want = [e for w, n in zip(points, lengths) for e in _exact_jet(case.num, case.den, w, n)]
-        got = case.q._jets([complex(w) for w in points], lengths)
+        got = case.q._jets([w if w is INF else complex(w) for w in points], lengths)
         start = 0
         for w, n in zip(points, lengths):
             assert _close(got[start: start + n], want[start: start + n]), (w, n)
@@ -454,6 +457,8 @@ class TestExactReference:
             assert _close(PROPER.q.jet_at(INF, length - 1), _exact_jet(PROPER.num, PROPER.den, INF, length))
         with pytest.raises(JetAtPoleError, match="infinity"):
             IMPROPER.q.jet_at(INF, 0)
+        with pytest.raises(JetAtPoleError, match="infinity"):
+            IMPROPER.q._jets([0.5, INF], [1, 2])
 
     @pytest.mark.parametrize("near", [False, True], ids=["at", "near"])
     def test_jets_at_a_pole_raise(self, near):

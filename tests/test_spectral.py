@@ -152,7 +152,7 @@ class TestSpectrum:
             eigs = [(complex(v), 1) for v in np.linalg.eigvals(a)]
             assert match_point_sets(eigs, rep.points, tol=1e-7)
             assert sum(m for _, m in rep.points) == 4
-            assert rep.inf_multiplicity() == 0
+            assert rep.multiplicity_of(INF) == 0
 
     def test_graph_columns_with_point_at_infinity(self):
         # [DERIVED]: X = diag(1,0), Y = diag(0,1) pairs eigenvalue 0 with
@@ -168,7 +168,7 @@ class TestSpectrum:
         x = np.array([[0.0, 1.0], [0.0, 0.0]])
         rel = LinearRelation.from_graph_columns(x, np.eye(2))
         rep = spectrum(rel)
-        assert rep.inf_multiplicity() == 2
+        assert rep.multiplicity_of(INF) == 2
         assert sum(m for _, m in rep.points) == 2
 
     def test_nonproper_relation_gives_full_sphere(self):
@@ -729,13 +729,13 @@ class TestInfinityCount:
         monkeypatch.setattr(spectral, "_inf_multiplicity", both)
         rep = spectrum(rel)
         assert len(seen) == 1 and seen[0][0] == seen[0][1], seen
-        assert rep.inf_multiplicity() == seen[0][0]
+        assert rep.multiplicity_of(INF) == seen[0][0]
 
     def test_no_point_at_infinity_asks_for_no_singular_vectors(self, monkeypatch):
         rel = LinearRelation.from_operator(random_operator(np.random.default_rng(62), 8))
         calls = _record_svds(monkeypatch)
         rep = spectrum(rel)
-        assert rep.inf_multiplicity() == 0
+        assert rep.multiplicity_of(INF) == 0
         # the pencil probe, then the kernel of K = M^-1 X, found empty from its singular values alone
         assert calls == [False, False]
 
@@ -746,4 +746,4 @@ class TestInfinityCount:
         # as many calls as with vectors at every step ([False, True, True]):
         # the probe, the kernel found with vectors, and its growth ruled out from values
         assert calls == [False, True, False]
-        assert rep.inf_multiplicity() == rel.mul().dim == 2
+        assert rep.multiplicity_of(INF) == rel.mul().dim == 2
