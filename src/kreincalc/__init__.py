@@ -47,7 +47,6 @@ _EXPORTS = {
         "embed_rational",
         "indicator",
         "jet_multiply",
-        "jet_one",
         "norm_f",
         "spectral_projection",
     ),
@@ -71,11 +70,9 @@ _EXPORTS = {
         "Subspace",
         "as_point",
         "chordal_distance",
-        "conj_point",
         "diagonal_image",
         "diagonal_preimage",
         "is_inf",
-        "point_sort_key",
     ),
     "spectral": ("SpectrumReport", "rational_apply", "resolvent_at", "spectrum"),
 }

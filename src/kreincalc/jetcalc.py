@@ -54,7 +54,7 @@ from .errors import (
 )
 from .krein import DefinitizablePair, Factorization
 from .rational import Polynomial, RationalFunction
-from .relations import INF, as_point, conj_point, frobenius, is_inf, point_sort_key
+from .relations import INF, as_point, frobenius, is_inf, point_sort_key, require_finite
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import _pole_in_spectrum, rational_apply  # noqa: F401
@@ -104,12 +104,6 @@ def _require_layout(pair: DefinitizablePair, other: DefinitizablePair, message: 
         raise ValidationError(message)
 
 
-def jet_one(length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=complex)
-    out[0] = 1.0
-    return out
-
-
 class JetFunction:
     """A map from the spectral points of a pair to jets of the right lengths, held packed."""
 
@@ -126,6 +120,7 @@ class JetFunction:
             jets.append(v)
         self.pair = pair
         self._jets = np.concatenate(jets) if jets else np.zeros(0, dtype=complex)
+        require_finite(self._jets, "jet entries")
 
     @property
     def values(self) -> MappingProxyType:
@@ -187,7 +182,7 @@ class JetFunction:
     def sharp(self) -> "JetFunction":
         """phi^#(w) = conj(phi(conj w)); the spectrum is conjugation symmetric."""
         points = self.pair.points
-        mates = self.pair._match([conj_point(w) for w in points], POINT_MATCH_TOL)
+        mates = self.pair._match([w.conjugate() for w in points], POINT_MATCH_TOL)
         values = self.values
         return JetFunction(self.pair, {w: np.conj(values[points[i]]) for w, i in zip(points, mates.tolist())})
 
@@ -205,7 +200,9 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
     pole = _pole_in_spectrum(func, pair.report)
     if pole is not None:
         raise PoleMeetsSpectrumError(f"pole {pole} meets the spectrum")
-    return JetFunction._from_packed(pair, _packed_jets(pair, func, _layout(pair)))
+    jets = _packed_jets(pair, func, _layout(pair))
+    require_finite(jets, "jets of the function")
+    return JetFunction._from_packed(pair, jets)
 
 
 def _packed_jets(pair: DefinitizablePair, func: RationalFunction, layout: _Layout) -> np.ndarray:
@@ -230,7 +227,10 @@ def _basis_table(mu, values: np.ndarray, finite: np.ndarray, m: int, order: int)
     out[finite] = coeff * base[:, None, None] ** exponent
     if not finite.all():
         coeff, exponent = _basis_terms(m, order, "infinity")
-        out[~finite] = coeff * np.power(mu, exponent)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[~finite] = rows = coeff * np.power(mu, exponent)
+        if not np.isfinite(rows).all():
+            raise ValidationError(f"base point mu = {mu} is too large: its powers at infinity overflow")
     return out
 
 
@@ -411,20 +411,18 @@ def spectral_projection(fact: Factorization, delta, mu=None) -> np.ndarray:
     """The calculus applied to the indicator of delta; a bounded projection."""
     proj = apply_calculus(fact, indicator(fact.pair, delta), mu)
     resid = frobenius(proj @ proj - proj)
-    if resid > IDENTITY_TOL * max(1.0, frobenius(proj) ** 2):
+    if not resid <= IDENTITY_TOL * max(1.0, frobenius(proj) ** 2):
         raise InconsistencyError("spectral projection failed to be idempotent")
     return proj
 
 
 def norm_f(phi: JetFunction) -> float:
-    """Sup of |phi| off the critical points plus the sum of critical jet norms."""
-    pair = phi.pair
-    values = phi.values
-    flat = 0.0
-    jets = 0.0
-    for w in pair.points:
-        if pair.degrees[w] == 0:
-            flat = max(flat, abs(complex(values[w][0])))
+    """Sup of |phi| off the critical points plus the sum of critical jet norms; ValidationError if it overflows."""
+    flat, jets = 0.0, 0.0
+    for w, jet in phi.values.items():
+        if phi.pair.degrees[w] == 0:
+            flat = max(flat, abs(complex(jet[0])))
         else:
-            jets += float(np.abs(values[w]).max())
+            jets += float(np.abs(jet).max())
+    require_finite(flat + jets, "the norm")
     return flat + jets

@@ -37,6 +37,7 @@ from .errors import (
 from .rational import RationalFunction
 from .relations import (
     LinearRelation,
+    _sv_cutoff,
     as_point,
     frobenius,
     hermitian_residual,
@@ -45,7 +46,7 @@ from .relations import (
 )
 from .spectral import ResolventStack, SpectrumReport, rational_apply, resolvent_at, spectrum
 from .tolerances import (ATOM_MATCH_TOL, COMMUTANT_TOL, FACTOR_TOL, HERMITIAN_TOL, IDENTITY_TOL, MEASURE_TOL,
-                         POINT_MATCH_TOL, PSD_CUTOFF, PSD_TOL, RANK_TOL, REALNESS_TOL)
+                         POINT_MATCH_TOL, PSD_TOL, RANK_TOL, REALNESS_TOL)
 
 
 class GramSpace:
@@ -63,7 +64,7 @@ class GramSpace:
         gram = (gram + gram.conj().T) / 2.0
         if gram.shape[0] > 0:
             w = np.abs(np.linalg.eigvalsh(gram))
-            if float(w.min()) <= RANK_TOL * max(1.0, float(w.max())):
+            if float(w.min()) <= _sv_cutoff(w, RANK_TOL):
                 raise ValidationError("Gram matrix must be invertible")
         self.gram = gram
 
@@ -204,7 +205,7 @@ def verify_definitizing(
     mates = report.match(values[finite & ~zero].conj(), POINT_MATCH_TOL)
     if (mates < 0).any() or zero[mates].any():
         raise InconsistencyError("critical spectrum is not symmetric under conjugation")
-    kept = psd_eig[0][_psd_kept(psd_eig[0])]
+    kept = psd_eig[0][psd_eig[0] > _sv_cutoff(np.abs(psd_eig[0]), RANK_TOL)]  # the eigenvalues gram_factorize keeps
     diagnostics = {
         "self_adjoint_residual": self_adjoint_residual,
         "hermitian_residual": q_residual,
@@ -277,7 +278,7 @@ def _pull_back(factor: np.ndarray, left_inverse: np.ndarray, mat: np.ndarray) ->
     image = mat @ factor
     out = left_inverse @ image
     resid = frobenius(image - factor @ out)
-    if resid > IDENTITY_TOL * max(1.0, frobenius(image)):
+    if not resid <= IDENTITY_TOL * max(1.0, frobenius(image)):
         raise InconsistencyError("range of the factor is not invariant under the operator")
     return out
 
@@ -292,24 +293,24 @@ def _measure_from_resolvent(res: np.ndarray, mu: float, report: SpectrumReport) 
     matches no point is an inconsistency.
     """
     r = res.shape[0]
-    if hermitian_residual(res) > IDENTITY_TOL:
+    if not hermitian_residual(res) <= IDENTITY_TOL:
         raise NotSelfAdjointError("relation is not self-adjoint on the Hilbert space")
     res = (res + res.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(res)
-    at_inf = np.abs(eigvals) <= RANK_TOL * max(1.0, float(np.abs(eigvals).max()))
+    at_inf = np.abs(eigvals) <= _sv_cutoff(np.abs(eigvals), RANK_TOL)
     hits = report.match(mu + np.divide(1.0, eigvals, out=np.full(r, np.inf), where=~at_inf), ATOM_MATCH_TOL)
     if (hits < 0).any():
         raise InconsistencyError("an eigenvalue of the compressed resolvent matches no spectral point")
     measure = SpectralMeasure(eigvecs, hits, tuple(w for w, _ in report.points))
     eye = np.eye(r, dtype=complex)
-    if frobenius(measure.total() - eye) > MEASURE_TOL * max(1.0, float(np.sqrt(r))):
+    if not frobenius(measure.total() - eye) <= MEASURE_TOL * max(1.0, float(np.sqrt(r))):
         raise InconsistencyError("spectral projectors do not sum to the identity")
     probe = 0.2131 + 1.3703j
     at_probe = np.array([0.0 if is_inf(p) else 1.0 / (complex(p) - probe) for p in measure.points], dtype=complex)
     recon = (eigvecs * at_probe[hits]) @ eigvecs.conj().T  # the integral of 1 / (p - probe), column by column
     # the resolvent at the probe, res (I + (mu - probe) res)^{-1}
     resid = frobenius(recon - np.linalg.solve(eye + (mu - probe) * res, res))
-    if resid > MEASURE_TOL * max(1.0, frobenius(recon)):
+    if not resid <= MEASURE_TOL * max(1.0, frobenius(recon)):
         raise InconsistencyError("spectral measure does not reproduce the resolvent")
     return measure
 
@@ -365,18 +366,11 @@ class Factorization:
         return self.factor_adjoint @ self.factor
 
 
-def _psd_kept(eigvals: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues of Hermitian(G q(A)) above PSD_CUTOFF * ||H||."""
-    scale = float(np.abs(eigvals).max()) if eigvals.size else 0.0
-    # floored scale: rounding noise in a numerically vanishing q(A) is not rank
-    return eigvals > PSD_CUTOFF * max(scale, 1.0)
-
-
 def gram_factorize(pair: DefinitizablePair) -> Factorization:
     """Factor q(A) = T T^+ and compress the relation to the factor space.
 
-    Eigenvalues of Hermitian(G q(A)) at or below PSD_CUTOFF * ||H|| are
-    discarded as zeros; the retained part determines the rank r, the factor
+    Eigenvalues of Hermitian(G q(A)) at or below the rank cut of their
+    moduli (_sv_cutoff at RANK_TOL) are discarded as zeros; the retained part determines the rank r, the factor
     T and its adjoint.  q(A) is invertible on the root subspace of every
     spectral point where q does not vanish, so r below n minus the
     multiplicities of the critical points is an inconsistency.  With
@@ -390,7 +384,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     g = pair.space.gram
     n = pair.space.dim
     eigvals, eigvecs = pair.psd_eig
-    keep = _psd_kept(eigvals)
+    keep = eigvals > _sv_cutoff(np.abs(eigvals), RANK_TOL)  # floored: the noise of a vanishing q(A) is not rank
     rank = int(keep.sum())
     # degrees holds the points in the report's order
     bound = n - sum(m for (_, m), d in zip(pair.report.points, pair.degrees.values()) if d > 0)
@@ -402,7 +396,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     factor = np.linalg.solve(g, factor_adjoint.conj().T)
     left_inverse = (u_plus.conj().T @ g) / roots[:, None]
     resid_factor = frobenius(factor @ factor_adjoint - pair.q_matrix)
-    if resid_factor > FACTOR_TOL * max(1.0, frobenius(pair.q_matrix)):
+    if not resid_factor <= FACTOR_TOL * max(1.0, frobenius(pair.q_matrix)):
         raise InconsistencyError("T T^+ failed to reproduce q(A)")
     mu = _resolvent_point(pair.report)
     if rank == 0:
@@ -431,7 +425,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
 
 def _check_commutes(a: np.ndarray, b: np.ndarray, what: str) -> None:
     scale = max(1.0, frobenius(a) * frobenius(b))
-    if frobenius(a @ b - b @ a) > COMMUTANT_TOL * scale:
+    if not frobenius(a @ b - b @ a) <= COMMUTANT_TOL * scale:
         raise NotInCommutantError(what)
 
 
@@ -445,12 +439,13 @@ def theta_op(fact: Factorization, mat: np.ndarray) -> np.ndarray:
     n = fact.pair.space.dim
     if mat.shape != (n, n):
         raise ValidationError("operator matrix has the wrong shape")
+    require_finite(mat, "operator matrix")
     _check_commutes(mat, fact.gram_product, "operator does not commute with q(A)")
     if fact.rank == 0:
         return np.zeros((0, 0), dtype=complex)
     out = _pull_back(fact.factor, fact.left_inverse, mat)
     resid = frobenius(fact.factor_adjoint @ mat - out @ fact.factor_adjoint)
-    if resid > IDENTITY_TOL * max(1.0, frobenius(mat)):
+    if not resid <= IDENTITY_TOL * max(1.0, frobenius(mat)):
         raise InconsistencyError("intertwining identity for the transported operator failed")
     return out
 
@@ -461,6 +456,7 @@ def xi(fact: Factorization, mat: np.ndarray) -> np.ndarray:
     r = fact.rank
     if mat.shape != (r, r):
         raise ValidationError("factor-space operator has the wrong shape")
+    require_finite(mat, "factor-space operator")
     _check_commutes(mat, fact.factor_product, "operator does not commute with T^+ T")
     return fact.factor @ mat @ fact.factor_adjoint
 

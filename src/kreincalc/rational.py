@@ -77,15 +77,6 @@ def _cluster_members(values, tol: float) -> list[tuple[complex, list[int]]]:
     return out
 
 
-def cluster_values(values, tol: float) -> list[tuple[complex, int]]:
-    """Greedy clustering of complex values into (center, count) groups.
-
-    The radius scales with |center| so large roots cluster sensibly.  Order of
-    the result is deterministic (sorted by real part, then imaginary part).
-    """
-    return [(c, len(m)) for c, m in _cluster_members(values, tol)]
-
-
 def _taylor_shift(coeffs: list, w: complex, terms: int | None = None) -> list:
     """Taylor coefficients of t -> p(w + t), by repeated synthetic division in Python complex arithmetic.
 
@@ -212,10 +203,6 @@ class Polynomial:
     def conj_reflect(self) -> "Polynomial":
         """Coefficient-wise conjugate; realizes p -> conj(p(conj z))."""
         return Polynomial(np.conj(self.coeffs))
-
-    def shifted(self, w: complex) -> np.ndarray:
-        """Coefficients of t -> p(w + t), i.e. the full Taylor jet at w."""
-        return np.array(_taylor_shift(self.coeffs.tolist(), complex(w)), dtype=complex)
 
     def roots(self) -> np.ndarray:
         if self.degree < 1:

@@ -66,10 +66,6 @@ def as_point(p):
     return z
 
 
-def conj_point(p):
-    return INF if is_inf(p) else complex(p).conjugate()
-
-
 def chordal_distance(p, q) -> float:
     """Metric on the extended plane: |p-q| / sqrt((1+|p|^2)(1+|q|^2))."""
     p, q = as_point(p), as_point(q)
@@ -93,8 +89,9 @@ def point_sort_key(p):
 # -- numerical subspace primitives ----------------------------------------
 
 
-def _sv_cutoff(s: np.ndarray, rank_tol: float) -> float:
-    top = float(s[0]) if s.size else 0.0
+def _sv_cutoff(values: np.ndarray, rank_tol: float) -> float:
+    """Rank cut of nonnegative values, singular values or eigenvalue moduli: rank_tol times the largest, floored at 1."""
+    top = float(values.max()) if values.size else 0.0
     return rank_tol * max(top, 1.0)
 
 
@@ -310,10 +307,6 @@ class MoebiusMap:
         """Action on stacked graph vectors: (x; y) -> (d x + c y; b x + a y)."""
         eye = np.eye(n, dtype=complex)
         return np.block([[self.d * eye, self.c * eye], [self.b * eye, self.a * eye]])
-
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
     def inversion(cls) -> "MoebiusMap":

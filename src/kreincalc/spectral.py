@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .rational import RationalFunction, cluster_values
+from .rational import RationalFunction, _cluster_members
 from .relations import (
     INF,
     _UNBOUNDED,
@@ -42,9 +42,10 @@ from .relations import (
     is_inf,
     null_space,
     point_sort_key,
+    require_finite,
     stable_svd,
 )
-from .tolerances import INF_EIGENVALUE_TOL, RANK_TOL, RESOLVENT_DIST_TOL, SHIFT_COND, SPECTRUM_CLUSTER_TOL
+from .tolerances import POINT_MATCH_TOL, RANK_TOL, SHIFT_COND, SPECTRUM_CLUSTER_TOL
 
 # Fixed probe points for singular-pencil detection and the shift; any three
 # distinct values away from typical spectra work, determinism is what matters.
@@ -88,13 +89,13 @@ class SpectrumReport:
         return np.where(at_inf, -1 if finite.all() else int(finite.argmin()), hits)
 
     def _index_of(self, z) -> int:
-        """match([z], RESOLVENT_DIST_TOL)[0] for one point, in scalar arithmetic."""
+        """match([z], POINT_MATCH_TOL)[0] for one point, in scalar arithmetic."""
         z, (values, finite) = as_point(z), self._point_array
         if is_inf(z):
             return -1 if finite.all() else int(finite.argmin())
         dist = [abs(z - p) for p in values.tolist()]  # inf at the point infinity
         i = dist.index(min(dist)) if dist else -1
-        return i if i >= 0 and dist[i] <= RESOLVENT_DIST_TOL else -1
+        return i if i >= 0 and dist[i] <= POINT_MATCH_TOL else -1
 
     def multiplicity_of(self, z) -> int:
         if self.is_full_sphere:
@@ -126,7 +127,7 @@ def spectrum(rel: LinearRelation) -> SpectrumReport:
     nu = (omega - lam0.conjugate()) / (1.0 + abs(lam0) ** 2)
     inf_count = _inf_multiplicity(solved[:, :n], lam0, nu)
     finite = _rayleigh_points(x @ vecs, y @ vecs, inf_count)
-    entries: list[tuple[object, int]] = list(cluster_values(finite, SPECTRUM_CLUSTER_TOL))
+    entries: list[tuple[object, int]] = [(c, len(m)) for c, m in _cluster_members(finite, SPECTRUM_CLUSTER_TOL)]
     if inf_count:
         entries.append((INF, inf_count))
     entries.sort(key=lambda t: point_sort_key(t[0]))
@@ -173,14 +174,14 @@ def _rayleigh_points(xv: np.ndarray, yv: np.ndarray, inf_count: int) -> list[com
 def _inf_multiplicity(k: np.ndarray, lam0: complex, nu: np.ndarray) -> int:
     """Algebraic multiplicity of infinity, the eigenvalue 0 of K = M^{-1} X.
 
-    An eigenvalue nu of K is the homogeneous pencil eigenvalue
-    (alpha, beta) = (1 + lam0 nu, nu), infinite when |beta| is negligible.
-    A Jordan chain at infinity splits its nu by about eps^(1/length), which
-    that test misses, so the generalized kernel of K, ker K^j for growing j,
-    is found by rank decisions as well, and the larger count is taken.
+    It is the dimension of the generalized kernel of K, ker K^j for growing
+    j, by rank decisions.  An eigenvalue nu of K is the homogeneous pencil
+    eigenvalue (1 + lam0 nu, nu), infinite when |nu| is below RANK_TOL (relative);
+    a Jordan chain at infinity splits its nu by about eps^(1/length), so their
+    count is at most that dimension and only lets the first steps skip the SVD.
     """
     size = np.maximum(np.maximum(np.abs(1.0 + lam0 * nu), np.abs(nu)), 1.0)
-    by_eigenvalue = int((np.abs(nu) <= INF_EIGENVALUE_TOL * size).sum())
+    by_eigenvalue = int((np.abs(nu) <= RANK_TOL * size).sum())
     kernel = np.zeros((k.shape[0], 0), dtype=complex)  # orthonormal basis of ker K^j
     while True:
         dim = kernel.shape[1]
@@ -189,10 +190,10 @@ def _inf_multiplicity(k: np.ndarray, lam0: complex, nu: np.ndarray) -> int:
         if dim >= by_eigenvalue:
             s = stable_svd(resid, compute_uv=False)
             if k.shape[0] - int((s > _sv_cutoff(s, RANK_TOL)).sum()) == dim:
-                return max(by_eigenvalue, dim)
+                return dim
         kernel = null_space(resid)
         if kernel.shape[1] == dim:
-            return max(by_eigenvalue, dim)
+            return dim
 
 
 def _pole_in_spectrum(func: RationalFunction, report: SpectrumReport):
@@ -257,10 +258,10 @@ def rational_apply(
     """Evaluate r = p + sum_k sum_j c_kj (z - p_k)^-j as p(A) + sum_k sum_j c_kj R(p_k)^j.
 
     Every pole, infinity included when p has degree >= 1, must lie in the
-    resolvent set; each pole is tested with SpectrumReport.contains.  The
-    resolvents X (Y - p_k X)^{-1} of all finite poles are read from
-    resolvents, which must hold them, or else from one ResolventStack of the
-    poles; A = Y X^{-1} is ``rel.operator_matrix()``, and each power is formed once.
+    resolvent set; each pole is tested with SpectrumReport.contains, and r(A)
+    must be finite.  The resolvents X (Y - p_k X)^{-1} of all finite poles are
+    read from resolvents, which must hold them, or else from one ResolventStack
+    of the poles; A = Y X^{-1} is ``rel.operator_matrix()``, and each power is formed once.
     """
     n = rel.space_dim
     report = spectrum(rel) if report is None else report
@@ -278,9 +279,11 @@ def rational_apply(
         resolvents = ResolventStack(rel, [pole for pole, _ in parts]) if resolvents is None else resolvents
         series += [(res, res, coeffs) for pole, coeffs in parts for res in [resolvents[pole]]]
     out = np.zeros((n, n), dtype=complex)
-    for power, factor, coeffs in series:
-        for j, coeff in enumerate(coeffs):
-            if j:
-                power = power @ factor
-            out += complex(coeff) * power
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in the finiteness check
+        for power, factor, coeffs in series:
+            for j, coeff in enumerate(coeffs):
+                if j:
+                    power = power @ factor
+                out += complex(coeff) * power
+    require_finite(out, "r(A)")
     return out

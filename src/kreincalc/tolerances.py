@@ -17,13 +17,13 @@ default, because a caller sets them:
   it decides the atoms of the factor-space measure, assigning each
   eigenvalue of the compressed resolvent to a point of the pair.
 
-The radius of ``rational.cluster_values`` has no default either: polynomial
+The radius of ``rational._cluster_members`` has no default either: polynomial
 roots cluster at ``ROOT_CLUSTER_TOL``, pencil eigenvalues at
 ``SPECTRUM_CLUSTER_TOL``.
 """
 
 # -- rank and subspaces
-RANK_TOL = 1e-10  # relative singular-value threshold for rank decisions
+RANK_TOL = 1e-10  # relative cut of every rank decision (relations._sv_cutoff), on singular values and eigenvalues
 SUBSPACE_EQ_TOL = 1e-8  # subspaces are equal when their projectors differ by less
 CONTAINMENT_TOL = 1e-8  # residual threshold for subspace containment
 MOEBIUS_DET_TOL = 1e-12  # Möbius matrix singular: |det| <= this * (largest entry)^2
@@ -48,12 +48,9 @@ POLE_SEPARATION_TOL = 1e-13  # partial fractions: other pole clusters vanish at 
 REALNESS_TOL = 1e-8  # imaginary parts below this (relative) count as real
 
 # -- spectra
-# resolvent set: farther than this from the spectrum; also for a base point mu
-RESOLVENT_DIST_TOL = 1e-7
 SPECTRUM_CLUSTER_TOL = 1e-7  # closer eigenvalues merge into one spectral point
-POINT_MATCH_TOL = 1e-7  # user spectral labels match computed points at this distance
+POINT_MATCH_TOL = 1e-7  # a label, pole or base point this close to a computed point is that spectral point
 ATOM_MATCH_TOL = 1e-6  # an eigenvalue of the factor-space measure is the pair's point this close
-INF_EIGENVALUE_TOL = 1e-10  # pencil eigenvalue nu of M^{-1} X is infinite (relative)
 # A regular probe serves as the pencil shift at once when cond(Y - lam0 X)
 # is below this; otherwise the best-conditioned regular probe does.
 SHIFT_COND = 1e3
@@ -65,7 +62,6 @@ SHIFT_COND = 1e3
 # the err_not_selfadjoint fixture, on a Hilbert space, reads 1.4.
 HERMITIAN_TOL = 1e-8
 PSD_TOL = 1e-8  # positive semidefinite: eigenvalues above -PSD_TOL * ||H|| pass
-PSD_CUTOFF = 1e-10  # eigenvalues of G q(A) below this * ||H|| are exact zeros
 COMMUTANT_TOL = 1e-8  # commutation check threshold (relative)
 FACTOR_TOL = 1e-6  # residual of T T^+ = q(A) (relative)
 # Residual of the spectral measure (relative): its projectors sum to I and it

@@ -322,3 +322,24 @@ def riesz_projection(x, y, center, radius, nodes=64):
     pencils = y - (center + steps)[:, None, None] * x
     inverses = np.linalg.solve(pencils, np.broadcast_to(np.eye(len(x)), pencils.shape))
     return -x @ np.tensordot(steps, inverses, axes=1) / nodes
+
+
+def riesz_calculus(x, y, jets):
+    """phi(A) = sum_w sum_k phi_k(w) N_w^k P_w for the operator A = Y X^-1 with graph basis (x; y).
+
+    jets maps every spectral point w, all finite, to phi's Taylor jet there,
+    as long as the Jordan chains at w.  P_w is riesz_projection on a circle
+    of half the distance to the nearest other point (radius 1 for a lone
+    one), and N_w = (A - w) P_w is nilpotent.  Like the projections, the sum
+    uses neither q nor any step of kreincalc.
+    """
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    a, eye = np.linalg.solve(x.T, y.T).T, np.eye(len(x))  # A = Y X^-1
+    out = np.zeros_like(x)
+    for w, jet in jets.items():
+        gaps = [abs(w - other) for other in jets if other != w]
+        power = riesz_projection(x, y, w, min(gaps) / 2.0 if gaps else 1.0)  # N_w^k P_w = (A - w)^k P_w, from k = 0
+        for coeff in jet:
+            out += coeff * power
+            power = (a - w * eye) @ power
+    return out

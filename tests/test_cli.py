@@ -9,8 +9,10 @@ precondition, 4 internal inconsistency.
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +56,20 @@ ERROR_RUNS = [
 ]
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(*argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = cli.main(list(argv))
     text = buf.getvalue()
-    return rc, json.loads(text) if text else None
+    return rc, strict_json(text) if text else None
 
 
 def run_on(command, fixture, *extra):
@@ -268,7 +278,7 @@ class TestByteStability:
         first, second = (p.read_bytes() for p in paths)
         assert first == second
         assert first.endswith(b"}\n")
-        json.loads(first)
+        strict_json(first)
 
 
 class TestErrorExits:
@@ -417,6 +427,26 @@ class TestNonFiniteInput:
         assert rc == 2
         assert doc["error"]["code"] == "validation"
         assert "finite" in doc["error"]["message"]
+
+    # r = 1e308 (1 + z + z^2) overflows r(A) and its jets on the running example;
+    # mul3.json is critical at infinity to degree 3, where the basis rows hold mu^2
+    @pytest.mark.parametrize("command,fixture,extra,message", [
+        ("rational-apply", "err_overflow.json", (), r"r\(A\) must be finite"),
+        ("theta", "err_overflow.json", (), r"r\(A\) must be finite"),
+        ("xi", "err_overflow.json", (), r"r\(A\) must be finite"),
+        ("calculus", "err_overflow.json", (), "jets of the function must be finite"),
+        ("norm-f", "err_overflow.json", (), "jets of the function must be finite"),
+        ("calculus", "mul3.json", ("--mu", "0", "1e200"), "too large: its powers at infinity overflow"),
+        ("project", "mul3.json", ("--mu", "0", "1e200"), "too large: its powers at infinity overflow"),
+    ])
+    def test_a_result_that_overflows_is_a_validation_error(self, command, fixture, extra, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, doc = run_on(command, fixture, *extra)
+            assert rc == 2 and doc["error"]["code"] == "validation"
+            assert re.search(message, doc["error"]["message"])
+            if extra:  # the default base point works
+                assert run_on(command, fixture)[0] == 0
 
 
 def test_cli_import_leaves_scipy_out():

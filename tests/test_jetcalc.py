@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import warnings
 import weakref
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from kreincalc import (
     indicator,
     is_inf,
     jet_multiply,
-    jet_one,
     norm_f,
     rational_apply,
     spectral_projection,
@@ -154,6 +154,12 @@ class TestJetFunction:
         with pytest.raises(ValidationError, match="both match"):
             JetFunction.from_points(pair, {1.0: [3.0], 1.00000001: [5.0], 2.0: [1.0, -2.0]})
 
+    def test_non_finite_entries_rejected(self):
+        pair = running_pair()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="jet entries must be finite"):
+                JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, bad]})
+
 
 class TestEmbedRational:
     def test_jets_match_taylor_data(self):
@@ -182,6 +188,11 @@ class TestEmbedRational:
             with pytest.raises(PoleMeetsSpectrumError) as info:
                 embed_rational(pair, bad)
             assert str(info.value) == f"pole {met[0]} meets the spectrum"
+
+    def test_jets_that_overflow_are_rejected(self):
+        # r = 1e308 (1 + z + z^2) is 7e308 at the point 2
+        with pytest.raises(ValidationError, match="jets of the function must be finite"):
+            embed_rational(running_pair(), RationalFunction(Polynomial([1e308] * 3)))
 
     def test_q_jets_embeds_q(self):
         pair = running_pair()
@@ -290,7 +301,24 @@ class TestDecompose:
         assert jet_max_abs(reassemble(dec) - phi) < 1e-10
 
 
+def mul3_pair():
+    """1 plus a multivalued part, with q = z / (z^2 + 1)^2 critical at infinity to degree 3."""
+    rel = LinearRelation.from_graph_columns(np.diag([1.0, 0.0]), np.eye(2))
+    q = RationalFunction(Polynomial([0.0, 1.0]), Polynomial([1.0, 0.0, 2.0, 0.0, 1.0]))
+    return verify_definitizing(GramSpace.standard(2), rel, q)
+
+
 class TestApplyCalculus:
+    def test_a_base_point_whose_powers_overflow_is_a_validation_error(self):
+        pair = mul3_pair()
+        assert pair.degrees[INF] == 3  # so the basis rows at infinity hold mu^2
+        phi = JetFunction.from_points(pair, {1.0: [2.0], INF: [4.0, 0.5, 0.25, 0.125]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="too large: its powers at infinity overflow"):
+                decompose(pair, phi, mu=1e200j)
+            assert decompose(pair, phi).coeffs.size == 3  # at the default base point
+
     def test_running_example_golden(self):
         fact = running_fact()
         phi = JetFunction.from_points(fact.pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
@@ -491,6 +519,11 @@ class TestNormF:
         phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
         assert abs(norm_f(phi) - 5.0) < 1e-12
 
+    def test_a_norm_that_overflows_is_a_validation_error(self):
+        phi = JetFunction.from_points(running_pair(), {1.0: [1e308], 2.0: [1e308, 0.0]})
+        with pytest.raises(ValidationError, match="the norm must be finite"):
+            norm_f(phi)
+
     def test_submultiplicative_on_samples(self):
         rng = np.random.default_rng(56)
         planted = random_definitizable(rng, allow_jordan=True)
@@ -624,9 +657,9 @@ class TestPackedJets:
             assert all(values[w].size == pair.degrees[w] + 1 for w in pair.points), name
             assert all(np.shares_memory(values[w], f._jets) for w in pair.points), name
             with pytest.raises(TypeError):
-                values[pair.points[0]] = jet_one(pair.degrees[pair.points[0]] + 1)
+                values[pair.points[0]] = np.eye(1, pair.degrees[pair.points[0]] + 1)[0]
         for w in pair.points:
-            assert np.array_equal(made["one"].values[w], jet_one(pair.degrees[w] + 1))
+            assert np.array_equal(made["one"].values[w], np.eye(1, pair.degrees[w] + 1)[0])  # the jet (1, 0, ..., 0)
             assert np.array_equal(made["from_points"].values[w], np.asarray(labels[complex(w) + 1e-9], dtype=complex))
         # a write to the packed jets shows in values, and the other way round
         phi._jets[0] = 7.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from kreincalc import (
     xi,
 )
 
-from kreincalc import krein, spectral
+from kreincalc import jetcalc, krein, spectral
 from kreincalc.krein import _is_psd, _measure_from_resolvent, _pull_back, _resolvent_point
 from kreincalc.relations import hermitian_residual
 from kreincalc.tolerances import ATOM_MATCH_TOL, POINT_MATCH_TOL, PSD_TOL, RANK_TOL, ROOT_CLUSTER_TOL
@@ -574,7 +575,7 @@ class TestGramFactorize:
     def test_rank_below_the_structural_bound_is_an_inconsistency(self):
         # q = z^2 + 1e-12 has its zeros at +-1e-6 i, clustered into a double
         # zero at 0 that claims the point 1e-6 alone; q(A) ~ 1e-11 then
-        # falls below PSD_CUTOFF everywhere, and without the bound the
+        # falls below the RANK_TOL cut everywhere, and without the bound the
         # projection onto 1e-6 came out as the identity, trace 4 for 1
         rel = LinearRelation.from_operator(1e-6 * np.diag([1.0, 2.0, 3.0, 4.0]))
         pair = verify_definitizing(GramSpace.standard(4), rel, RationalFunction(Polynomial([1e-12, 0.0, 1.0])))
@@ -757,3 +758,67 @@ class TestTransport:
             want = pair.q_matrix @ c
             assert np.allclose(roundtrip, want, atol=1e-6 * max(1.0, np.linalg.norm(want)))
 
+
+
+def _nan_from(monkeypatch, module, call):
+    """module.frobenius returns NaN from its call-th call on, counting from 1."""
+    real, calls = module.frobenius, [0]
+
+    def frobenius(mat):
+        calls[0] += 1
+        return float("nan") if calls[0] >= call else real(mat)
+
+    monkeypatch.setattr(module, "frobenius", frobenius)
+
+
+def _measure_again(fact):
+    return _measure_from_resolvent(fact.resolvent, fact.base_point, fact.pair.report)
+
+
+# (module whose frobenius turns NaN, from which of its calls, the operation, the error, its message);
+# each residual check must fail on NaN: a NaN compares false with every bound
+NAN_RESIDUAL_CHECKS = {
+    "pull back": (krein, 1, lambda f: _pull_back(f.factor, f.left_inverse, np.eye(2)), InconsistencyError,
+                  "not invariant"),
+    "factor": (krein, 1, lambda f: gram_factorize(f.pair), InconsistencyError, r"T T\^\+ failed"),
+    "measure sum": (krein, 1, _measure_again, InconsistencyError, "do not sum to the identity"),
+    "measure probe": (krein, 2, _measure_again, InconsistencyError, "does not reproduce the resolvent"),
+    "commutes": (krein, 1, lambda f: theta_op(f, np.diag([0.0, 5.0])), NotInCommutantError, "commute"),
+    # _check_commutes takes three residuals and _pull_back two before the intertwining one
+    "intertwines": (krein, 6, lambda f: theta_op(f, np.diag([0.0, 5.0])), InconsistencyError, "intertwining"),
+    "idempotent": (jetcalc, 1, lambda f: spectral_projection(f, [1.0]), InconsistencyError, "idempotent"),
+}
+
+
+class TestNonFinite:
+    """A NaN or infinite operator is a ValidationError, and a NaN residual fails its check."""
+
+    @pytest.fixture()
+    def fact(self):
+        space, rel, q = running_example()
+        return gram_factorize(verify_definitizing(space, rel, q))
+
+    def test_theta_op_and_xi_reject_a_non_finite_operator(self, fact):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="operator matrix must be finite"):
+                theta_op(fact, np.diag([0.0, bad]))
+            with pytest.raises(ValidationError, match="factor-space operator must be finite"):
+                xi(fact, np.array([[bad]]))
+
+    def test_rational_apply_rejects_an_r_of_a_that_overflows(self, fact):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"r\(A\) must be finite"):
+                rational_apply(RationalFunction(Polynomial([1e308] * 3)), fact.pair.relation)
+
+    def test_a_nan_resolvent_is_not_self_adjoint(self, fact):
+        with pytest.raises(NotSelfAdjointError):
+            _measure_from_resolvent(np.full((1, 1), np.nan), fact.base_point, fact.pair.report)
+
+    @pytest.mark.parametrize("check", sorted(NAN_RESIDUAL_CHECKS))
+    def test_a_nan_residual_fails_its_check(self, monkeypatch, fact, check):
+        module, call, operation, error, message = NAN_RESIDUAL_CHECKS[check]
+        operation(fact)  # passes with its residuals as they are
+        _nan_from(monkeypatch, module, call)
+        with pytest.raises(error, match=message):
+            operation(fact)

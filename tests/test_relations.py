@@ -107,7 +107,7 @@ class TestMoebiusMap:
         assert chordal_distance(m.inverse()(m(z)), z) < 1e-12
 
     @pytest.mark.parametrize("special, point, image", [
-        (MoebiusMap.identity(), 2.0 + 1.0j, 2.0 + 1.0j),
+        (MoebiusMap(1.0, 0.0, 0.0, 1.0), 2.0 + 1.0j, 2.0 + 1.0j),
         (MoebiusMap.inversion(), 2.0, 0.5),
         (MoebiusMap.inversion(), 0.0, INF),
         (MoebiusMap.affine(2.0, 1.0), 3.0, 7.0),
@@ -158,7 +158,7 @@ class TestLinearRelation:
     def test_moebius_identity_and_composition(self):
         rng = np.random.default_rng(4)
         rel = random_relation(rng, 4)
-        assert rel.moebius(MoebiusMap.identity()).same_as(rel)
+        assert rel.moebius(MoebiusMap(1.0, 0.0, 0.0, 1.0)).same_as(rel)
         m1 = MoebiusMap(1.0, 1.0, 0.0, 1.0)
         m2 = MoebiusMap(0.0, 1.0, 1.0, 0.0)
         lhs = rel.moebius(m1.compose(m2))

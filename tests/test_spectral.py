@@ -31,10 +31,10 @@ from kreincalc import (
     verify_definitizing,
 )
 from kreincalc import spectral
-from kreincalc.rational import cluster_values
+from kreincalc.rational import _cluster_members
 from kreincalc.relations import as_point, is_inf
 from kreincalc.spectral import ResolventStack
-from kreincalc.tolerances import INF_EIGENVALUE_TOL, RESOLVENT_DIST_TOL, SPECTRUM_CLUSTER_TOL
+from kreincalc.tolerances import POINT_MATCH_TOL, RANK_TOL, SPECTRUM_CLUSTER_TOL
 
 from helpers import (
     match_point_sets,
@@ -126,7 +126,7 @@ def qz_points(rel):
             inf_count += 1
         else:
             finite.append(complex(a / b))
-    out = list(cluster_values(finite, SPECTRUM_CLUSTER_TOL))
+    out = [(c, len(m)) for c, m in _cluster_members(finite, SPECTRUM_CLUSTER_TOL)]
     return out + [(INF, inf_count)] if inf_count else out
 
 
@@ -610,13 +610,13 @@ def test_chordal_distance_reporting():
 
 
 def reference_multiplicity(rep, z):
-    """Multiplicity of the nearest point of z's kind within RESOLVENT_DIST_TOL, the first on ties."""
+    """Multiplicity of the nearest point of z's kind within POINT_MATCH_TOL, the first on ties."""
     best, mult = np.inf, 0
     for p, m in rep.points:
         if is_inf(p) != is_inf(z):
             continue
         dist = 0.0 if is_inf(p) else abs(complex(p) - complex(z))
-        if dist <= RESOLVENT_DIST_TOL and dist < best:
+        if dist <= POINT_MATCH_TOL and dist < best:
             best, mult = dist, m
     return mult
 
@@ -683,15 +683,18 @@ class TestMatch:
 
 
 def all_vectors_inf_count(k, lam0, nu):
-    """The infinity count with the singular vectors of every step: ker K^j by
-    Subspace.preimage until the kernel stops growing."""
+    """The infinity count with the singular vectors of every step: the dimension
+    of ker K^j, by Subspace.preimage until the kernel stops growing.  The count
+    of infinite pencil eigenvalues never exceeds it, so that count can serve
+    the spectrum as a hint and no more."""
     size = np.maximum(np.maximum(np.abs(1.0 + lam0 * nu), np.abs(nu)), 1.0)
-    by_eigenvalue = int(np.sum(np.abs(nu) <= INF_EIGENVALUE_TOL * size))
+    by_eigenvalue = int(np.sum(np.abs(nu) <= RANK_TOL * size))
     kernel = Subspace(np.zeros((k.shape[0], 0), dtype=complex))
     while True:
         grown = kernel.preimage(k)
         if grown.dim == kernel.dim:
-            return max(by_eigenvalue, kernel.dim)
+            assert by_eigenvalue <= kernel.dim, (by_eigenvalue, kernel.dim)
+            return kernel.dim
         kernel = grown
 
 
