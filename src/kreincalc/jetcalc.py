@@ -38,8 +38,6 @@ operations, with no loop over the points.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -53,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .krein import DefinitizablePair, Factorization
-from .rational import Polynomial, RationalFunction
+from .rational import Polynomial, RationalFunction, _basis_terms
 from .relations import INF, as_point, frobenius, is_inf, point_sort_key, require_finite
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
@@ -234,23 +232,6 @@ def _basis_table(mu, values: np.ndarray, finite: np.ndarray, m: int, order: int)
     return out
 
 
-# (factor, exponent) of entry k of basis function j in _basis_table, by the kind of basis and point
-_BASIS_TERMS = {
-    "pole": lambda k, j: ((-1) ** k * math.comb(j + k - 1, k) if j else float(k == 0), j + k),
-    "polynomial": lambda k, j: (math.comb(j, k), max(j - k, 0)),
-    "infinity": lambda k, j: (math.comb(k - 1, k - j), k - j) if 1 <= j <= k else (float(j == k == 0), 0),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _basis_terms(m: int, order: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """The factors and exponents of _basis_table for one kind of _BASIS_TERMS, per (m, order), read-only."""
-    terms = np.array([[_BASIS_TERMS[kind](k, j) for j in range(m)] for k in range(order + 1)], dtype=float)
-    coeff, exponent = terms.reshape(order + 1, m, 2).transpose(2, 0, 1)
-    coeff.flags.writeable = exponent.flags.writeable = False
-    return coeff, exponent
-
-
 class _CalculusPlan:
     """The part of the calculus on one pair that does not depend on phi.
 
@@ -345,9 +326,12 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
             coeffs = np.linalg.solve(plan.matrix, rhs)
         except np.linalg.LinAlgError as exc:
             raise InconsistencyError("interpolation system is singular") from exc
-    s_jets = plan.basis @ coeffs
-    g = (packed[plan.top] - s_jets[plan.top]) / plan.q_jets[plan.top]
-    if not _max_abs(s_jets + g[plan.owner] * plan.q_jets - packed) <= IDENTITY_TOL * scale:
+    with np.errstate(over="ignore", invalid="ignore"):  # jets near the float range overflow g, and so the residual
+        s_jets = plan.basis @ coeffs
+        g = (packed[plan.top] - s_jets[plan.top]) / plan.q_jets[plan.top]
+        resid = _max_abs(s_jets + g[plan.owner] * plan.q_jets - packed)
+    if not resid <= IDENTITY_TOL * scale:
+        require_finite(g, "the decomposition")
         raise InconsistencyError("decomposition failed to reassemble the jet function")
     return Decomposition(pair=pair, coeffs=coeffs, g=dict(zip(pair.points, g.tolist())), base_point=plan.mu,
                          _plan=plan, _g=g)

@@ -192,9 +192,9 @@ def verify_definitizing(
     if not _is_psd(h_norm, q_residual, psd_eig[0], psd_tol):
         raise NotPositiveError("[q(A)x, x] takes negative values")
     points = tuple(w for w, _ in report.points)
-    degrees = dict(zip(points, q._zero_degrees(points)))
     values, finite = report._point_array
-    zero = np.array(list(degrees.values())) == 0
+    orders = q._zero_degrees(values, finite)
+    degrees, zero = dict(zip(points, orders.tolist())), orders == 0
     # a point counts as real when its imaginary part is below REALNESS_TOL (relative)
     nonreal = finite & zero & (np.abs(values.imag) > REALNESS_TOL * np.maximum(1.0, np.abs(values)))
     if nonreal.any():
@@ -205,7 +205,7 @@ def verify_definitizing(
     mates = report.match(values[finite & ~zero].conj(), POINT_MATCH_TOL)
     if (mates < 0).any() or zero[mates].any():
         raise InconsistencyError("critical spectrum is not symmetric under conjugation")
-    kept = psd_eig[0][psd_eig[0] > _sv_cutoff(np.abs(psd_eig[0]), RANK_TOL)]  # the eigenvalues gram_factorize keeps
+    kept = psd_eig[0][psd_eig[0] > _sv_cutoff(np.abs(psd_eig[0]), RANK_TOL)]  # the eigenvalues above the rank cut
     diagnostics = {
         "self_adjoint_residual": self_adjoint_residual,
         "hermitian_residual": q_residual,
@@ -265,7 +265,7 @@ def _calculus_point(report: SpectrumReport, q: RationalFunction) -> complex:
     point at distance at least 1 from every spectral point and from the real
     axis, the calculus's default base point."""
     # scalar moduli, as in _resolvent_point; 1 + max(r_k) is max(1 + r_k) in floating point too
-    return 1j * max([_resolvent_point(report)] + [1.0 + abs(complex(z)) for z, _ in q.zeros() if not is_inf(z)])
+    return 1j * max([_resolvent_point(report)] + [1.0 + abs(z) for z, _ in q.num.clustered_roots()])
 
 
 def _pull_back(factor: np.ndarray, left_inverse: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -369,11 +369,11 @@ class Factorization:
 def gram_factorize(pair: DefinitizablePair) -> Factorization:
     """Factor q(A) = T T^+ and compress the relation to the factor space.
 
-    Eigenvalues of Hermitian(G q(A)) at or below the rank cut of their
-    moduli (_sv_cutoff at RANK_TOL) are discarded as zeros; the retained part determines the rank r, the factor
-    T and its adjoint.  q(A) is invertible on the root subspace of every
-    spectral point where q does not vanish, so r below n minus the
-    multiplicities of the critical points is an inconsistency.  With
+    The rank r counts the eigenvalues of Hermitian(G q(A)) above the rank cut of their moduli (_sv_cutoff at
+    RANK_TOL), capped at n minus the number of critical points, as each, infinity included, carries an
+    eigenvector of ker q(A) (Langer, LNM 948, 1982); the r largest are kept.  q(A) is invertible on the root
+    subspace of every point where q does not vanish, so r below n minus the multiplicities of the critical
+    points is an inconsistency.  With
     H = U diag(lambda) U* and U+ the kept columns, T = G^{-1} U+ diag(lambda)^(1/2)
     has the exact left inverse L = diag(lambda)^(-1/2) U+* G.  ran T = ran q(A)
     is invariant under the resolvent R of A at a real point mu of the
@@ -383,15 +383,14 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     """
     g = pair.space.gram
     n = pair.space.dim
-    eigvals, eigvecs = pair.psd_eig
-    keep = eigvals > _sv_cutoff(np.abs(eigvals), RANK_TOL)  # floored: the noise of a vanishing q(A) is not rank
-    rank = int(keep.sum())
-    # degrees holds the points in the report's order
-    bound = n - sum(m for (_, m), d in zip(pair.report.points, pair.degrees.values()) if d > 0)
-    if rank < bound:
-        raise InconsistencyError(f"rank {rank} of q(A) is below the structural bound {bound}")
-    roots = np.sqrt(eigvals[keep])
-    u_plus = eigvecs[:, keep]
+    eigvals, eigvecs = pair.psd_eig  # ascending
+    critical = [m for (_, m), d in zip(pair.report.points, pair.degrees.values()) if d > 0]  # same point order
+    # the cut is floored: the noise of a vanishing q(A) is not rank
+    rank = min(int((eigvals > _sv_cutoff(np.abs(eigvals), RANK_TOL)).sum()), n - len(critical))
+    if rank < n - sum(critical):
+        raise InconsistencyError(f"rank {rank} of q(A) is below the structural bound {n - sum(critical)}")
+    roots = np.sqrt(eigvals[n - rank:])
+    u_plus = eigvecs[:, n - rank:]
     factor_adjoint = np.diag(roots) @ u_plus.conj().T
     factor = np.linalg.solve(g, factor_adjoint.conj().T)
     left_inverse = (u_plus.conj().T @ g) / roots[:, None]
@@ -407,8 +406,8 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
         measure = _measure_from_resolvent(res, mu, pair.report)
     diagnostics = {
         "factor_residual": resid_factor,
-        "psd_margin": pair.diagnostics["psd_margin"],
-        "discarded_eigenvalue": float(np.abs(eigvals[~keep]).max()) if rank < n else 0.0,
+        "psd_margin": float(eigvals[n - rank]) if rank else 0.0,  # the smallest kept eigenvalue
+        "discarded_eigenvalue": float(np.abs(eigvals[: n - rank]).max()) if rank < n else 0.0,
     }
     return Factorization(
         pair=pair,

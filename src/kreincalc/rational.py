@@ -9,6 +9,7 @@ are derived from the degree gap, and Taylor jets at infinity are jets of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +100,27 @@ def _series_divide(num, den, length: int) -> list:
             acc = acc - out[k] * den[j - k]
         out.append(acc / den[0])
     return out
+
+
+def _leading_negligible(mags: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of magnitudes, how many leading entries are at most tol times the row's largest: _trim's rule."""
+    return (mags > mags.max(axis=-1, keepdims=True) * tol).argmax(axis=-1)  # the largest is above, unless all are 0
+
+
+_BASIS_TERMS = {
+    "pole": lambda k, j: ((-1) ** k * math.comb(j + k - 1, k) if j else float(k == 0), j + k),
+    "polynomial": lambda k, j: (math.comb(j, k), max(j - k, 0)),
+    "infinity": lambda k, j: (math.comb(k - 1, k - j), k - j) if 1 <= j <= k else (float(j == k == 0), 0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_terms(m: int, order: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(factor, exponent) of entry k of basis function j, _BASIS_TERMS[kind](k, j), as arrays per (m, order)."""
+    terms = np.array([[_BASIS_TERMS[kind](k, j) for j in range(m)] for k in range(order + 1)], dtype=float)
+    coeff, exponent = terms.reshape(order + 1, m, 2).transpose(2, 0, 1)
+    coeff.flags.writeable = exponent.flags.writeable = False
+    return coeff, exponent
 
 
 def _vanishes(jet: list, tol: float) -> bool:
@@ -214,9 +236,8 @@ class Polynomial:
         return np.asarray(npp.polyroots(c), dtype=complex)
 
     def _jet_validates(self, center: complex, mult: int) -> bool:
-        jet = _taylor_shift(self.coeffs.tolist(), center)
-        scale = max(map(abs, jet)) or 1.0
-        return all(abs(jet[j]) <= JET_ZERO_TOL * scale for j in range(mult))
+        jet = np.array([abs(c) for c in _taylor_shift(self.coeffs.tolist(), center)])
+        return bool(_leading_negligible(jet, JET_ZERO_TOL) >= mult)
 
     def clustered_roots(self) -> list[tuple[complex, int]]:
         """Roots grouped into (center, multiplicity) pairs.
@@ -384,30 +405,24 @@ class RationalFunction:
             out.append((INF, gap))
         return out
 
-    def zeros(self) -> list[tuple[Point, int]]:
-        if self.is_zero:
-            raise ValidationError("zeros of the zero rational function")
-        out: list[tuple[Point, int]] = list(self.num.clustered_roots())
-        gap = self.den.degree - self.num.degree
-        if gap > 0:
-            out.append((INF, gap))
-        return out
-
     def zero_degree_at(self, w) -> int:
         """Multiplicity of w as a zero (0 when r(w) != 0); w may be infinity."""
-        return self._zero_degrees([as_point(w)])[0]
+        w = as_point(w)
+        return int(self._zero_degrees(np.array([0j if is_inf(w) else w]), np.array([not is_inf(w)]))[0])
 
-    def _zero_degrees(self, points) -> list[int]:
-        """zero_degree_at for every point of a sequence of points as as_point makes them (complex or INF).
-
-        A finite point takes the multiplicity of the first root cluster
-        within ROOT_CLUSTER_TOL * max(1, |center|) of it.
-        """
+    def _zero_degrees(self, values: np.ndarray, finite: np.ndarray) -> np.ndarray:
+        """zero_degree_at at points as SpectrumReport._point_array holds them: at a finite w, no root found, the count
+        of leading Taylor coefficients of t -> num(w + rho t), rho = max(1, |w|), that _trim zeroes.  One power table
+        gives them over rho^deg, lest they overflow: entry k is sum_j C(j, k) c_j rho^(j - deg) (w / rho)^(j - k)."""
         if self.is_zero:
             raise ValidationError("zero degree of the zero rational function")
-        gap = max(0, self.den.degree - self.num.degree)
-        roots = [(c, m, ROOT_CLUSTER_TOL * max(1.0, abs(c))) for c, m in self.num.clustered_roots()]
-        return [gap if is_inf(w) else next((m for c, m, radius in roots if abs(w - c) <= radius), 0) for w in points]
+        deg, w = self.num.degree, values[finite][:, None]
+        rho = np.maximum(1.0, np.abs(w))
+        coeff, exponent = _basis_terms(deg + 1, deg, "polynomial")  # exponent[0] is 0, 1, ..., deg
+        jets = (coeff * (w / rho)[:, :, None] ** exponent) @ (self.num.coeffs * rho ** (exponent[0] - deg))[:, :, None]
+        out = np.full(values.size, max(0, self.den.degree - deg))
+        out[finite] = _leading_negligible(np.abs(jets[..., 0]), COEFF_TRIM_TOL)
+        return out
 
     def jet_at(self, w, order: int) -> np.ndarray:
         """Taylor jet (f(w), f'(w)/1!, ..., f^(order)(w)/order!).

@@ -19,7 +19,7 @@ default, because a caller sets them:
 
 The radius of ``rational._cluster_members`` has no default either: polynomial
 roots cluster at ``ROOT_CLUSTER_TOL``, pencil eigenvalues at
-``SPECTRUM_CLUSTER_TOL``.
+``SPECTRUM_CLUSTER_TOL``; q's zero orders are read from jets, not clusters.
 """
 
 # -- rank and subspaces
@@ -29,14 +29,17 @@ CONTAINMENT_TOL = 1e-8  # residual threshold for subspace containment
 MOEBIUS_DET_TOL = 1e-12  # Möbius matrix singular: |det| <= this * (largest entry)^2
 
 # -- polynomials and rational functions
-# Root clustering radius for multiplicity assignment.  Companion roots of an
-# exact double zero already carry O(sqrt(eps)) ~ 1.5e-8 error, so the radius
-# must sit well above that; multiplicity claims are re-validated against
-# derivative jets afterwards.
+# Root clustering radius for pole multiplicities and for the cancellation of
+# zeros and poles.  Companion roots of an exact double zero already carry
+# O(sqrt(eps)) ~ 1.5e-8 error, so the radius must sit well above that;
+# multiplicity claims are re-validated against derivative jets afterwards.
 ROOT_CLUSTER_TOL = 1e-6
 # Polynomial coefficients below this times the largest are zeroed, never the
 # leading one; a sum or difference zeroes those below this times the larger
 # operand coefficient of their power, so cancellation cannot raise the degree.
+# q's zero order at w counts the leading coefficients of num(w + rho t), rho =
+# max(1, |w|), this rule zeroes: 1.5e-13 and less, 2.9e-5 and more at the hard
+# panel's points; err_inconsistency.json (|q(+-i)| ~ 4e-10) needs it < 1e-10.
 COEFF_TRIM_TOL = 1e-12
 # Leading principal-part coefficients below this (relative) count as zero:
 # numerator and denominator were not coprime after normalization.
@@ -75,9 +78,8 @@ MEASURE_TOL = 1e-8
 # the factor space: invariance, ||M T - T X|| for M the resolvent of A or a
 # transported operator, and Hermitian, ||X - X*||, for X = L M T with L the
 # exact left inverse of T.  Over all 8192 cases of the planted benchmark
-# pools they stay below 1.4e-11 and 6.5e-10 where the factor is right; the
-# factor of the wrong rank that critical case 930 gets leaves the invariance
-# residual at 2.5e-6.
+# pools they stay below 1.4e-11 and 6.5e-10 where the factor is right; a factor
+# of the wrong rank (critical case 930, uncapped) left invariance at 2.5e-6.
 IDENTITY_TOL = 1e-7
 # Rounding noise (relative): the interpolation data of a decomposition.
 ROUNDOFF_TOL = 1e-12

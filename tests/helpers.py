@@ -6,6 +6,9 @@ congruence.  Generators record what they planted so tests can assert
 against known ground truth instead of re-deriving it.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from kreincalc import (
@@ -18,6 +21,7 @@ from kreincalc import (
     chordal_distance,
     verify_definitizing,
 )
+from kreincalc.tolerances import COEFF_TRIM_TOL
 
 
 def random_operator(rng, n, scale=1.0):
@@ -343,3 +347,37 @@ def riesz_calculus(x, y, jets):
             out += coeff * power
             power = (a - w * eye) @ power
     return out
+
+
+def exact_shift(c, w):
+    """Taylor coefficients of p at w: entry k is p^(k)(w) / k! = sum_i C(i, k) c_i w^(i - k)."""
+    return [sum(math.comb(i, k) * c[i] * w ** (i - k) for i in range(k, len(c))) for k in range(len(c))]
+
+
+def exact_zero_degree(q, w):
+    """The degree of q's zero at w by the jet rule, on the exact Taylor jet of q's float numerator at the float w.
+
+    The rule counts the leading entries k with |jet_k| rho^k at most
+    COEFF_TRIM_TOL times the largest, rho = max(1, |w|); it is compared in
+    squares, so that every step is Fraction arithmetic on the exact values of
+    the floats.  For w = a + ib the jet is exact_shift to a of the real and
+    imaginary parts of the coefficients, then the shift by ib, whose entry k
+    takes C(i, k) (ib)^(i - k) of entry i.  At INF the degree is the degree gap.
+    """
+    if w is INF:
+        return max(0, q.den.degree - q.num.degree)
+    a, b = Fraction(complex(w).real), Fraction(complex(w).imag)
+    coeffs = [complex(c) for c in q.num.coeffs.tolist()]
+    re, im = (exact_shift([Fraction(getattr(c, part)) for c in coeffs], a) for part in ("real", "imag"))
+    units = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i^j for j mod 4, as (real, imaginary)
+    rho2 = max(Fraction(1), a * a + b * b)
+    scaled = []
+    for k in range(len(re)):
+        x = y = Fraction(0)
+        for i in range(k, len(re)):
+            f, (ux, uy) = math.comb(i, k) * b ** (i - k), units[(i - k) % 4]
+            x += f * (re[i] * ux - im[i] * uy)
+            y += f * (re[i] * uy + im[i] * ux)
+        scaled.append((x * x + y * y) * rho2 ** k)
+    cut = Fraction(COEFF_TRIM_TOL) ** 2 * max(scaled)
+    return next(k for k, v in enumerate(scaled) if v > cut)

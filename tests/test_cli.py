@@ -448,6 +448,18 @@ class TestNonFiniteInput:
             if extra:  # the default base point works
                 assert run_on(command, fixture)[0] == 0
 
+    def test_finite_jets_whose_decomposition_overflows_are_a_validation_error(self, tmp_path):
+        # on the running example s = -1e308 matches the jet at 2, so g at 1 is 2e308
+        base = json.loads((FIXTURES / "running.json").read_text())
+        base["function"] = {"jets": {"1": [1e308], "2": [-1e308, 1e308]}}
+        problem = tmp_path / "huge_jets.json"
+        problem.write_text(json.dumps(base))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, doc = run_cli("calculus", "--input", str(problem))
+        assert rc == 2 and doc["error"]["code"] == "validation"
+        assert "must be finite" in doc["error"]["message"]
+
 
 def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(

@@ -40,9 +40,10 @@ from kreincalc import (
 from kreincalc import jetcalc, krein, spectral
 from kreincalc.krein import _is_psd, _measure_from_resolvent, _pull_back, _resolvent_point
 from kreincalc.relations import hermitian_residual
-from kreincalc.tolerances import ATOM_MATCH_TOL, POINT_MATCH_TOL, PSD_TOL, RANK_TOL, ROOT_CLUSTER_TOL
+from kreincalc.tolerances import ATOM_MATCH_TOL, POINT_MATCH_TOL, PSD_TOL, RANK_TOL
 
 from helpers import (
+    exact_zero_degree,
     match_point_sets,
     random_definitizable,
     random_gram,
@@ -245,16 +246,6 @@ def reference_resolve(pair, z, tol):
     return best
 
 
-def reference_zero_degree(q, w):
-    """First root cluster of q within ROOT_CLUSTER_TOL (relative) of w."""
-    if w is INF:
-        return max(0, q.den.degree - q.num.degree)
-    for center, mult in q.num.clustered_roots():
-        if abs(complex(w) - center) <= ROOT_CLUSTER_TOL * max(1.0, abs(center)):
-            return mult
-    return 0
-
-
 def multivalued_pair():
     """diag(2) plus a multivalued coordinate on C^2; the points are 2 and infinity."""
     rel = LinearRelation.from_graph_columns(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]))
@@ -336,7 +327,7 @@ class TestPointMatcher:
 
 
 class TestZeroDegrees:
-    def test_one_pass_matches_per_point_loop(self):
+    def test_one_pass_matches_the_exact_jet_rule(self):
         rng = np.random.default_rng(83)
         for trial in range(20):
             planted = random_definitizable(rng, allow_mul=(trial % 3 == 0), allow_jordan=True)
@@ -344,18 +335,11 @@ class TestZeroDegrees:
             q = pair.q
             probes = list(pair.points) + [INF, 5.0]
             probes += [c + off for c, _ in q.num.clustered_roots() for off in (5e-7, 2e-6, 1e-3j)]
-            assert q._zero_degrees(probes) == [reference_zero_degree(q, w) for w in probes]
-            assert [pair.degrees[w] for w in pair.points] == [reference_zero_degree(q, w) for w in pair.points]
-            assert all(q.zero_degree_at(w) == reference_zero_degree(q, w) for w in probes)
-
-    def test_first_cluster_wins(self):
-        # clusters (1, 2) and (1 + 1.5e-6, 1), set on the memo because
-        # rounding merges or splits such close roots; 1 + 0.9e-6 lies within
-        # ROOT_CLUSTER_TOL of both centers, 1 + 1.2e-6 of the second alone
-        q = RationalFunction(Polynomial.from_roots([1.0, 1.0, 1.0]))
-        q.num._clustered = ((1.0 + 0j, 2), (1.0 + 1.5e-6 + 0j, 1))
-        probes = [1.0 + 0.9e-6, 1.0 + 1.2e-6, 1.0 - 0.9e-6, 1.0 + 3e-6]
-        assert q._zero_degrees(probes) == [reference_zero_degree(q, w) for w in probes] == [2, 1, 2, 0]
+            want = [exact_zero_degree(q, w) for w in probes]
+            values = np.array([np.inf if w is INF else w for w in probes])  # as SpectrumReport._point_array
+            assert q._zero_degrees(values, np.isfinite(values)).tolist() == want
+            assert [pair.degrees[w] for w in pair.points] == want[: len(pair.points)]
+            assert [q.zero_degree_at(w) for w in probes] == want
 
 
 class TestSpectralMeasure:
@@ -572,14 +556,31 @@ class TestGramFactorize:
         assert fact.measure.atoms == ()
         assert fact.diagnostics["psd_margin"] == 0.0
 
+    def test_rank_capped_by_the_critical_points(self):
+        # q vanishes at every point of diag(1..8), so each point holds a
+        # vector of ker q(A) and the rank is 0; two eigenvalues of G q(A),
+        # rounding of up to 3e-8, pass the RANK_TOL cut and made it rank 2
+        n = 8
+        q = RationalFunction(Polynomial.from_roots(range(1, n + 1)))
+        fact = gram_factorize(verify_definitizing(GramSpace.standard(n), LinearRelation.from_operator(np.diag(
+            np.arange(1.0, n + 1))), q))
+        assert fact.rank == 0 and fact.diagnostics["psd_margin"] == 0.0
+        for j in range(n):
+            want = np.zeros((n, n))
+            want[j, j] = 1.0
+            assert np.allclose(spectral_projection(fact, [j + 1.0]), want, atol=1e-8)
+
     def test_rank_below_the_structural_bound_is_an_inconsistency(self):
-        # q = z^2 + 1e-12 has its zeros at +-1e-6 i, clustered into a double
-        # zero at 0 that claims the point 1e-6 alone; q(A) ~ 1e-11 then
-        # falls below the RANK_TOL cut everywhere, and without the bound the
-        # projection onto 1e-6 came out as the identity, trace 4 for 1
+        # the constant 1e-12 of q = z^2 + 1e-12 is trimmed, at COEFF_TRIM_TOL
+        # times the leading 1, so q is z^2; its jet at the point 1e-6,
+        # (1e-12, 2e-6, 1), reads a simple zero there and none at the others:
+        # a scale defect (ROADMAP item 5), as the points live at 1e-6 and the
+        # cuts at 1.  q(A) ~ 1e-11 then falls below the RANK_TOL cut
+        # everywhere, and without the bound the projection onto 1e-6 came out
+        # as the identity
         rel = LinearRelation.from_operator(1e-6 * np.diag([1.0, 2.0, 3.0, 4.0]))
         pair = verify_definitizing(GramSpace.standard(4), rel, RationalFunction(Polynomial([1e-12, 0.0, 1.0])))
-        assert [pair.degrees[w] for w in pair.points] == [2, 0, 0, 0]
+        assert [pair.degrees[w] for w in pair.points] == [1, 0, 0, 0]
         with pytest.raises(InconsistencyError, match=r"rank 0 of q\(A\) is below the structural bound 3"):
             gram_factorize(pair)
 

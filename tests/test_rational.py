@@ -19,6 +19,8 @@ from kreincalc import (
 )
 from kreincalc.rational import _cluster_members, _series_divide, _taylor_shift
 
+from helpers import exact_shift, exact_zero_degree
+
 # zero or of ordinary size: near-zero leading coefficients manufacture
 # pole-zero pairs inside the cancellation radius, which normalization is
 # documented to remove (perturbing values up to that radius)
@@ -183,7 +185,7 @@ class TestRationalFunction:
         assert r.den.degree == 1
         # the surviving pole and zero
         assert any(abs(p - 3.0) < 1e-8 for p, _ in r.poles())
-        assert any(abs(z - 2.0) < 1e-8 for z, _ in r.zeros())
+        assert any(abs(z - 2.0) < 1e-8 for z, _ in r.num.clustered_roots())
 
     def test_denominator_made_monic(self):
         r = RationalFunction(Polynomial([2.0]), Polynomial([0.0, 4.0]))
@@ -212,8 +214,7 @@ class TestRationalFunction:
         poles = dict(r.poles())
         assert poles[INF] == 2
         s = RationalFunction(Polynomial([1.0]), Polynomial([1.0, 0.0, 1.0]))
-        zeros = dict(s.zeros())
-        assert zeros[INF] == 2
+        assert s.zero_degree_at(INF) == 2
 
     def test_sharp_symmetry_and_realness(self):
         r = RationalFunction(Polynomial([1.0, 2.0]), Polynomial([1.0, 0.0, 1.0]))
@@ -338,11 +339,6 @@ def _exact_from_roots(roots, lead=1):
     return c
 
 
-def _exact_shift(c, w):
-    """Taylor coefficients of p at w: entry k is p^(k)(w) / k! = sum_i C(i, k) c_i w^(i - k)."""
-    return [sum(math.comb(i, k) * c[i] * w ** (i - k) for i in range(k, len(c))) for k in range(len(c))]
-
-
 def _exact_series(num, den, length):
     out = []
     for j in range(length):
@@ -357,7 +353,7 @@ def _exact_jet(num, den, w, length):
         big = max(len(num), len(den))
         pad = lambda c: [Fraction(0)] * (big - len(c)) + c[::-1]  # noqa: E731
         return _exact_series(pad(num), pad(den), length)
-    return _exact_series(_exact_shift(num, w), _exact_shift(den, w), length)
+    return _exact_series(exact_shift(num, w), exact_shift(den, w), length)
 
 
 def _exact_divmod(num, den):
@@ -412,7 +408,7 @@ class TestExactReference:
             n = case.poles[str(pole)]
             cofactor = _exact_from_roots([Fraction(p) for p, k in case.poles.items() if Fraction(p) != pole
                                           for _ in range(k)])
-            t = _exact_series(_exact_shift(case.num, pole), _exact_shift(cofactor, pole), n)
+            t = _exact_series(exact_shift(case.num, pole), exact_shift(cofactor, pole), n)
             want += [(pole, j, t[n - j]) for j in range(1, n + 1)]
         assert [j for _, j, _ in pf.terms] == [j for _, j, _ in want]
         assert _close([p for p, _, _ in pf.terms], [p for p, _, _ in want])
@@ -420,15 +416,17 @@ class TestExactReference:
 
     @pytest.mark.parametrize("case", [PROPER, IMPROPER], ids=["proper", "improper"])
     def test_zero_degrees(self, case):
-        points = [complex(Fraction(z)) for z in case.zeros] + [complex(Fraction(p)) for p in case.poles]
-        points += [complex(Fraction(w)) for w in PROBES] + [INF]
-        want = list(case.zeros.values()) + [0] * (len(case.poles) + len(PROBES))
+        zeros = [complex(Fraction(z)) for z in case.zeros]
+        points = zeros + [complex(Fraction(p)) for p in case.poles] + [complex(Fraction(w)) for w in PROBES] + [INF]
         gap = max(0, len(case.den) - len(case.num))  # the degree of infinity as a zero
-        want.append(gap)
-        # ROOT_CLUSTER_TOL * max(1, |z|) around each zero: inside at 5e-7, outside at 3e-6
-        points += [complex(Fraction(z)) + off for off in (5e-7, 3e-6j) for z in case.zeros]
-        want += list(case.zeros.values()) + [0] * len(case.zeros)
-        assert case.q._zero_degrees(points) == want
+        want = list(case.zeros.values()) + [0] * (len(case.poles) + len(PROBES)) + [gap]
+        assert [exact_zero_degree(case.q, w) for w in points] == want
+        # off each zero by 5e-7 and 3e-6 i the exact jets read a lower order than the zero's
+        points += [z + off for off in (5e-7, 3e-6j) for z in zeros]
+        want += [exact_zero_degree(case.q, w) for w in points[len(want):]]
+        assert all(d < m for d, m in zip(want[-2 * len(zeros):], 2 * list(case.zeros.values())))
+        values = np.array([np.inf if w is INF else w for w in points])  # as SpectrumReport._point_array
+        assert case.q._zero_degrees(values, np.isfinite(values)).tolist() == want
         assert [case.q.zero_degree_at(w) for w in points] == want
         # zero_degree_at takes any point as_point accepts: an infinite float is the point infinity
         assert case.q.zero_degree_at(float("inf")) == case.q.zero_degree_at(complex(1.0, -math.inf)) == gap

@@ -125,11 +125,10 @@ def test_calculus_matches_the_oracle_formula(bounded):
         assert relative_error(apply_calculus(fact, phi), oracle) <= CHECK_TOL, (name, case.index)
 
 
-# The hard-panel cases that the benchmark fails, by (workload, index), and the ROADMAP item whose fix
-# should make them pass; each is a strict xfail, so that fix must flip it.
-HARD_FAILING = dict.fromkeys([("hard", i) for i in (7, 8, 16, 20, 30, 31, 32, 37, 40, 42)],
-                             "ROADMAP item 3: a double zero of q whose computed roots split is read at the wrong degree")
-HARD_FAILING[("critical", 930)] = "ROADMAP item 4: the factor of q(A) has the wrong rank, so its range is not invariant"
+# The hard-panel cases whose projections fail, by (workload, index), with the reason and the ROADMAP
+# item whose fix should make them pass; each is a strict xfail, so that fix must flip it.
+HARD_FAILING = {("hard", 8): "ROADMAP item 4: its Hermite matrix has condition number 5.9e12, and its first "
+                             "single-point projection ends in a typed 'spectral projection failed to be idempotent'"}
 HARD = planted.hard_cases()
 
 
@@ -147,12 +146,10 @@ def test_hard_panel_projections_match_the_oracle(case):
         assert relative_error(spectral_projection(fact, [p]), want) <= CHECK_TOL, p
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: the planted double zero of q at -2.72674 is read as degree 0")
 def test_hard_case_7_projection_onto_its_split_double_zero():
-    # a silent wrong answer: the projection passes its own idempotency check, but
-    # its trace is 0 where the oracle's is 1; the benchmark fails this case
-    # earlier, on the jet lengths of its planted jets
+    # the computed roots of q's planted double zero at -2.72674 split by
+    # 2.5e-5; read off the root clusters, its degree came out 0, and the
+    # projection, though idempotent, had trace 0 where the oracle's is 1
     case = HARD[7]
     w = next(p for p, d in case.degrees.items() if d == 2 and abs(p + 2.72674) < 1e-5)
     got = spectral_projection(factorize(case), [w])
