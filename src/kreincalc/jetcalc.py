@@ -20,9 +20,9 @@ with m the total critical degree and mu a base point in the resolvent set.
 The basis jets have closed forms, so the decomposition finds no roots, and
 s(A) is a Horner sum in R = (A - mu)^(-1).  The base point mu = INF stands
 for the polynomial basis z^j, with R = A; it needs a bounded relation.
-Everything that does not depend on phi (the base point, the basis and q
-jets at every spectral point and the interpolation matrix) is a plan built
-once per pair and base point and cached on the pair; R comes from the pair.
+Everything that does not depend on phi (the base point, the basis jets at
+every spectral point and the interpolation matrix) is a plan built once per
+pair and base point and cached on the pair; R and q's jets come from the pair.
 
 The plan and the decomposition work on packed jets: the entries 0..d(w) of
 each point's jet are consecutive rows, and the points follow the pair's
@@ -38,6 +38,8 @@ operations, with no loop over the points.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -51,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .krein import DefinitizablePair, Factorization
-from .rational import Polynomial, RationalFunction, _basis_terms
+from .rational import Polynomial, RationalFunction
 from .relations import INF, as_point, frobenius, is_inf, point_sort_key, require_finite
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
@@ -198,17 +200,27 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
     pole = _pole_in_spectrum(func, pair.report)
     if pole is not None:
         raise PoleMeetsSpectrumError(f"pole {pole} meets the spectrum")
-    jets = _packed_jets(pair, func, _layout(pair))
+    jets = np.array(func._jets(pair.points, _layout(pair).lengths.tolist())[1], dtype=complex)
     require_finite(jets, "jets of the function")
     return JetFunction._from_packed(pair, jets)
 
 
-def _packed_jets(pair: DefinitizablePair, func: RationalFunction, layout: _Layout) -> np.ndarray:
-    """Taylor jets of func at every spectral point, packed and as long as the layout asks."""
-    return np.array(func._jets(pair.points, layout.lengths.tolist()), dtype=complex)
-
-
 # -- decomposition ---------------------------------------------------------
+
+_BASIS_TERMS = {
+    "pole": lambda k, j: ((-1) ** k * math.comb(j + k - 1, k) if j else float(k == 0), j + k),
+    "polynomial": lambda k, j: (math.comb(j, k), max(j - k, 0)),
+    "infinity": lambda k, j: (math.comb(k - 1, k - j), k - j) if 1 <= j <= k else (float(j == k == 0), 0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_terms(m: int, order: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(factor, exponent) of entry k of basis function j, _BASIS_TERMS[kind](k, j), as arrays per (m, order)."""
+    terms = np.array([[_BASIS_TERMS[kind](k, j) for j in range(m)] for k in range(order + 1)], dtype=float)
+    coeff, exponent = terms.reshape(order + 1, m, 2).transpose(2, 0, 1)
+    coeff.flags.writeable = exponent.flags.writeable = False
+    return coeff, exponent
 
 
 def _basis_table(mu, values: np.ndarray, finite: np.ndarray, m: int, order: int) -> np.ndarray:
@@ -236,9 +248,9 @@ class _CalculusPlan:
     """The part of the calculus on one pair that does not depend on phi.
 
     Holds the base point and, in packed rows (see the module docstring), the
-    basis jets and the q jets, and from the pair's layout the point of each
-    row (owner), the top row of each point and the rows below the tops; the
-    latter pick the Hermite interpolation matrix.  The plan keeps no
+    basis jets and the pair's own q_jets, and from the pair's layout the point
+    of each row (owner), the top row of each point and the rows below the
+    tops; the latter pick the Hermite interpolation matrix.  The plan keeps no
     resolvent: apply_calculus reads R = (A - mu)^(-1) (A itself for mu = INF)
     from the pair, whose stack holds it at the default base point.
     The plan keeps no reference to its pair, which caches it: without that
@@ -253,7 +265,7 @@ class _CalculusPlan:
         self.size = m = layout.below.size  # total critical degree m
         table = _basis_table(mu, *pair.report._point_array, m, int(layout.lengths.max(initial=1)) - 1)
         self.basis = table[layout.owner, layout.entry]
-        self.q_jets = _packed_jets(pair, pair.q, layout)
+        self.q_jets = pair.q_jets
         self.owner, self.top, self.below = layout.owner, layout.top, layout.below
         self.matrix = self.basis[self.below]
 

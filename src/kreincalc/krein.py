@@ -59,7 +59,7 @@ class GramSpace:
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValidationError("Gram matrix must be square")
         require_finite(gram, "Gram matrix")
-        if hermitian_residual(gram) > HERMITIAN_TOL:
+        if not hermitian_residual(gram) <= HERMITIAN_TOL:
             raise ValidationError("Gram matrix must be Hermitian")
         gram = (gram + gram.conj().T) / 2.0
         if gram.shape[0] > 0:
@@ -113,6 +113,7 @@ class DefinitizablePair:
     report: SpectrumReport
     points: tuple[object, ...]
     degrees: dict
+    q_jets: np.ndarray  # q's Taylor jets at the points through entry degrees[w], end to end in point order
     diagnostics: dict = field(default_factory=dict)
     # eigh of the Hermitian part of G q(A): (eigenvalues, eigenvectors)
     psd_eig: tuple = field(default=None, repr=False)
@@ -193,8 +194,8 @@ def verify_definitizing(
         raise NotPositiveError("[q(A)x, x] takes negative values")
     points = tuple(w for w, _ in report.points)
     values, finite = report._point_array
-    orders = q._zero_degrees(values, finite)
-    degrees, zero = dict(zip(points, orders.tolist())), orders == 0
+    orders, q_jets = q._jets(points)
+    degrees, zero = dict(zip(points, orders)), np.array(orders) == 0
     # a point counts as real when its imaginary part is below REALNESS_TOL (relative)
     nonreal = finite & zero & (np.abs(values.imag) > REALNESS_TOL * np.maximum(1.0, np.abs(values)))
     if nonreal.any():
@@ -219,6 +220,7 @@ def verify_definitizing(
         report=report,
         points=points,
         degrees=degrees,
+        q_jets=np.array(q_jets, dtype=complex),
         diagnostics=diagnostics,
         psd_eig=tuple(psd_eig),
         resolvents=resolvents,

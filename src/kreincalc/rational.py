@@ -9,7 +9,6 @@ are derived from the degree gap, and Taylor jets at infinity are jets of
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -78,14 +77,10 @@ def _cluster_members(values, tol: float) -> list[tuple[complex, list[int]]]:
     return out
 
 
-def _taylor_shift(coeffs: list, w: complex, terms: int | None = None) -> list:
-    """Taylor coefficients of t -> p(w + t), by repeated synthetic division in Python complex arithmetic.
-
-    Pass j fixes coefficient j, so ``terms`` leading coefficients need only
-    that many passes (all by default); the entries past them are left half-shifted.
-    """
+def _taylor_shift(coeffs: list, w: complex) -> list:
+    """Taylor coefficients of t -> p(w + t), by repeated synthetic division in Python complex arithmetic."""
     c = list(coeffs)
-    for j in range(len(c) if terms is None else min(terms, len(c))):
+    for j in range(len(c)):
         for i in range(len(c) - 2, j - 1, -1):
             c[i] += w * c[i + 1]
     return c
@@ -102,25 +97,20 @@ def _series_divide(num, den, length: int) -> list:
     return out
 
 
-def _leading_negligible(mags: np.ndarray, tol: float) -> np.ndarray:
-    """Per row of magnitudes, how many leading entries are at most tol times the row's largest: _trim's rule."""
-    return (mags > mags.max(axis=-1, keepdims=True) * tol).argmax(axis=-1)  # the largest is above, unless all are 0
+def _leading_negligible(mags: list, tol: float) -> int:
+    """How many leading magnitudes are at most tol times the largest: _trim's rule (0 when none is above)."""
+    cut = tol * max(mags)
+    for k, m in enumerate(mags):
+        if m > cut:
+            return k
+    return 0
 
 
-_BASIS_TERMS = {
-    "pole": lambda k, j: ((-1) ** k * math.comb(j + k - 1, k) if j else float(k == 0), j + k),
-    "polynomial": lambda k, j: (math.comb(j, k), max(j - k, 0)),
-    "infinity": lambda k, j: (math.comb(k - 1, k - j), k - j) if 1 <= j <= k else (float(j == k == 0), 0),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _basis_terms(m: int, order: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(factor, exponent) of entry k of basis function j, _BASIS_TERMS[kind](k, j), as arrays per (m, order)."""
-    terms = np.array([[_BASIS_TERMS[kind](k, j) for j in range(m)] for k in range(order + 1)], dtype=float)
-    coeff, exponent = terms.reshape(order + 1, m, 2).transpose(2, 0, 1)
-    coeff.flags.writeable = exponent.flags.writeable = False
-    return coeff, exponent
+def _zero_order(jet: list, w: complex) -> int:
+    """The order of w as a zero of p, from jet = _taylor_shift(p's coefficients, w): how many leading
+    coefficients of t -> p(w + rho t) / rho^deg, rho = max(1, |w|), _trim zeroes (entry k is jet[k] rho^(k - deg))."""
+    rho, deg = max(1.0, abs(w)), len(jet) - 1
+    return _leading_negligible([abs(c) * rho ** (k - deg) for k, c in enumerate(jet)], COEFF_TRIM_TOL)
 
 
 def _vanishes(jet: list, tol: float) -> bool:
@@ -211,7 +201,8 @@ class Polynomial:
     def _divided(self, c: complex) -> "Polynomial":
         """self / c for a nonzero scalar c; the roots, and so the cached clusters, carry over."""
         out = Polynomial.__new__(Polynomial)
-        out.coeffs = self.coeffs / c  # still trimmed, unless the division over- or underflows
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by _trim below
+            out.coeffs = self.coeffs / c  # still trimmed, unless the division over- or underflows
         if out.coeffs[-1] == 0.0 or not np.isfinite(out.coeffs).all():
             out.coeffs = _trim(out.coeffs)
         out._clustered = self._clustered
@@ -236,8 +227,7 @@ class Polynomial:
         return np.asarray(npp.polyroots(c), dtype=complex)
 
     def _jet_validates(self, center: complex, mult: int) -> bool:
-        jet = np.array([abs(c) for c in _taylor_shift(self.coeffs.tolist(), center)])
-        return bool(_leading_negligible(jet, JET_ZERO_TOL) >= mult)
+        return _leading_negligible([abs(c) for c in _taylor_shift(self.coeffs.tolist(), center)], JET_ZERO_TOL) >= mult
 
     def clustered_roots(self) -> list[tuple[complex, int]]:
         """Roots grouped into (center, multiplicity) pairs.
@@ -408,21 +398,11 @@ class RationalFunction:
     def zero_degree_at(self, w) -> int:
         """Multiplicity of w as a zero (0 when r(w) != 0); w may be infinity."""
         w = as_point(w)
-        return int(self._zero_degrees(np.array([0j if is_inf(w) else w]), np.array([not is_inf(w)]))[0])
-
-    def _zero_degrees(self, values: np.ndarray, finite: np.ndarray) -> np.ndarray:
-        """zero_degree_at at points as SpectrumReport._point_array holds them: at a finite w, no root found, the count
-        of leading Taylor coefficients of t -> num(w + rho t), rho = max(1, |w|), that _trim zeroes.  One power table
-        gives them over rho^deg, lest they overflow: entry k is sum_j C(j, k) c_j rho^(j - deg) (w / rho)^(j - k)."""
         if self.is_zero:
             raise ValidationError("zero degree of the zero rational function")
-        deg, w = self.num.degree, values[finite][:, None]
-        rho = np.maximum(1.0, np.abs(w))
-        coeff, exponent = _basis_terms(deg + 1, deg, "polynomial")  # exponent[0] is 0, 1, ..., deg
-        jets = (coeff * (w / rho)[:, :, None] ** exponent) @ (self.num.coeffs * rho ** (exponent[0] - deg))[:, :, None]
-        out = np.full(values.size, max(0, self.den.degree - deg))
-        out[finite] = _leading_negligible(np.abs(jets[..., 0]), COEFF_TRIM_TOL)
-        return out
+        if is_inf(w):
+            return max(0, self.den.degree - self.num.degree)
+        return _zero_order(_taylor_shift(self.num.coeffs.tolist(), w), w)
 
     def jet_at(self, w, order: int) -> np.ndarray:
         """Taylor jet (f(w), f'(w)/1!, ..., f^(order)(w)/order!).
@@ -430,24 +410,27 @@ class RationalFunction:
         At infinity this is the jet of z -> r(1/z) at zero.  Raises when w is
         a pole.
         """
-        return np.array(self._jets([as_point(w)], [order + 1]), dtype=complex)
+        return np.array(self._jets([as_point(w)], [order + 1])[1], dtype=complex)
 
-    def _jets(self, points, lengths) -> list:
-        """jet_at at points (complex or INF), the k-th jet through entry lengths[k] - 1, end to end in one list.
-
-        A jet takes as many Taylor-shift passes of num as it has entries; den is shifted in full, for the
-        pole test, and its leading entries divide.  At infinity num and den are reversed, the shorter padded."""
-        num, den, out = self.num.coeffs.tolist(), self.den.coeffs.tolist(), []
-        for w, length in zip(points, lengths):
+    def _jets(self, points, lengths=None) -> tuple[list, list]:
+        """zero_degree_at and jet_at at points (complex or INF): the orders d(w), and end to end the k-th jet
+        through entry lengths[k] - 1 (through d(w) without lengths).  num and den are shifted in full, once a point:
+        d(w) is _zero_order of num's shift, and den's is the pole test, its leading entries divide.  At infinity
+        d(w) is the degree gap, and num and den are reversed, the shorter padded."""
+        num, den, orders, out = self.num.coeffs.tolist(), self.den.coeffs.tolist(), [], []
+        for k, w in enumerate(points):
             if is_inf(w):
+                order = max(0, self.den.degree - self.num.degree)
                 top, bottom = num[::-1], den[::-1]
                 top, bottom = ([0j] * (max(len(top), len(bottom)) - len(c)) + c for c in (top, bottom))
             else:
-                top, bottom = _taylor_shift(num, w, length), _taylor_shift(den, w)
+                top, bottom = _taylor_shift(num, w), _taylor_shift(den, w)
+                order = _zero_order(top, w)
             if _vanishes(bottom, COEFF_TRIM_TOL):
                 raise JetAtPoleError(f"jet requested at {'the pole infinity' if is_inf(w) else f'pole {w}'}")
-            out += _series_divide(top, bottom, length)
-        return out
+            orders.append(order)
+            out += _series_divide(top, bottom, order + 1 if lengths is None else lengths[k])
+        return orders, out
 
     def partial_fractions(self) -> PartialFractions:
         """Polynomial part plus principal parts at the clustered poles; computed once per function.
@@ -465,7 +448,7 @@ class RationalFunction:
             raise InconsistencyError("pole clusters of the denominator overlap")
         terms = []
         for (alpha, nu), jet in zip(poles, cofactors):
-            t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha, nu), jet, nu)
+            t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha), jet, nu)
             if _vanishes(t, PRINCIPAL_PART_TOL):
                 raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
                                          "denominator were not coprime after normalization")

@@ -102,10 +102,19 @@ def require_finite(values, name: str) -> None:
 
 
 def frobenius(mat: np.ndarray) -> float:
-    """float(np.linalg.norm(mat)) bit for bit: its dot products on the raveled array, without its dispatch."""
+    """float(np.linalg.norm(mat)) bit for bit: its dot products on the raveled array, without its dispatch.
+
+    Where the sum of squares overflows on finite entries, the norm is that of mat over its largest modulus,
+    scaled back, so it is infinite only when it passes the float range."""
     x = mat.ravel(order="K")
     re, im = x.real, x.imag  # a real x has im = 0, and adding 0.0 leaves its x.dot(x) as it is
-    return math.sqrt(re.dot(re) + im.dot(im))
+    with np.errstate(over="ignore"):
+        total = re.dot(re) + im.dot(im)
+        if total == math.inf:
+            scale = float(np.abs(x).max())
+            if scale < math.inf:
+                return scale * frobenius(x / scale)
+    return math.sqrt(total)
 
 
 def hermitian_residual(mat: np.ndarray) -> float:

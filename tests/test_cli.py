@@ -448,6 +448,22 @@ class TestNonFiniteInput:
             if extra:  # the default base point works
                 assert run_on(command, fixture)[0] == 0
 
+    # squares of entries of 1e300 overflow a Frobenius norm, which must not pass the checks that divide by it:
+    # q = 1e300 is not positive on the running example, and the Gram matrix is far from Hermitian
+    @pytest.mark.parametrize("fixture,key,value,rc,code", [
+        ("err_not_positive.json", "q", {"num": [1e300]}, 3, "not-positive"),
+        ("running.json", "gram", [[1e300, 1e300], [0, -1e300]], 2, "validation"),
+    ])
+    def test_huge_entries_keep_their_checks(self, tmp_path, fixture, key, value, rc, code):
+        base = json.loads((FIXTURES / fixture).read_text())
+        base[key] = value
+        problem = tmp_path / "huge.json"
+        problem.write_text(json.dumps(base))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, doc = run_cli("definitize", "--input", str(problem))
+        assert (got, doc["error"]["code"]) == (rc, code)
+
     def test_finite_jets_whose_decomposition_overflows_are_a_validation_error(self, tmp_path):
         # on the running example s = -1e308 matches the jet at 2, so g at 1 is 2e308
         base = json.loads((FIXTURES / "running.json").read_text())

@@ -590,13 +590,26 @@ class TestPackedLayout:
                     assert abs(dec.g[w] - g[w]) <= 1e-12 * max(1.0, abs(g[w])), (k, mu, w)
 
     def test_q_table_matches_jet_at(self):
+        # the jets verify_definitizing took with the degrees are jet_at's bit for bit, infinity among the points
         _, pairs = self.planted_pairs(72)
         for k, pair in enumerate(pairs):
-            plan = _plan(pair, None)
             want = np.concatenate([pair.q.jet_at(w, pair.degrees[w]) for w in pair.points])
-            scale = max(1.0, float(np.max(np.abs(want))))
-            assert plan.q_jets.shape == want.shape
-            assert np.allclose(plan.q_jets, want, rtol=0.0, atol=1e-13 * scale), k
+            assert np.array_equal(pair.q_jets, want), k
+            assert _plan(pair, None).q_jets is pair.q_jets
+
+    def test_no_jets_of_q_after_verification(self, monkeypatch):
+        calls, jets = [], RationalFunction._jets
+        monkeypatch.setattr(RationalFunction, "_jets", lambda self, *args: calls.append(self) or jets(self, *args))
+        pair = running_pair()
+        assert [f is pair.q for f in calls] == [True]  # one call gives the degrees and the jets of q
+        fact = gram_factorize(pair)
+        phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
+        decompose(pair, phi)
+        apply_calculus(fact, phi)
+        spectral_projection(fact, [2.0])
+        spectral_projection(fact, [2.0], mu=0.5 + 2.0j)
+        decompose_polynomial(pair, phi)
+        assert len(calls) == 1
 
     def test_plan_rows(self):
         pair = running_pair()

@@ -333,11 +333,12 @@ class TestZeroDegrees:
             planted = random_definitizable(rng, allow_mul=(trial % 3 == 0), allow_jordan=True)
             pair = planted.verify()
             q = pair.q
-            probes = list(pair.points) + [INF, 5.0]
-            probes += [c + off for c, _ in q.num.clustered_roots() for off in (5e-7, 2e-6, 1e-3j)]
+            points = list(pair.points)
+            near = [c + off for c, _ in q.num.clustered_roots() for off in (5e-7, 2e-6, 1e-3j)]
+            probes = points + [INF, 5.0] + near
             want = [exact_zero_degree(q, w) for w in probes]
-            values = np.array([np.inf if w is INF else w for w in probes])  # as SpectrumReport._point_array
-            assert q._zero_degrees(values, np.isfinite(values)).tolist() == want
+            # one _jets call reads them at the probes that cannot be poles of q (INF and 5.0 may be)
+            assert q._jets(points + near)[0] == want[: len(points)] + want[len(points) + 2:]
             assert [pair.degrees[w] for w in pair.points] == want[: len(pair.points)]
             assert [q.zero_degree_at(w) for w in probes] == want
 
@@ -811,6 +812,13 @@ class TestNonFinite:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValidationError, match=r"r\(A\) must be finite"):
                 rational_apply(RationalFunction(Polynomial([1e308] * 3)), fact.pair.relation)
+
+    def test_a_q_whose_normalization_overflows_is_a_validation_error(self):
+        # the running example's q over the denominator 1e-308: normalizing divides 2 by 1e-308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="finite"):
+                RationalFunction(Polynomial([2.0, -1.0]), Polynomial([1e-308]))
 
     def test_a_nan_resolvent_is_not_self_adjoint(self, fact):
         with pytest.raises(NotSelfAdjointError):

@@ -1,5 +1,8 @@
 """Subspaces, Moebius maps and linear relations."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -375,3 +378,12 @@ class TestFrobenius:
                 got, want = frobenius(a), float(np.linalg.norm(a))
                 assert type(got) is float
                 assert got == want, (trial, a.shape, a.dtype, a.strides)
+
+    def test_squares_that_overflow_are_scaled(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a in (np.full((2, 2), 1e300), np.array([3e300j, -4e300]), np.array([[1.5e308, 1e-300]])):
+                assert frobenius(a) == pytest.approx(1e300 * np.linalg.norm(a / 1e300), rel=1e-15)
+            assert frobenius(np.full(4, 1e308)) == math.inf  # the norm itself passes the float range
+            assert frobenius(np.array([np.inf, 1.0])) == math.inf
+            assert math.isnan(frobenius(np.array([np.nan, 1e300])))
