@@ -4,7 +4,8 @@ Problems are JSON files; every command reads one with --input, writes a JSON
 report to --output (default stdout), and exits 0 on success.  Failures keep
 the report shape with status "error" and map onto exit codes:
 
-    2  validation failure (bad JSON, wrong shapes or labels)
+    2  validation failure (input not UTF-8 JSON, wrong shapes or labels,
+       output file not writable: that report goes to stdout)
     3  violated mathematical precondition (pole on the spectrum,
        not self-adjoint, not positive, not in the commutant, ...)
     4  internal inconsistency (a proved identity violated beyond tolerance)
@@ -15,6 +16,7 @@ Complex scalars are written as [re, im]; the point at infinity as "inf".
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -392,6 +394,10 @@ _COMMANDS = {
 _EXIT_CODES = {"validation": 2, "precondition": 3, "inconsistency": 4}
 
 
+def _error_report(command: str, exc: KreinCalcError) -> dict:
+    return {"command": command, "status": "error", "error": {"code": exc.code, "message": str(exc)}}
+
+
 def _write_report(report: dict, path) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if path is None:
@@ -435,23 +441,36 @@ def main(argv=None) -> int:
                 raw = json.load(handle)
         except OSError as exc:
             raise ValidationError(f"cannot read input file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"input is not valid JSON: {exc}") from exc
         problem = Problem(raw, rank_tol=args.tol_rank, psd_tol=args.tol_psd)
         body = _COMMANDS[args.command](problem, args)
     except KreinCalcError as exc:
-        report = {
-            "command": args.command,
-            "status": "error",
-            "error": {"code": exc.code, "message": str(exc)},
-        }
+        report, code = _error_report(args.command, exc), _EXIT_CODES[exc.family]
+    else:
+        report, code = {"command": args.command, "status": "ok", **body}, 0
+    try:
         _write_report(report, args.output)
-        return _EXIT_CODES[exc.family]
-    report = {"command": args.command, "status": "ok"}
-    report.update(body)
-    _write_report(report, args.output)
-    return 0
+    except OSError as exc:
+        error = ValidationError(f"cannot write output file: {exc}")
+        _write_report(_error_report(args.command, error), None)
+        return _EXIT_CODES[error.family]
+    return code
+
+
+def entry() -> int:
+    """Process entry of the `kreincalc` script and of `python -m kreincalc.cli`.
+
+    Runs `main`, then freezes the collector: its exit-time collections skip
+    the permanent generation, so the process ends without walking the ~23k
+    containers built at import.  Unlike `os._exit`, atexit handlers and the
+    flush of stdout still run.  `main` leaves the collector alone for embedders.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())
