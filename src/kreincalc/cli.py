@@ -15,8 +15,12 @@ Complex scalars are written as [re, im]; the point at infinity as "inf".
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":  # `python -m`: the collector stays off from before the imports to the exit (see entry)
+    gc.disable()
+
+import argparse
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -461,11 +465,17 @@ def main(argv=None) -> int:
 def entry() -> int:
     """Process entry of the `kreincalc` script and of `python -m kreincalc.cli`.
 
-    Runs `main`, then freezes the collector: its exit-time collections skip
-    the permanent generation, so the process ends without walking the ~23k
-    containers built at import.  Unlike `os._exit`, atexit handlers and the
-    flush of stdout still run.  `main` leaves the collector alone for embedders.
+    Runs `main` with the cyclic collector off, then freezes it.  A run is one
+    short request, so a collection would only walk again the ~23k containers
+    built at import.  `python -m` turns the collector off at the top of this
+    module, before those imports; the console script imports first, so here.
+    The freeze moves every object to the permanent generation, which the
+    exit-time collection skips (that one runs with the collector off too).
+    Unlike `os._exit`, atexit handlers and the flush of stdout still run.
+    `main`, and a plain import of this module, leave the collector as they
+    found it, for embedders.
     """
+    gc.disable()
     try:
         return main()
     finally:

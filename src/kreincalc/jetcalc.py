@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -282,7 +281,6 @@ def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
     return plans[key]
 
 
-@dataclass(frozen=True, eq=False)
 class Decomposition:
     """phi = (jets of s) + g * (jets of q) along the spectrum.
 
@@ -290,12 +288,9 @@ class Decomposition:
     coeffs[j] z^j when base_point is INF.  _g holds g in the pair's point order.
     """
 
-    pair: DefinitizablePair
-    coeffs: np.ndarray
-    g: dict
-    base_point: object
-    _plan: _CalculusPlan = field(repr=False)
-    _g: np.ndarray = field(repr=False)
+    def __init__(self, pair: DefinitizablePair, coeffs: np.ndarray, g: dict, base_point: object,
+                 _plan: _CalculusPlan, _g: np.ndarray):
+        self.pair, self.coeffs, self.g, self.base_point, self._plan, self._g = pair, coeffs, g, base_point, _plan, _g
 
     @property
     def s(self) -> RationalFunction:

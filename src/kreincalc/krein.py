@@ -21,7 +21,6 @@ resolvents from one stacked solve, kept on the pair.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,25 +101,20 @@ def map_adjoint(mat: np.ndarray, domain: GramSpace, codomain: GramSpace) -> np.n
     return np.linalg.solve(domain.gram, mat.conj().T @ codomain.gram)
 
 
-@dataclass(frozen=True, eq=False)
 class DefinitizablePair:
     """A self-adjoint relation together with a verified definitizing function."""
 
-    space: GramSpace
-    relation: LinearRelation
-    q: RationalFunction
-    q_matrix: np.ndarray
-    report: SpectrumReport
-    points: tuple[object, ...]
-    degrees: dict
-    q_jets: np.ndarray  # q's Taylor jets at the points through entry degrees[w], end to end in point order
-    diagnostics: dict = field(default_factory=dict)
-    # eigh of the Hermitian part of G q(A): (eigenvalues, eigenvectors)
-    psd_eig: tuple = field(default=None, repr=False)
-    # the resolvents solved with q(A): at the poles of q, _resolvent_point and _calculus_point
-    resolvents: ResolventStack = field(default=None, repr=False)
-    # calculus plans by base point, built and read by jetcalc
-    _calculus_plans: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, space: GramSpace, relation: LinearRelation, q: RationalFunction, q_matrix: np.ndarray,
+                 report: SpectrumReport, points: tuple[object, ...], degrees: dict, q_jets: np.ndarray,
+                 diagnostics: dict = None, psd_eig: tuple = None, resolvents: ResolventStack = None):
+        self.space, self.relation, self.q, self.q_matrix, self.report = space, relation, q, q_matrix, report
+        self.points, self.degrees = points, degrees
+        self.q_jets = q_jets  # q's Taylor jets at the points through entry degrees[w], end to end in point order
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.psd_eig = psd_eig  # eigh of the Hermitian part of G q(A): (eigenvalues, eigenvectors)
+        # the resolvents solved with q(A): at the poles of q, _resolvent_point and _calculus_point
+        self.resolvents = resolvents
+        self._calculus_plans = {}  # calculus plans by base point, built and read by jetcalc
 
     @functools.cached_property
     def calculus_point(self) -> complex:
@@ -227,14 +221,12 @@ def verify_definitizing(
     )
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Spectral measure on C^r as eigh gives it: column k of the orthonormal basis V
     lies in the atom at points[index[k]], and an integral of g is V diag(g) V*."""
 
-    basis: np.ndarray
-    index: np.ndarray
-    points: tuple[object, ...]
+    def __init__(self, basis: np.ndarray, index: np.ndarray, points: tuple[object, ...]):
+        self.basis, self.index, self.points = basis, index, points
 
     @functools.cached_property
     def atoms(self) -> tuple[tuple[object, np.ndarray], ...]:
@@ -332,19 +324,19 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
     return _measure_from_resolvent(resolvent_at(rel, mu, report), mu, report)
 
 
-@dataclass(frozen=True, eq=False)
 class Factorization:
     """Gram factorization q(A) = T T^+ through a Hilbert space C^r."""
 
-    pair: DefinitizablePair
-    rank: int
-    factor: np.ndarray          # T: C^r -> C^n
-    factor_adjoint: np.ndarray  # T^+ = T* G: C^n -> C^r
-    left_inverse: np.ndarray    # L = diag(1/lambda) T^+ G with L T = I, lambda the kept eigenvalues
-    resolvent: np.ndarray       # X with R T = T X, R the resolvent of A at base_point
-    base_point: float           # the real point mu of the resolvent set
-    measure: SpectralMeasure
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, pair: DefinitizablePair, rank: int, factor: np.ndarray, factor_adjoint: np.ndarray,
+                 left_inverse: np.ndarray, resolvent: np.ndarray, base_point: float, measure: SpectralMeasure,
+                 diagnostics: dict = None):
+        self.pair, self.rank, self.measure = pair, rank, measure
+        self.factor = factor                  # T: C^r -> C^n
+        self.factor_adjoint = factor_adjoint  # T^+ = T* G: C^n -> C^r
+        self.left_inverse = left_inverse      # L = diag(1/lambda) T^+ G with L T = I, lambda the kept eigenvalues
+        self.resolvent = resolvent            # X with R T = T X, R the resolvent of A at base_point
+        self.base_point = base_point          # the real point mu of the resolvent set
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @functools.cached_property
     def theta(self) -> LinearRelation:

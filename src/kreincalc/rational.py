@@ -10,7 +10,6 @@ are derived from the degree gap, and Taylor jets at infinity are jets of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -106,11 +105,15 @@ def _leading_negligible(mags: list, tol: float) -> int:
     return 0
 
 
-def _zero_order(jet: list, w: complex) -> int:
-    """The order of w as a zero of p, from jet = _taylor_shift(p's coefficients, w): how many leading
-    coefficients of t -> p(w + rho t) / rho^deg, rho = max(1, |w|), _trim zeroes (entry k is jet[k] rho^(k - deg))."""
+def _zero_order(coeffs: list, jet: list, w: complex) -> int:
+    """The order of w as a zero of p, from p's coefficients and jet = _taylor_shift(coeffs, w): how many leading
+    coefficients of t -> p(w + rho t) / rho^deg, rho = max(1, |w|), _trim zeroes (entry k is jet[k] rho^(k - deg)).
+    Where jet overflows, they are the shift of the scaled coefficients c_j rho^(j - deg) to w / rho."""
     rho, deg = max(1.0, abs(w)), len(jet) - 1
-    return _leading_negligible([abs(c) * rho ** (k - deg) for k, c in enumerate(jet)], COEFF_TRIM_TOL)
+    mags = [abs(c) * rho ** (k - deg) for k, c in enumerate(jet)]
+    if not all(map(math.isfinite, mags)):
+        mags = [abs(c) for c in _taylor_shift([c * rho ** (j - deg) for j, c in enumerate(coeffs)], w / rho)]
+    return _leading_negligible(mags, COEFF_TRIM_TOL)
 
 
 def _vanishes(jet: list, tol: float) -> bool:
@@ -271,12 +274,11 @@ class Polynomial:
         return f"Polynomial({self.coeffs.tolist()})"
 
 
-@dataclass(frozen=True)
 class PartialFractions:
     """r = poly + sum of coeff / (z - pole)^order terms."""
 
-    poly: Polynomial
-    terms: tuple[tuple[complex, int, complex], ...]  # (pole, order, coeff)
+    def __init__(self, poly: Polynomial, terms: tuple[tuple[complex, int, complex], ...]):  # (pole, order, coeff)
+        self.poly, self.terms = poly, terms
 
     def __call__(self, z: complex) -> complex:
         val = self.poly(z)
@@ -402,7 +404,8 @@ class RationalFunction:
             raise ValidationError("zero degree of the zero rational function")
         if is_inf(w):
             return max(0, self.den.degree - self.num.degree)
-        return _zero_order(_taylor_shift(self.num.coeffs.tolist(), w), w)
+        num = self.num.coeffs.tolist()
+        return _zero_order(num, _taylor_shift(num, w), w)
 
     def jet_at(self, w, order: int) -> np.ndarray:
         """Taylor jet (f(w), f'(w)/1!, ..., f^(order)(w)/order!).
@@ -425,7 +428,7 @@ class RationalFunction:
                 top, bottom = ([0j] * (max(len(top), len(bottom)) - len(c)) + c for c in (top, bottom))
             else:
                 top, bottom = _taylor_shift(num, w), _taylor_shift(den, w)
-                order = _zero_order(top, w)
+                order = _zero_order(num, top, w)
             if _vanishes(bottom, COEFF_TRIM_TOL):
                 raise JetAtPoleError(f"jet requested at {'the pole infinity' if is_inf(w) else f'pole {w}'}")
             orders.append(order)

@@ -13,7 +13,6 @@ modelled by the singleton ``INF``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,14 +270,11 @@ class Subspace:
 # -- Möbius matrices -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MoebiusMap:
     """2x2 matrix [[a, b], [c, d]] acting as z -> (a z + b)/(c z + d)."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c

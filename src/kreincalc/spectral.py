@@ -18,7 +18,6 @@ infinity comes from the nu and from rank decisions on M^{-1} X.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -52,13 +51,11 @@ from .tolerances import POINT_MATCH_TOL, RANK_TOL, SHIFT_COND, SPECTRUM_CLUSTER_
 _PENCIL_PROBES = (0.7310 + 0.5811j, -1.2903 + 0.4117j, 2.1107 - 1.7313j)
 
 
-@dataclass(frozen=True)
 class SpectrumReport:
     """Spectrum as (point, multiplicity) pairs, or the full extended plane."""
 
-    space_dim: int
-    points: tuple[tuple[object, int], ...]
-    is_full_sphere: bool = False
+    def __init__(self, space_dim: int, points: tuple[tuple[object, int], ...], is_full_sphere: bool = False):
+        self.space_dim, self.points, self.is_full_sphere = space_dim, points, is_full_sphere
 
     @functools.cached_property
     def _point_array(self) -> tuple[np.ndarray, np.ndarray]:

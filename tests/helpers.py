@@ -6,6 +6,7 @@ congruence.  Generators record what they planted so tests can assert
 against known ground truth instead of re-deriving it.
 """
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from kreincalc import (
     INF,
+    DefinitizablePair,
     GramSpace,
     JetFunction,
     LinearRelation,
@@ -22,6 +24,15 @@ from kreincalc import (
     verify_definitizing,
 )
 from kreincalc.tolerances import COEFF_TRIM_TOL
+
+
+def replace_pair(pair, **changes):
+    """A new DefinitizablePair built from pair's constructor arguments, changes replacing some of them.
+
+    It goes through the constructor, so a name that is not an argument raises TypeError and nothing cached on
+    pair (its calculus_point, its calculus plans) is carried over."""
+    args = {name: getattr(pair, name) for name in inspect.signature(DefinitizablePair).parameters}
+    return DefinitizablePair(**{**args, **changes})
 
 
 def random_operator(rng, n, scale=1.0):

@@ -514,11 +514,11 @@ def test_cli_import_leaves_scipy_out():
 ])
 def test_console_entry_point(command, fixture, code, tmp_path):
     """The process entry (`python -m kreincalc.cli`, as the console script) writes the bytes and exits with the
-    code of an in-process `main`, and the process-wide freeze of the collector stays out of `main`."""
+    code of an in-process `main`, and the process-wide switch-off and freeze of the collector stay out of `main`."""
     argv = [command, "--input", str(FIXTURES / fixture)]
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     rc, text = run_cli_text(*argv)
-    assert (rc, gc.get_freeze_count()) == (code, frozen)
+    assert (rc, gc.get_freeze_count(), gc.isenabled()) == (code, frozen, enabled)
     out = tmp_path / "report.json"
     for extra in ((), ("--output", str(out))):
         proc = subprocess.run([sys.executable, "-m", "kreincalc.cli", *argv, *extra],

@@ -56,6 +56,37 @@ def test_each_command_loads_only_what_it_runs(runs, loaded, absent):
     assert not modules & absent
 
 
+def test_a_cli_process_loads_no_dataclasses():
+    # the records are plain classes: a `-m` run, and an import of cli and jetcalc, leave dataclasses out
+    env = dict(os.environ, PYTHONPATH=str(PARENT))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kreincalc.cli", "calculus",
+                           "--input", str(FIXTURES / "running.json"), "--output", os.devnull],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"numpy", "kreincalc.krein", "kreincalc.jetcalc"} <= imported
+    assert "dataclasses" not in imported
+    assert _fresh("import sys, kreincalc.cli, kreincalc.jetcalc\nresult = 'dataclasses' in sys.modules")[0] is False
+
+
+def test_the_cli_as_main_collects_nothing_from_numpy_on_and_an_import_leaves_the_collector_alone():
+    # run as `-m` runs it; the collections logged are those that start once numpy is loading
+    argv = ["kreincalc.cli", "calculus", "--input", str(FIXTURES / "running.json"), "--output", os.devnull]
+    run = ("import gc, runpy, sys\n"
+           f"sys.argv = {argv!r}\n"
+           "late = []\n"
+           "gc.callbacks.append(lambda phase, info:\n"
+           "                    phase == 'start' and 'numpy' in sys.modules and late.append(info))\n"
+           "try:\n"
+           "    runpy.run_module('kreincalc.cli', run_name='__main__', alter_sys=True)\n"
+           "except SystemExit as exc:\n"
+           "    result = [exc.code, gc.isenabled(), late]")
+    assert _fresh(run)[0] == [0, False, []]
+    for state in ("enable", "disable"):
+        result = _fresh(f"import gc\ngc.{state}()\nimport kreincalc.cli\nresult = gc.isenabled()")[0]
+        assert result is (state == "enable")
+
+
 def test_submodules_are_attributes_of_the_package():
     result = _fresh("import kreincalc\n"
                     "result = [kreincalc.tolerances.PSD_TOL, kreincalc.errors.ValidationError.__name__]")[0]

@@ -1,6 +1,5 @@
 """Jet algebra and the jet-valued calculus."""
 
-import dataclasses
 import gc
 import json
 import warnings
@@ -42,7 +41,7 @@ from kreincalc import jetcalc
 from kreincalc.jetcalc import _basis_table, _plan
 from kreincalc.krein import _calculus_point
 
-from helpers import jet_max_abs, random_definitizable, random_real_rational, reassemble
+from helpers import jet_max_abs, random_definitizable, random_real_rational, reassemble, replace_pair
 
 
 def running_pair():
@@ -421,11 +420,11 @@ class TestApplyCalculus:
         pair = running_pair()
         assert pair.calculus_point == _calculus_point(pair.report, pair.q)
         with pytest.raises(TypeError):
-            dataclasses.replace(pair, calculus_point=0j)  # derived from the pair, not a field
+            replace_pair(pair, calculus_point=0j)  # derived from the pair, not a constructor argument
         # the spectral point 2 moved to 20: a copy must not keep the base point of the old report
         points = tuple(20.0 + 0j if abs(w - 2.0) < 1e-9 else w for w in pair.points)
-        copy = dataclasses.replace(pair, report=SpectrumReport(2, tuple(zip(points, (1, 1)))), points=points,
-                                   degrees=dict(zip(points, pair.degrees.values())))
+        copy = replace_pair(pair, report=SpectrumReport(2, tuple(zip(points, (1, 1)))), points=points,
+                            degrees=dict(zip(points, pair.degrees.values())))
         assert copy.calculus_point == _calculus_point(copy.report, copy.q) != pair.calculus_point
         assert _plan(copy, None).mu == copy.calculus_point
 

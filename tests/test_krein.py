@@ -1,6 +1,5 @@
 """Gram spaces, definitizing verification, factorization and transport."""
 
-import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -49,6 +48,7 @@ from helpers import (
     random_gram,
     random_operator,
     random_real_rational,
+    replace_pair,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -279,7 +279,7 @@ class TestPointMatcher:
         space, rel, q = running_example()
         # exact points 1 and 2, so that 1.5 + 0.3i is equally far from both
         exact = SpectrumReport(2, ((1.0 + 0j, 1), (2.0 + 0j, 1)))
-        pair = dataclasses.replace(verify_definitizing(space, rel, q), report=exact, points=(1.0 + 0j, 2.0 + 0j))
+        pair = replace_pair(verify_definitizing(space, rel, q), report=exact, points=(1.0 + 0j, 2.0 + 0j))
         assert pair._match([1.5, 1.5 + 0.3j, 2.0, 1.0], 1.0).tolist() == [0, 0, 1, 0]
         assert pair.resolve(1.5 - 0.3j, tol=1.0) == 1.0
 
@@ -321,7 +321,7 @@ class TestPointMatcher:
         for pair in (verify_definitizing(space, rel, q), multivalued_pair()):
             moved = tuple((p if p is INF else p + 1e-3, m) for p, m in pair.report.points)
             report = SpectrumReport(pair.report.space_dim, moved)
-            shifted = dataclasses.replace(pair, report=report, points=tuple(p for p, _ in moved))
+            shifted = replace_pair(pair, report=report, points=tuple(p for p, _ in moved))
             with pytest.raises(InconsistencyError, match="matches no spectral point"):
                 gram_factorize(shifted)
 

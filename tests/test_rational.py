@@ -259,6 +259,15 @@ class TestRationalFunction:
         assert r.zero_degree_at(5.0) == 0
         assert r.zero_degree_at(INF) == 1
 
+    def test_zero_degree_where_the_shift_of_num_overflows(self):
+        # num trims to z^3 - 1e120 z^2 - 1e120: its plain Taylor shift to the next float above the root 1e120 is
+        # not finite, so the order there is read from the shift of the rho-scaled coefficients; at the other
+        # points the plain shift is finite and read as it is
+        r = RationalFunction(Polynomial.from_roots([1e120, 1j, -1j]))
+        points = [complex(np.nextafter(1e120, np.inf)), 1e120 + 0j, 1j, -1j, 2.0 + 0j]
+        assert [np.isfinite(_taylor_shift(r.num.coeffs.tolist(), w)).all() for w in points] == [False] + [True] * 4
+        assert [r.zero_degree_at(w) for w in points] == r._jets(points)[0] == [1, 1, 1, 1, 0]
+
     def test_partial_fractions_simple_poles_golden(self):
         # [DERIVED] 1/(z^2 - 1) = 1/2 * 1/(z-1) - 1/2 * 1/(z+1)
         r = RationalFunction(Polynomial([1.0]), Polynomial([-1.0, 0.0, 1.0]))
