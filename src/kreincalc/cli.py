@@ -1,14 +1,21 @@
-"""Command line interface.
+"""
+Functional calculus for self-adjoint relations on Krein spaces: each command
+reads a JSON problem and writes a JSON report.
 
-Problems are JSON files; every command reads one with --input, writes a JSON
-report to --output (default stdout), and exits 0 on success.  Failures keep
-the report shape with status "error" and map onto exit codes:
+options:
+  -h, --help      show this help message and exit
+  --input FILE    problem file (JSON)
+  --output FILE   report file (default: stdout)
+  --tol-rank X    relative rank cutoff used when reading graph columns
+  --tol-psd X     relative tolerance for the positivity check of q(A)
+  --mu RE IM      base point for the rational part of the decomposition
 
-    2  validation failure (input not UTF-8 JSON, wrong shapes or labels,
-       output file not writable: that report goes to stdout)
-    3  violated mathematical precondition (pole on the spectrum,
-       not self-adjoint, not positive, not in the commutant, ...)
-    4  internal inconsistency (a proved identity violated beyond tolerance)
+exit codes (a failure writes a report with status "error", unless stdout fails):
+  0  success
+  2  validation failure: input not UTF-8 JSON, wrong shapes or labels, an --output
+     file not writable (the report goes to stdout), a stdout not writable
+  3  violated mathematical precondition: pole on the spectrum, not self-adjoint, ...
+  4  internal inconsistency: a proved identity violated beyond tolerance
 
 Complex scalars are written as [re, im]; the point at infinity as "inf".
 """
@@ -20,10 +27,12 @@ import gc
 if __name__ == "__main__":  # `python -m`: the collector stays off from before the imports to the exit (see entry)
     gc.disable()
 
-import argparse
+import atexit
 import json
+import os
 import sys
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -67,9 +76,7 @@ def _decode_scalar(value) -> complex:
 
 
 def _decode_point(value):
-    if value == "inf":
-        return INF
-    return _decode_scalar(value)
+    return INF if value == "inf" else _decode_scalar(value)
 
 
 def _decode_matrix(value, name: str) -> np.ndarray:
@@ -86,13 +93,10 @@ def _decode_matrix(value, name: str) -> np.ndarray:
 
 def _decode_label(key: str):
     """Spectral-point label used as a JSON object key: "inf" or "[re, im]"."""
-    if key == "inf":
-        return INF
     try:
-        parsed = json.loads(key)
+        return _decode_point(key if key == "inf" else json.loads(key))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad spectral label {key!r}") from exc
-    return _decode_point(parsed)
 
 
 def _decode_coeffs(value, name: str) -> Polynomial:
@@ -334,18 +338,12 @@ def _cmd_rational_apply(problem: Problem, args) -> dict:
     }
 
 
-def _mu_of(args):
-    if args.mu is None:
-        return None
-    return complex(args.mu[0], args.mu[1])
-
-
 def _cmd_calculus(problem: Problem, args) -> dict:
     from .jetcalc import apply_calculus, decompose
 
     pair, fact = _factorize(problem)
     phi = problem.jet_function(pair)
-    dec = decompose(pair, phi, _mu_of(args))
+    dec = decompose(pair, phi, args.mu)
     mat = apply_calculus(fact, dec)
     return {
         "spectrum": _spectrum_payload(pair.report),
@@ -364,7 +362,7 @@ def _cmd_project(problem: Problem, args) -> dict:
     from .jetcalc import spectral_projection
 
     pair, fact = _factorize(problem)
-    proj = spectral_projection(fact, problem.delta(), _mu_of(args))
+    proj = spectral_projection(fact, problem.delta(), args.mu)
     return {
         "spectrum": _spectrum_payload(pair.report),
         "results": {
@@ -404,38 +402,60 @@ def _error_report(command: str, exc: KreinCalcError) -> dict:
 
 def _write_report(report: dict, path) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError("stdout is closed")
+    else:
+        sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kreincalc",
-        description="Functional calculus for self-adjoint relations on Krein spaces.",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--input", required=True, help="problem file (JSON)")
-    parser.add_argument("--output", default=None, help="report file (default: stdout)")
-    parser.add_argument(
-        "--tol-rank", type=float, default=RANK_TOL,
-        help="relative rank cutoff used when reading graph columns",
-    )
-    parser.add_argument(
-        "--tol-psd", type=float, default=PSD_TOL,
-        help="relative tolerance for the positivity check of q(A)",
-    )
-    parser.add_argument(
-        "--mu", nargs=2, type=float, metavar=("RE", "IM"), default=None,
-        help="base point for the rational part of the decomposition",
-    )
-    return parser
+def _stdout_failure(exc: OSError) -> int:
+    sys.stderr.write(f"kreincalc: error: cannot write the report to stdout: {exc}\n")
+    return _EXIT_CODES["validation"]
+
+
+# the type of each flag's values; --mu takes two, RE and IM, and reads them as the complex number RE + i IM
+_FLAGS = {"--input": str, "--output": str, "--tol-rank": float, "--tol-psd": float, "--mu": float}
+_USAGE = (f"usage: kreincalc {{{','.join(_COMMANDS)}}}\n"
+          "  --input FILE [--output FILE] [--tol-rank X] [--tol-psd X] [--mu RE IM]\n")
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The command and flags of argv, or a ValueError naming a usage error.  Flags go before or after the command,
+    the last of a flag wins, and a value not after "=" may not start with "--" (but may be -1, as in --mu -1 2)."""
+    args = SimpleNamespace(command=None, input=None, output=None, tol_rank=RANK_TOL, tol_psd=PSD_TOL, mu=None)
+    tokens = list(argv)
+    while tokens:
+        token = tokens.pop(0)
+        flag, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            sys.stdout.write(_USAGE + (__doc__ or ""))  # the module docstring is the help text
+            raise SystemExit(0)
+        if flag in _FLAGS:
+            count, kind = 1 + (flag == "--mu"), _FLAGS[flag]
+            values = [value] if eq else tokens[:count]
+            if len(values) != count or not eq and any(text.startswith("--") for text in values):
+                raise ValueError(f"{flag} takes {count} value{'s' * (count > 1)}")
+            del tokens[:0 if eq else count]
+            values = [kind(text) for text in values]  # its ValueError names the text that is not a float
+            setattr(args, flag[2:].replace("-", "_"), complex(*values) if count > 1 else values[0])
+        elif args.command is None and token in _COMMANDS:
+            args.command = token
+        else:
+            raise ValueError(f"unrecognized argument: {token}")
+    if None in (args.command, args.input):
+        raise ValueError("a command and --input FILE are required")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:  # the usage line and the reason on stderr, exit 2, as argparse ends a usage error
+        sys.stderr.write(f"{_USAGE}kreincalc: error: {exc}\n")
+        raise SystemExit(2) from None
     try:
         for flag, value in (("--tol-rank", args.tol_rank), ("--tol-psd", args.tol_psd)):
             if not 0.0 <= value < np.inf:  # also false for nan
@@ -453,33 +473,39 @@ def main(argv=None) -> int:
         report, code = _error_report(args.command, exc), _EXIT_CODES[exc.family]
     else:
         report, code = {"command": args.command, "status": "ok", **body}, 0
+    if args.output is not None:
+        try:
+            _write_report(report, args.output)
+            return code
+        except OSError as exc:  # the error report goes to stdout
+            error = ValidationError(f"cannot write output file: {exc}")
+            report, code = _error_report(args.command, error), _EXIT_CODES[error.family]
     try:
-        _write_report(report, args.output)
+        _write_report(report, None)
     except OSError as exc:
-        error = ValidationError(f"cannot write output file: {exc}")
-        _write_report(_error_report(args.command, error), None)
-        return _EXIT_CODES[error.family]
+        return _stdout_failure(exc)
     return code
 
 
-def entry() -> int:
+def entry() -> NoReturn:
     """Process entry of the `kreincalc` script and of `python -m kreincalc.cli`.
 
-    Runs `main` with the cyclic collector off, then freezes it.  A run is one
-    short request, so a collection would only walk again the ~23k containers
-    built at import.  `python -m` turns the collector off at the top of this
-    module, before those imports; the console script imports first, so here.
-    The freeze moves every object to the permanent generation, which the
-    exit-time collection skips (that one runs with the collector off too).
-    Unlike `os._exit`, atexit handlers and the flush of stdout still run.
-    `main`, and a plain import of this module, leave the collector as they
-    found it, for embedders.
+    Runs `main` with the cyclic collector off (`python -m` turns it off at the top of this module, before the
+    imports), then the atexit handlers, flushes stdout and stderr, and ends with `os._exit`: the teardown would
+    only walk again what the imports built.  A usage error or a raw exception exits as usual.  `main`, and a
+    plain import of this module, leave the collector alone.
     """
     gc.disable()
+    code = main()
+    atexit._run_exitfuncs()
     try:
-        return main()
-    finally:
-        gc.freeze()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _stdout_failure(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

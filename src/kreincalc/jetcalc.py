@@ -232,14 +232,18 @@ def _basis_table(mu, values: np.ndarray, finite: np.ndarray, m: int, order: int)
     """
     out = np.empty((values.size, order + 1, m), dtype=complex)
     coeff, exponent = _basis_terms(m, order, "polynomial" if is_inf(mu) else "pole")
-    base = values[finite] if is_inf(mu) else 1.0 / (values[finite] - mu)
-    out[finite] = coeff * base[:, None, None] ** exponent
+    with np.errstate(over="ignore"):  # for a far mu, numpy's complex division overflows to 0: caught below
+        base = values[finite] if is_inf(mu) else 1.0 / (values[finite] - mu)
+    out[finite] = powers = coeff * base[:, None, None] ** exponent
+    underflow = not is_inf(mu) and (powers == 0)[:, coeff != 0].any()
     if not finite.all():
         coeff, exponent = _basis_terms(m, order, "infinity")
         with np.errstate(over="ignore", invalid="ignore"):
             out[~finite] = rows = coeff * np.power(mu, exponent)
         if not np.isfinite(rows).all():
             raise ValidationError(f"base point mu = {mu} is too large: its powers at infinity overflow")
+    if underflow:
+        raise ValidationError(f"base point mu = {mu} is too large: its powers at the spectral points underflow")
     return out
 
 

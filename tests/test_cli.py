@@ -10,6 +10,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -295,11 +296,6 @@ class TestErrorExits:
         assert doc["error"]["code"] == name
         assert doc["error"]["message"]
 
-    def test_missing_command_exits_via_argparse(self):
-        with pytest.raises(SystemExit):
-            with contextlib.redirect_stderr(io.StringIO()):
-                cli.main([])
-
     def test_error_report_also_written_to_output(self, tmp_path):
         out = tmp_path / "err.json"
         rc, _ = run_on("definitize", "err_not_positive.json", "--output", str(out))
@@ -403,6 +399,62 @@ class TestTolerances:
             assert doc["error"]["message"].startswith(f"{flag} must be finite and nonnegative")
 
 
+RUNNING = str(FIXTURES / "running.json")
+
+
+class TestArgv:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["calculus", "--input", RUNNING, "--help"]])
+    def test_help_exits_0_with_the_usage_and_every_option_on_stdout(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert out.startswith("usage: kreincalc {")
+        assert all(name in out for name in [*cli._COMMANDS, "--input", "--output", "--tol-rank", "--tol-psd", "--mu"])
+
+    @pytest.mark.parametrize("command,argv,plain", [
+        ("calculus", ["--input=" + RUNNING], ["--input", RUNNING]),
+        ("definitize", ["--tol-psd=1e-6", "--input", RUNNING], ["--input", RUNNING, "--tol-psd", "1e-6"]),
+        ("calculus", ["--tol-psd", "nan", "--input", "no_such_file.json", "--input", RUNNING, "--tol-psd=1e-8"],
+         ["--input", RUNNING]),
+        ("calculus", ["--mu", "-1", "2", "--input", str(FIXTURES / "degenerate.json")],
+         ["--input", str(FIXTURES / "degenerate.json"), "--mu", "-1", "2"]),
+    ])
+    def test_the_forms_of_a_call_give_the_bytes_of_the_plain_form(self, command, argv, plain):
+        # flags before the command, the "=" form, and the last of a repeated flag
+        assert run_cli_text(*argv, command) == run_cli_text(command, *plain)
+
+    def test_mu_with_a_negative_real_part_is_the_base_point(self):
+        rc, doc = run_on("calculus", "degenerate.json", "--mu", "-1", "2")
+        assert rc == 0
+        # the rational part's denominator is a power of z - mu
+        assert np.allclose(np.roots([as_complex(c) for c in doc["results"]["rational_part"]["den"]][::-1]), -1 + 2j)
+
+    @pytest.mark.parametrize("argv,reason", [
+        ([], "a command and --input FILE are required"),
+        (["--input", RUNNING], "a command and --input FILE are required"),
+        (["calculus"], "a command and --input FILE are required"),
+        (["integrate", "--input", RUNNING], "unrecognized argument: integrate"),
+        (["calculus", "spectrum", "--input", RUNNING], "unrecognized argument: spectrum"),
+        (["calculus", "--input", RUNNING, "--verbose"], "unrecognized argument: --verbose"),
+        (["calculus", "--inp", RUNNING], "unrecognized argument: --inp"),
+        (["calculus", "-x", "--input", RUNNING], "unrecognized argument: -x"),
+        (["calculus", "--input"], "--input takes 1 value"),
+        (["calculus", "--input", "--output", "out.json"], "--input takes 1 value"),
+        (["calculus", "--input", RUNNING, "--mu", "1"], "--mu takes 2 values"),
+        (["calculus", "--input", RUNNING, "--mu=1", "2"], "--mu takes 2 values"),
+        (["calculus", "--input", RUNNING, "--tol-psd", "small"], "could not convert string to float: 'small'"),
+        (["calculus", "--input", RUNNING, "--mu", "1", "i"], "could not convert string to float: 'i'"),
+    ])
+    def test_a_usage_error_exits_2_with_the_usage_line_and_the_reason_on_stderr(self, argv, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: kreincalc {")
+        assert err.endswith(f"\nkreincalc: error: {reason}\n")
+
+
 @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_every_command_on_every_fixture_ends_in_a_report(command, fixture):
@@ -459,6 +511,8 @@ class TestNonFiniteInput:
         ("norm-f", "err_overflow.json", (), "jets of the function must be finite"),
         ("calculus", "mul3.json", ("--mu", "0", "1e200"), "too large: its powers at infinity overflow"),
         ("project", "mul3.json", ("--mu", "0", "1e200"), "too large: its powers at infinity overflow"),
+        # on degenerate.json the basis powers (1e300 - w)^(-2) underflow to 0 at the finite points
+        ("calculus", "degenerate.json", ("--mu", "1e300", "0"), "too large: its powers at the spectral points underflow"),
     ])
     def test_a_result_that_overflows_is_a_validation_error(self, command, fixture, extra, message):
         with warnings.catch_warnings():
@@ -468,6 +522,14 @@ class TestNonFiniteInput:
             assert re.search(message, doc["error"]["message"])
             if extra:  # the default base point works
                 assert run_on(command, fixture)[0] == 0
+
+    def test_a_far_base_point_whose_powers_are_not_needed_gives_a_clean_result(self):
+        # 1 / (w - mu) overflows numpy's complex division to 0, but the running example needs only the constant
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, doc = run_on("calculus", "running.json", "--mu", "1e308", "1e308")
+        assert rc == 0
+        assert doc["results"]["matrix"] == run_on("calculus", "running.json")[1]["results"]["matrix"]
 
     # squares of entries of 1e300 overflow a Frobenius norm, which must not pass the checks that divide by it:
     # q = 1e300 is not positive on the running example, and the Gram matrix is far from Hermitian
@@ -514,7 +576,7 @@ def test_cli_import_leaves_scipy_out():
 ])
 def test_console_entry_point(command, fixture, code, tmp_path):
     """The process entry (`python -m kreincalc.cli`, as the console script) writes the bytes and exits with the
-    code of an in-process `main`, and the process-wide switch-off and freeze of the collector stay out of `main`."""
+    code of an in-process `main`, and `main` neither switches off nor freezes the collector."""
     argv = [command, "--input", str(FIXTURES / fixture)]
     frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     rc, text = run_cli_text(*argv)
@@ -547,3 +609,24 @@ def test_pole_of_q_near_a_spectral_point(tmp_path):
         rc, doc = run_cli(command, "--input", str(problem))
         assert rc == 0, doc["error"]
         np.testing.assert_allclose(decode_matrix(doc["results"]["matrix"]), expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("stdout", ["full", "pipe without a reader", "closed"])
+def test_a_stdout_that_cannot_take_the_report_exits_2_with_one_line(stdout, buffered):
+    """A buffered report fails at the entry's flush, an unbuffered one at main's write; neither leaves a traceback."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "kreincalc.cli", "calculus", "--input", RUNNING]
+    if stdout == "closed":
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open("/dev/full", "wb")) if stdout == "full" else subprocess.PIPE
+        proc = subprocess.Popen(argv, stdout=out, stderr=subprocess.PIPE, env=env)
+        if proc.stdout is not None:  # no reader: the child's write meets a broken pipe
+            proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+    assert re.fullmatch(r"kreincalc: error: cannot write the report to stdout: [^\n]+\n", err)

@@ -56,8 +56,8 @@ def test_each_command_loads_only_what_it_runs(runs, loaded, absent):
     assert not modules & absent
 
 
-def test_a_cli_process_loads_no_dataclasses():
-    # the records are plain classes: a `-m` run, and an import of cli and jetcalc, leave dataclasses out
+def _imported_by_a_cli_run():
+    """The modules that a `-X importtime -m kreincalc.cli calculus` process imports."""
     env = dict(os.environ, PYTHONPATH=str(PARENT))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kreincalc.cli", "calculus",
                            "--input", str(FIXTURES / "running.json"), "--output", os.devnull],
@@ -65,15 +65,29 @@ def test_a_cli_process_loads_no_dataclasses():
     assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert {"numpy", "kreincalc.krein", "kreincalc.jetcalc"} <= imported
-    assert "dataclasses" not in imported
+    return imported
+
+
+def test_a_cli_process_loads_no_argument_parser():
+    # argv is read without argparse, so neither it nor its gettext and locale are imported
+    assert not _imported_by_a_cli_run() & {"argparse", "gettext", "locale"}
+
+
+def test_a_cli_process_loads_no_dataclasses():
+    # the records are plain classes: a `-m` run, and an import of cli and jetcalc, leave dataclasses out
+    assert "dataclasses" not in _imported_by_a_cli_run()
     assert _fresh("import sys, kreincalc.cli, kreincalc.jetcalc\nresult = 'dataclasses' in sys.modules")[0] is False
 
 
 def test_the_cli_as_main_collects_nothing_from_numpy_on_and_an_import_leaves_the_collector_alone():
     # run as `-m` runs it; the collections logged are those that start once numpy is loading
     argv = ["kreincalc.cli", "calculus", "--input", str(FIXTURES / "running.json"), "--output", os.devnull]
-    run = ("import gc, runpy, sys\n"
+    # the entry ends the process with os._exit, here stubbed to raise SystemExit as sys.exit does
+    run = ("import gc, os, runpy, sys\n"
            f"sys.argv = {argv!r}\n"
+           "def _exit(code):\n"
+           "    raise SystemExit(code)\n"
+           "os._exit = _exit\n"
            "late = []\n"
            "gc.callbacks.append(lambda phase, info:\n"
            "                    phase == 'start' and 'numpy' in sys.modules and late.append(info))\n"
