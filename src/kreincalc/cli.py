@@ -402,13 +402,16 @@ def _error_report(command: str, exc: KreinCalcError) -> dict:
 
 def _write_report(report: dict, path) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+    if path is None:
+        return _write_stdout(text)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _write_stdout(text: str) -> None:
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
         raise OSError("stdout is closed")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
 
 
 def _stdout_failure(exc: OSError) -> int:
@@ -431,7 +434,7 @@ def _parse_args(argv) -> SimpleNamespace:
         token = tokens.pop(0)
         flag, eq, value = token.partition("=")
         if token in ("-h", "--help"):
-            sys.stdout.write(_USAGE + (__doc__ or ""))  # the module docstring is the help text
+            _write_stdout(_USAGE + (__doc__ or ""))  # the module docstring is the help text
             raise SystemExit(0)
         if flag in _FLAGS:
             count, kind = 1 + (flag == "--mu"), _FLAGS[flag]
@@ -456,6 +459,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # the usage line and the reason on stderr, exit 2, as argparse ends a usage error
         sys.stderr.write(f"{_USAGE}kreincalc: error: {exc}\n")
         raise SystemExit(2) from None
+    except OSError as exc:  # the help text meets a stdout that cannot take it
+        raise SystemExit(_stdout_failure(exc)) from None
     try:
         for flag, value in (("--tol-rank", args.tol_rank), ("--tol-psd", args.tol_psd)):
             if not 0.0 <= value < np.inf:  # also false for nan
@@ -492,11 +497,15 @@ def entry() -> NoReturn:
 
     Runs `main` with the cyclic collector off (`python -m` turns it off at the top of this module, before the
     imports), then the atexit handlers, flushes stdout and stderr, and ends with `os._exit`: the teardown would
-    only walk again what the imports built.  A usage error or a raw exception exits as usual.  `main`, and a
-    plain import of this module, leave the collector alone.
+    only walk again what the imports built.  The code is main's, or that of its SystemExit for --help or a usage
+    error, or 2 with one line on stderr if the flush of stdout fails.  A raw exception exits as usual.  `main`,
+    and a plain import of this module, leave the collector alone.
     """
     gc.disable()
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     atexit._run_exitfuncs()
     try:
         if sys.stdout is not None:

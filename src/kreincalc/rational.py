@@ -21,23 +21,18 @@ from .errors import (
     ValidationError,
 )
 from .relations import INF, MoebiusMap, Point, as_point, is_inf, require_finite
-from .tolerances import (COEFF_TRIM_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, PRINCIPAL_PART_TOL, REALNESS_TOL,
-                         ROOT_CLUSTER_TOL)
+from .tolerances import COEFF_TRIM_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, REALNESS_TOL, ROOT_CLUSTER_TOL
 
 
 def _trim(coeffs) -> np.ndarray:
-    """Drop exactly-zero leading coefficients; zero the lower ones negligible against the largest."""
+    """The coefficients as given, less their exactly-zero leading ones; [0] when none is left."""
     c = np.array(coeffs, dtype=complex, ndmin=1).ravel()
     mags = np.abs(c).tolist()
     if not math.isfinite(sum(mags)):  # a NaN or infinite part, or moduli too large to add
         require_finite(c, "polynomial coefficients")
-    cut, size = COEFF_TRIM_TOL * max(mags, default=0.0), len(mags)
-    while size and mags[size - 1] == 0.0:
-        size -= 1
-    for i in range(size - 1):
-        if mags[i] <= cut:
-            c[i] = 0.0
-    return c[:size] if size else np.zeros(1, dtype=complex)
+    while mags and mags[-1] == 0.0:
+        mags.pop()
+    return c[:len(mags)] if mags else np.zeros(1, dtype=complex)
 
 
 def _cancel(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
@@ -97,7 +92,7 @@ def _series_divide(num, den, length: int) -> list:
 
 
 def _leading_negligible(mags: list, tol: float) -> int:
-    """How many leading magnitudes are at most tol times the largest: _trim's rule (0 when none is above)."""
+    """How many leading magnitudes are at most tol times the largest (0 when none is above)."""
     cut = tol * max(mags)
     for k, m in enumerate(mags):
         if m > cut:
@@ -106,8 +101,8 @@ def _leading_negligible(mags: list, tol: float) -> int:
 
 
 def _zero_order(coeffs: list, jet: list, w: complex) -> int:
-    """The order of w as a zero of p, from p's coefficients and jet = _taylor_shift(coeffs, w): how many leading
-    coefficients of t -> p(w + rho t) / rho^deg, rho = max(1, |w|), _trim zeroes (entry k is jet[k] rho^(k - deg)).
+    """The order of w as a zero of p, from p's coefficients and jet = _taylor_shift(coeffs, w): _leading_negligible
+    at COEFF_TRIM_TOL of the coefficients of t -> p(w + rho t) / rho^deg, rho = max(1, |w|), jet[k] rho^(k - deg).
     Where jet overflows, they are the shift of the scaled coefficients c_j rho^(j - deg) to w / rho."""
     rho, deg = max(1.0, abs(w)), len(jet) - 1
     mags = [abs(c) * rho ** (k - deg) for k, c in enumerate(jet)]
@@ -187,9 +182,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-self.coeffs)
-
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
             raise ValidationError("polynomial division by zero")
@@ -205,7 +197,7 @@ class Polynomial:
         """self / c for a nonzero scalar c; the roots, and so the cached clusters, carry over."""
         out = Polynomial.__new__(Polynomial)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by _trim below
-            out.coeffs = self.coeffs / c  # still trimmed, unless the division over- or underflows
+            out.coeffs = self.coeffs / c  # leading coefficient nonzero, unless the division over- or underflows
         if out.coeffs[-1] == 0.0 or not np.isfinite(out.coeffs).all():
             out.coeffs = _trim(out.coeffs)
         out._clustered = self._clustered
@@ -290,7 +282,7 @@ class PartialFractions:
 class RationalFunction:
     """Quotient of polynomials, normalized coprime with monic denominator."""
 
-    __slots__ = ("num", "den", "_fractions")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -298,7 +290,6 @@ class RationalFunction:
         if den.is_zero:
             raise ValidationError("rational function with zero denominator")
         self.num, self.den = self._normalize(num, den)
-        self._fractions = None  # partial_fractions(), computed on first use
 
     @staticmethod
     def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -343,41 +334,14 @@ class RationalFunction:
 
     # -- algebra ---------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
+    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
+    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ValidationError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    @staticmethod
-    def _coerce(x) -> "RationalFunction":
-        if isinstance(x, RationalFunction):
-            return x
-        if isinstance(x, Polynomial):
-            return RationalFunction(x)
-        return RationalFunction(Polynomial([complex(x)]))
 
     # -- structure -------------------------------------------------------
 
@@ -436,14 +400,12 @@ class RationalFunction:
         return orders, out
 
     def partial_fractions(self) -> PartialFractions:
-        """Polynomial part plus principal parts at the clustered poles; computed once per function.
+        """Polynomial part plus principal parts at the clustered poles.
 
         With w = num mod den, the principal part at a pole alpha_k of order nu_k is the jet of w / v_k there
         through entry nu_k - 1, v_k = prod_{i != k} (z - alpha_i)^nu_i (_cofactor_jet).  The overlap test takes
         v_k's full jet, of degree + 1 - nu_k entries, at every pole before any principal part is formed.
         """
-        if self._fractions is not None:
-            return self._fractions
         p, w = self.num.divmod(self.den)
         poles = self.den.clustered_roots()
         cofactors = [_cofactor_jet(poles, k, max(nu, self.den.degree + 1 - nu)) for k, (_, nu) in enumerate(poles)]
@@ -452,12 +414,11 @@ class RationalFunction:
         terms = []
         for (alpha, nu), jet in zip(poles, cofactors):
             t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha), jet, nu)
-            if _vanishes(t, PRINCIPAL_PART_TOL):
+            if _vanishes(t, COEFF_TRIM_TOL):
                 raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
                                          "denominator were not coprime after normalization")
             terms += [(alpha, j, t[nu - j]) for j in range(1, nu + 1)]
-        self._fractions = PartialFractions(p, tuple(terms))
-        return self._fractions
+        return PartialFractions(p, tuple(terms))
 
     def compose_moebius(self, moebius: MoebiusMap) -> "RationalFunction":
         """The composition z -> r((a z + b) / (c z + d)).

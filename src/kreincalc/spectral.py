@@ -18,7 +18,7 @@ infinity comes from the nu and from rank decisions on M^{-1} X.
 from __future__ import annotations
 
 import functools
-from itertools import groupby
+from itertools import chain, count, groupby
 
 import numpy as np
 
@@ -134,11 +134,12 @@ def spectrum(rel: LinearRelation) -> SpectrumReport:
 def _pencil_shift(x: np.ndarray, y: np.ndarray):
     """A probe lam0 with Y - lam0 X well conditioned; None if the pencil is singular.
 
-    The pencil counts as singular when Y - lam X is numerically singular at
-    every probe.
-    """
+    While every probe so far is singular, the fixed probes plus 1, 2, ... follow; a regular pencil of size n is
+    singular at n points at most, so the pencil counts as singular when n + 1 probes are."""
     best, best_ratio = None, 0.0
-    for lam in _PENCIL_PROBES:
+    for tried, lam in enumerate(chain(_PENCIL_PROBES, (p + k for k in count(1) for p in _PENCIL_PROBES))):
+        if tried >= len(_PENCIL_PROBES) and (best is not None or tried > x.shape[1]):
+            return best
         s = stable_svd(y - lam * x, compute_uv=False)
         if s[-1] <= _sv_cutoff(s, RANK_TOL):
             continue
@@ -147,7 +148,6 @@ def _pencil_shift(x: np.ndarray, y: np.ndarray):
             return lam
         if ratio > best_ratio:
             best, best_ratio = lam, ratio
-    return best
 
 
 def _rayleigh_points(xv: np.ndarray, yv: np.ndarray, inf_count: int) -> list[complex]:

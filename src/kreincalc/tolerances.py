@@ -19,7 +19,8 @@ default, because a caller sets them:
 
 The radius of ``rational._cluster_members`` has no default either: polynomial
 roots cluster at ``ROOT_CLUSTER_TOL``, pencil eigenvalues at
-``SPECTRUM_CLUSTER_TOL``; q's zero orders are read from jets, not clusters.
+``SPECTRUM_CLUSTER_TOL``; q's zero orders are read from jets, not clusters,
+and the coefficients a polynomial is given are kept as they are.
 """
 
 # -- rank and subspaces
@@ -34,16 +35,15 @@ MOEBIUS_DET_TOL = 1e-12  # Möbius matrix singular: |det| <= this * (largest ent
 # O(sqrt(eps)) ~ 1.5e-8 error, so the radius must sit well above that;
 # multiplicity claims are re-validated against derivative jets afterwards.
 ROOT_CLUSTER_TOL = 1e-6
-# Polynomial coefficients below this times the largest are zeroed, never the
-# leading one; a sum or difference zeroes those below this times the larger
-# operand coefficient of their power, so cancellation cannot raise the degree.
-# q's zero order at w counts the leading coefficients of num(w + rho t), rho =
-# max(1, |w|), this rule zeroes: 1.5e-13 and less, 2.9e-5 and more at the hard
-# panel's points; err_inconsistency.json (|q(+-i)| ~ 4e-10) needs it < 1e-10.
+# Only a sum or difference zeroes a coefficient: one below this times the larger
+# operand coefficient of its power, so cancellation cannot raise the degree.
+# A Taylor entry at most this times the largest is negligible.  q's zero order
+# at w counts such leading entries of num(w + rho t), rho = max(1, |w|)
+# (1.5e-13 and less, 2.9e-5 and more at the hard panel's points;
+# err_inconsistency.json, |q(+-i)| ~ 4e-10, needs it < 1e-10); w is a pole where
+# den's jet starts so; a principal part that starts so means num and den were
+# not coprime after normalization.
 COEFF_TRIM_TOL = 1e-12
-# Leading principal-part coefficients below this (relative) count as zero:
-# numerator and denominator were not coprime after normalization.
-PRINCIPAL_PART_TOL = 1e-12
 # Jet entries below this (relative) vanish: the derivative jet confirming a
 # multiple root.
 JET_ZERO_TOL = 1e-9

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from kreincalc import cli
+from kreincalc.spectral import _PENCIL_PROBES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -480,6 +481,26 @@ class TestBooleanInput:
         assert doc["error"]["code"] == "validation"
 
 
+class TestInputAsGiven:
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_factorize_keeps_every_coefficient_of_q(self, n, tmp_path):
+        # q = prod (z - j) on diag(30, ..., 29 + n): q(A) is 0, but its power-basis value is indefinite (test_krein)
+        problem = tmp_path / "spread_q.json"
+        problem.write_text(json.dumps({"relation": {"operator": np.diag(np.arange(30.0, 30 + n)).tolist()},
+                                       "q": {"num": np.poly(np.arange(30.0, 30 + n))[::-1].tolist()}}))
+        rc, doc = run_cli("factorize", "--input", str(problem))
+        assert (rc, doc["error"]["code"]) == (3, "not-positive")
+
+    def test_rational_apply_on_a_spectrum_at_the_pencil_probes(self, tmp_path):
+        # Y - lam X is singular at each fixed probe, yet the pencil is regular and the resolvent set is not empty
+        problem = tmp_path / "probes.json"
+        operator = [[[z.real, z.imag] if i == j else 0 for j in range(3)] for i, z in enumerate(_PENCIL_PROBES)]
+        problem.write_text(json.dumps({"relation": {"operator": operator}, "function": {"rational": {"num": [1]}}}))
+        rc, doc = run_cli("rational-apply", "--input", str(problem))
+        assert rc == 0, doc["error"]
+        np.testing.assert_allclose(decode_matrix(doc["results"]["matrix"]), np.eye(3), atol=1e-12)
+
+
 class TestNonFiniteInput:
     def test_nan_in_operator_is_a_validation_error(self, tmp_path):
         base = json.loads((FIXTURES / "running.json").read_text())
@@ -613,12 +634,14 @@ def test_pole_of_q_near_a_spectral_point(tmp_path):
 
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize("stdout", ["full", "pipe without a reader", "closed"])
-def test_a_stdout_that_cannot_take_the_report_exits_2_with_one_line(stdout, buffered):
-    """A buffered report fails at the entry's flush, an unbuffered one at main's write; neither leaves a traceback."""
+@pytest.mark.parametrize("args", [("calculus", "--input", RUNNING), ("--help",)], ids=["report", "help"])
+def test_a_stdout_that_cannot_take_the_report_exits_2_with_one_line(args, stdout, buffered):
+    """A buffered report or help text fails at the entry's flush, an unbuffered one at its write; neither leaves a
+    traceback."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "kreincalc.cli", "calculus", "--input", RUNNING]
+    argv = [sys.executable, "-m", "kreincalc.cli", *args]
     if stdout == "closed":
         argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
     with contextlib.ExitStack() as stack:

@@ -572,18 +572,28 @@ class TestGramFactorize:
             assert np.allclose(spectral_projection(fact, [j + 1.0]), want, atol=1e-8)
 
     def test_rank_below_the_structural_bound_is_an_inconsistency(self):
-        # the constant 1e-12 of q = z^2 + 1e-12 is trimmed, at COEFF_TRIM_TOL
-        # times the leading 1, so q is z^2; its jet at the point 1e-6,
-        # (1e-12, 2e-6, 1), reads a simple zero there and none at the others:
-        # a scale defect (ROADMAP item 5), as the points live at 1e-6 and the
-        # cuts at 1.  q(A) ~ 1e-11 then falls below the RANK_TOL cut
-        # everywhere, and without the bound the projection onto 1e-6 came out
-        # as the identity
+        # the points live at 1e-6 and the cuts at 1, a scale defect (ROADMAP
+        # item 6): for q = z^2 the jet at the point 1e-6, (1e-12, 2e-6, 1),
+        # reads a simple zero there and none at the others, and q(A) ~ 1e-11
+        # falls below the RANK_TOL cut everywhere; without the bound the
+        # projection onto 1e-6 came out as the identity.  q = z^2 + 1e-12,
+        # kept as given, has no real zero and reads none, so its bound is 4
         rel = LinearRelation.from_operator(1e-6 * np.diag([1.0, 2.0, 3.0, 4.0]))
-        pair = verify_definitizing(GramSpace.standard(4), rel, RationalFunction(Polynomial([1e-12, 0.0, 1.0])))
-        assert [pair.degrees[w] for w in pair.points] == [1, 0, 0, 0]
-        with pytest.raises(InconsistencyError, match=r"rank 0 of q\(A\) is below the structural bound 3"):
-            gram_factorize(pair)
+        for coeffs, degrees, bound in (([0.0, 0.0, 1.0], [1, 0, 0, 0], 3), ([1e-12, 0.0, 1.0], [0, 0, 0, 0], 4)):
+            pair = verify_definitizing(GramSpace.standard(4), rel, RationalFunction(Polynomial(coeffs)))
+            assert [pair.degrees[w] for w in pair.points] == degrees
+            with pytest.raises(InconsistencyError, match=rf"rank 0 of q\(A\) is below the structural bound {bound}"):
+                gram_factorize(pair)
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_q_zero_on_the_spectrum_with_widely_spread_coefficients(self, n):
+        # q = prod (z - j) on A = diag(30, ..., 29 + n), G = I: q's coefficients span more than 1 / COEFF_TRIM_TOL,
+        # and every one is kept.  q(A) is 0, but its power-basis value has entries of both signs up to 1e2 (n = 10)
+        # and 1e14 (n = 16): a typed error until q(A) is evaluated stably (ROADMAP item 4, step 2)
+        rel = LinearRelation.from_operator(np.diag(np.arange(30.0, 30 + n)))
+        q = RationalFunction(Polynomial.from_roots(range(30, 30 + n)))
+        with pytest.raises(NotPositiveError):
+            gram_factorize(verify_definitizing(GramSpace.standard(n), rel, q))
 
     def test_structural_bound_leaves_the_diagnostics_as_they_were(self):
         space, rel, q = running_example()

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,9 +122,16 @@ class TestPolynomial:
         assert big.degree == 2 and big.leading == 1.0
         assert Polynomial.from_roots([1e6, 2e6]).degree == 2
         assert Polynomial([1.0, 2.0, 1e-300]).degree == 2
-        # exact zeros still shorten; small lower coefficients are still zeroed
+        # exact zeros still shorten; every other coefficient is kept as given
         assert Polynomial([1.0, 2.0, 0.0, 0.0]).degree == 1
-        assert Polynomial([1e-20, 1.0, 1.0]).coeffs.tolist() == [0.0, 1.0, 1.0]
+        assert Polynomial([1e-20, 1.0, 1.0]).coeffs.tolist() == [1e-20, 1.0, 1.0]
+
+    def test_coefficients_are_kept_as_given(self):
+        # the coefficients of prod (z - j), j = 30..39, span 2.3e15, and none is zeroed
+        roots = list(range(30, 40))
+        assert np.array_equal(Polynomial.from_roots(roots).coeffs, npp.polyfromroots(roots))
+        # the middle coefficient -2e13 of a double zero at 1e13 stays, and with it the order of the zero
+        assert RationalFunction(Polynomial.from_roots([1e13, 1e13])).zero_degree_at(1e13) == 2
 
     def test_cancellation_noise_does_not_raise_the_degree(self):
         third = 0.1 + 0.2  # 0.30000000000000004: the z^2 terms differ by rounding alone
@@ -414,7 +422,6 @@ class TestExactReference:
     @CASES
     def test_partial_fractions(self, case):
         pf = case.q.partial_fractions()
-        assert pf is case.q.partial_fractions()  # computed once per function
         assert _close(pf.poly.coeffs, _exact_divmod(case.num, case.den)[0])
         want = []
         for pole in sorted(map(Fraction, case.poles)):

@@ -34,7 +34,7 @@ from kreincalc import spectral
 from kreincalc.rational import _cluster_members
 from kreincalc.relations import as_point, is_inf
 from kreincalc.spectral import ResolventStack
-from kreincalc.tolerances import POINT_MATCH_TOL, RANK_TOL, SPECTRUM_CLUSTER_TOL
+from kreincalc.tolerances import POINT_MATCH_TOL, RANK_TOL, SHIFT_COND, SPECTRUM_CLUSTER_TOL
 
 from helpers import (
     match_point_sets,
@@ -193,6 +193,37 @@ class TestSpectrum:
         assert rel.dim == 1
         rep = spectrum(rel)
         assert rep.is_full_sphere
+
+    def test_proper_relation_with_a_singular_pencil_is_the_full_sphere(self):
+        # the graph has dimension 2, but Y - lam X = [[-lam, 1], [0, 0]] is singular at every lam: n + 1 = 3 probes
+        rel = LinearRelation.from_graph_columns(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert rel.is_proper
+        rep = spectrum(rel)
+        assert rep.is_full_sphere and rep.points == ()
+        assert rep.multiplicity_of(0.37 + 5.1j) == rep.multiplicity_of(INF) == 2
+
+    @pytest.mark.parametrize("extra", [(), (5.0,)], ids=["probes", "probes-and-5"])
+    def test_regular_pencil_singular_at_every_fixed_probe(self, extra):
+        # each fixed probe is an eigenvalue; a regular pencil of size n is singular at n points at most, so a
+        # further probe is regular
+        points = list(spectral._PENCIL_PROBES) + list(extra)
+        rel = LinearRelation.from_operator(np.diag(points))
+        rep = spectrum(rel)
+        assert not rep.is_full_sphere
+        assert_same_points(rep.points, [(p, 1) for p in points], tol=1e-12)
+        one = rational_apply(RationalFunction(Polynomial([1.0])), rel, rep)
+        np.testing.assert_allclose(one, np.eye(len(points)), atol=1e-12)
+
+    def test_without_a_well_conditioned_probe_the_best_conditioned_one_is_the_shift(self):
+        # an eigenvalue 1e-5 from each probe: Y - lam X is regular at all three, each above SHIFT_COND
+        points = np.array(spectral._PENCIL_PROBES) + 1e-5 * np.array([1.0, 2.0, 3.0])
+        rel = LinearRelation.from_operator(np.diag(points))
+        x, y = rel.graph_columns()
+        singular_values = [np.linalg.svd(y - lam * x, compute_uv=False) for lam in spectral._PENCIL_PROBES]
+        ratios = [s[-1] / s[0] for s in singular_values]
+        assert 0.0 < min(ratios) and max(ratios) < 1.0 / SHIFT_COND
+        assert spectral._pencil_shift(x, y) == spectral._PENCIL_PROBES[int(np.argmax(ratios))]
+        assert_same_points(spectrum(rel).points, [(p, 1) for p in points], tol=1e-9)
 
     def test_multiplicity_of_repeated_eigenvalue(self):
         a = np.diag([2.0, 2.0, 5.0])
