@@ -77,16 +77,21 @@ def _max_abs(values: np.ndarray) -> float:
 
 class _Layout:
     """The packed layout of a pair's jets: the jet length at each point, the point (owner) and entry of
-    each row, the first and top row of each point, the rows below the tops and each point's (start, end)."""
+    each row, the first and top row of each point, the rows below the tops and each point's (start, end),
+    built by one loop over Python lists: a pair has a few dozen rows at most."""
 
     def __init__(self, pair: DefinitizablePair):
-        self.lengths = lengths = np.array([pair.degrees[w] + 1 for w in pair.points], dtype=int)
-        ends = np.cumsum(lengths)
-        self.starts, self.top = ends - lengths, ends - 1
-        self.owner = np.repeat(np.arange(lengths.size), lengths)
-        self.entry = np.arange(self.owner.size) - self.starts[self.owner]
-        self.below = np.flatnonzero(self.entry < lengths[self.owner] - 1)
-        self.bounds = list(zip(self.starts.tolist(), ends.tolist()))
+        lengths = [pair.degrees[w] + 1 for w in pair.points]
+        owner, entry, below, self.bounds = [], [], [], []
+        for i, d in enumerate(lengths):
+            start = len(owner)
+            below += range(start, start + d - 1)
+            owner += [i] * d
+            entry += range(d)
+            self.bounds.append((start, start + d))
+        self.lengths, self.owner, self.entry, self.below = (np.array(v, dtype=int) for v in (lengths, owner, entry, below))
+        self.starts = np.array([a for a, _ in self.bounds], dtype=int)
+        self.top = np.array([b - 1 for _, b in self.bounds], dtype=int)
 
 
 def _layout(pair: DefinitizablePair) -> _Layout:
@@ -363,7 +368,8 @@ def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
 
     phi is a JetFunction on fact.pair, or its Decomposition from decompose,
     which is then used as it is.  s(A) is the Horner sum
-    b_0 + R (b_1 + R (b_2 + ...)) in R = (A - mu)^(-1).
+    b_0 + R (b_1 + R (b_2 + ...)) in R = (A - mu)^(-1), each step a product
+    by R and b_j added to its diagonal in place, with no identity matrix.
     """
     pair = fact.pair
     if isinstance(phi, Decomposition):
@@ -373,13 +379,13 @@ def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
     else:
         dec = decompose(pair, phi, mu)
     n = pair.space.dim
-    eye = np.eye(n, dtype=complex)
     s_matrix = np.zeros((n, n), dtype=complex)
     if dec.coeffs.size:
         res = pair.resolvent(dec.base_point)
-        s_matrix = dec.coeffs[-1] * eye
+        s_matrix.reshape(-1)[:: n + 1] = dec.coeffs[-1]
         for c in dec.coeffs[-2::-1]:
-            s_matrix = c * eye + res @ s_matrix
+            s_matrix = res @ s_matrix
+            s_matrix.reshape(-1)[:: n + 1] += c  # the diagonal of the C-ordered matmul result, in place
     if fact.rank == 0:
         return s_matrix
     left, right = fact.eigen_factors

@@ -385,7 +385,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
         raise InconsistencyError(f"rank {rank} of q(A) is below the structural bound {n - sum(critical)}")
     roots = np.sqrt(eigvals[n - rank:])
     u_plus = eigvecs[:, n - rank:]
-    factor_adjoint = np.diag(roots) @ u_plus.conj().T
+    factor_adjoint = roots[:, None] * u_plus.conj().T
     factor = np.linalg.solve(g, factor_adjoint.conj().T)
     left_inverse = (u_plus.conj().T @ g) / roots[:, None]
     resid_factor = frobenius(factor @ factor_adjoint - pair.q_matrix)

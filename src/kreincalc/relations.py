@@ -58,11 +58,11 @@ def as_point(p):
     if is_inf(p):
         return INF
     z = complex(p)
+    if math.isfinite(z.real) and math.isfinite(z.imag):
+        return z
     if math.isinf(z.real) or math.isinf(z.imag):
         return INF
-    if math.isnan(z.real) or math.isnan(z.imag):
-        raise ValidationError("NaN is not a spectral point")
-    return z
+    raise ValidationError("NaN is not a spectral point")
 
 
 def chordal_distance(p, q) -> float:

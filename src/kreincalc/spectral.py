@@ -18,6 +18,7 @@ infinity comes from the nu and from rank decisions on M^{-1} X.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from itertools import chain, count, groupby
 
 import numpy as np
@@ -27,7 +28,6 @@ from .errors import (
     NotInResolventSetError,
     PoleMeetsSpectrumError,
     PreconditionError,
-    ValidationError,
 )
 from .rational import RationalFunction, _cluster_members
 from .relations import (
@@ -64,45 +64,47 @@ class SpectrumReport:
         values = np.array([complex(p) if f else np.inf for (p, _), f in zip(self.points, finite)], dtype=complex)
         return values, finite
 
+    @functools.cached_property
+    def _point_list(self) -> tuple[list[complex], list[int], list[float], int]:
+        """_point_array's values as Python complex numbers, the indices of the finite ones sorted by real
+        part, those real parts, and the index of the point infinity (-1: none)."""
+        values, finite = self._point_array
+        values = values.tolist()
+        order = sorted(np.flatnonzero(finite).tolist(), key=lambda i: values[i].real)
+        return values, order, [values[i].real for i in order], -1 if finite.all() else int(finite.argmin())
+
     def match(self, labels, tol: float) -> np.ndarray:
         """Index into points of each label, -1 where no point lies within tol.
 
         labels are points, or a complex array with inf at the point infinity.
-        A finite label takes the nearest finite point, the first on ties;
-        infinity matches only infinity.
+        One scalar loop decides every label: a finite label takes the nearest
+        finite point by Python's abs, the first on ties, when it lies within
+        tol; infinity matches only infinity.
         """
-        if not isinstance(labels, np.ndarray):
-            labels = [np.inf if is_inf(z) else z for z in map(as_point, labels)]
-        labels = np.asarray(labels, dtype=complex).ravel()
-        at_inf = np.isinf(labels)  # as in as_point: an infinite part makes the point infinity
-        if np.isnan(labels[~at_inf]).any():
-            raise ValidationError("NaN is not a spectral point")
-        if not labels.size or not self.points:
-            return np.full(labels.size, -1, dtype=int)
-        values, finite = self._point_array
-        # the point infinity is inf in values, so no finite label comes within tol of it
-        dist = np.abs(np.where(at_inf, 0.0, labels)[:, None] - values)
-        hits = np.where(dist.min(axis=1) <= tol, dist.argmin(axis=1), -1)
-        return np.where(at_inf, -1 if finite.all() else int(finite.argmin()), hits)
-
-    def _index_of(self, z) -> int:
-        """match([z], POINT_MATCH_TOL)[0] for one point, in scalar arithmetic."""
-        z, (values, finite) = as_point(z), self._point_array
-        if is_inf(z):
-            return -1 if finite.all() else int(finite.argmin())
-        dist = [abs(z - p) for p in values.tolist()]  # inf at the point infinity
-        i = dist.index(min(dist)) if dist else -1
-        return i if i >= 0 and dist[i] <= POINT_MATCH_TOL else -1
+        if isinstance(labels, np.ndarray):
+            labels = labels.ravel().tolist()
+        values, order, reals, at_inf = self._point_list
+        hits = []
+        for z in map(as_point, labels):  # a NaN label raises; an infinite part makes the point infinity
+            if z is INF:
+                hits.append(at_inf)
+                continue
+            # abs(z - p) >= |(z - p).real| (hypot is faithfully rounded), which exceeds tol wherever p.real
+            # lies more than 2 tol from z.real, rounding included: only the points of this window can hit
+            window = order[bisect_left(reals, z.real - 2 * tol):bisect_right(reals, z.real + 2 * tol)]
+            dist, i = min([(abs(z - values[i]), i) for i in window], default=(np.inf, -1))  # first on ties
+            hits.append(i if dist <= tol else -1)
+        return np.array(hits, dtype=int)
 
     def multiplicity_of(self, z) -> int:
         if self.is_full_sphere:
             return self.space_dim
-        i = self._index_of(z)
+        i = self.match([z], POINT_MATCH_TOL)[0]
         return self.points[i][1] if i >= 0 else 0
 
     def contains(self, z) -> bool:
         """Whether z is a spectral point; the resolvent set is exactly where it is not."""
-        return self.is_full_sphere or self._index_of(z) >= 0
+        return self.is_full_sphere or self.match([z], POINT_MATCH_TOL)[0] >= 0
 
 
 def spectrum(rel: LinearRelation) -> SpectrumReport:

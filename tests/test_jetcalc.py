@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -37,11 +38,17 @@ from kreincalc import (
     verify_definitizing,
 )
 
-from kreincalc import jetcalc
+from kreincalc import cli, jetcalc
 from kreincalc.jetcalc import _basis_table, _plan
 from kreincalc.krein import _calculus_point
+from kreincalc.tolerances import PSD_TOL, RANK_TOL
 
 from helpers import jet_max_abs, random_definitizable, random_real_rational, reassemble, replace_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import planted  # noqa: E402
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def running_pair():
@@ -638,6 +645,74 @@ class TestPackedLayout:
         assert jet_max_abs(phi) == 0.0
         assert apply_calculus(fact, phi).shape == (0, 0)
         assert spectral_projection(fact, []).shape == (0, 0)
+
+
+def fixture_problem(name):
+    """The pair and the jet function of a fixture, built as the CLI builds them."""
+    problem = cli.Problem(json.loads((FIXTURES / name).read_text()), RANK_TOL, PSD_TOL)
+    pair = problem.pair()
+    return pair, problem.jet_function(pair)
+
+
+def critical_problem():
+    """critical pool case 4: degrees 0, 1 and 3 (at infinity), and two Jordan chains."""
+    case = planted.critical_case(planted.POOL_SEED, 4)
+    q = RationalFunction(Polynomial(case.q_num), Polynomial(case.q_den))
+    pair = verify_definitizing(GramSpace(case.gram), LinearRelation.from_graph_columns(case.x, case.y), q)
+    jets = {INF if p == planted.INF else p: j for p, j in case.jets.items()}
+    return pair, JetFunction.from_points(pair, jets)
+
+
+def identity_horner(fact, dec):
+    """apply_calculus's sum with identity matrices: s = b_j I + R s, then the factor-space part."""
+    pair = fact.pair
+    eye = np.eye(pair.space.dim, dtype=complex)
+    s_matrix = np.zeros_like(eye)
+    if dec.coeffs.size:
+        res = pair.resolvent(dec.base_point)
+        s_matrix = dec.coeffs[-1] * eye
+        for c in dec.coeffs[-2::-1]:
+            s_matrix = c * eye + res @ s_matrix
+    if fact.rank == 0:
+        return s_matrix
+    left, right = fact.eigen_factors
+    return s_matrix + (left * dec._g[fact.measure.index]) @ right
+
+
+class TestRewrittenHelpers:
+    """The list-built layout and the in-place Horner sum against the array forms they replace."""
+
+    def test_layout_equals_its_closed_forms(self):
+        mul, _ = fixture_problem("mul.json")
+        critical, _ = critical_problem()
+        assert mul.degrees[INF] == 1
+        assert set(critical.degrees.values()) == {0, 1, 3} and critical.degrees[INF] == 3
+        assert sum(m == 2 for _, m in critical.report.points) == 2
+        empty = verify_definitizing(GramSpace(np.zeros((0, 0))), LinearRelation.from_operator(np.zeros((0, 0))),
+                                    RationalFunction(Polynomial([1.0])))
+        for pair in (mul, critical, empty):
+            layout = jetcalc._Layout(pair)
+            lengths = np.array([pair.degrees[w] + 1 for w in pair.points], dtype=int)
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            owner = np.repeat(np.arange(lengths.size), lengths)
+            entry = np.arange(owner.size) - starts[owner]
+            want = {"lengths": lengths, "starts": starts, "top": ends - 1, "owner": owner, "entry": entry,
+                    "below": np.flatnonzero(entry < lengths[owner] - 1)}
+            for name, array in want.items():
+                got = getattr(layout, name)
+                assert got.dtype == array.dtype and np.array_equal(got, array), (pair.points, name)
+            assert layout.bounds == list(zip(starts.tolist(), ends.tolist()))
+
+    @pytest.mark.parametrize("problem", ["running.json", "mul.json", "mul3.json", "critical case 4"])
+    @pytest.mark.parametrize("mu", [None, 0.3 + 1.7j])
+    def test_apply_calculus_is_the_identity_matrix_horner_sum(self, problem, mu):
+        pair, phi = critical_problem() if problem == "critical case 4" else fixture_problem(problem)
+        fact = gram_factorize(pair)
+        dec = decompose(pair, phi, mu)
+        want = identity_horner(fact, dec)
+        assert np.array_equal(apply_calculus(fact, dec), want)
+        assert np.array_equal(apply_calculus(fact, phi, mu), want)
 
 
 class TestPackedJets:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreincalc import (
     INF,
@@ -652,6 +654,50 @@ def reference_multiplicity(rep, z):
     return mult
 
 
+def reference_match(rep, labels, tol):
+    """Brute force: Python abs to every finite point, the first minimal index, a hit at <= tol;
+    infinity matches only the point infinity."""
+    out = []
+    for z in map(as_point, labels):
+        if is_inf(z):
+            out.append(next((i for i, (p, _) in enumerate(rep.points) if is_inf(p)), -1))
+            continue
+        dist = {i: abs(z - complex(p)) for i, (p, _) in enumerate(rep.points) if not is_inf(p)}
+        best = min(dist, key=dist.get, default=-1)
+        out.append(best if best >= 0 and dist[best] <= tol else -1)
+    return out
+
+
+# finite points on a grid of step 0.25, so that midpoints (exact ties) and offsets are exact
+MATCH_GRID = [complex(a / 4, b / 4) for a in range(-6, 7) for b in range(-3, 4)]
+INF_LABELS = [INF, float("inf"), complex(float("inf"), float("nan")), complex(1.0, float("-inf"))]
+
+
+@st.composite
+def match_draws(draw):
+    """A report with or without the point infinity, a tolerance, and labels: report points moved by
+    nothing, by exactly tol or POINT_MATCH_TOL along an axis, by a little more, or by half a grid step
+    (at exactly tol when tol is 0.125); midpoints of two report points (exact ties); infinity in four
+    spellings; and misses."""
+    finite = draw(st.lists(st.sampled_from(MATCH_GRID), unique=True, max_size=6))
+    entries = [(p, draw(st.integers(1, 3))) for p in finite]
+    if draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))), (INF, draw(st.integers(1, 3))))
+    tol = draw(st.sampled_from([POINT_MATCH_TOL, 0.125, 0.25, 1.0]))
+    offsets = [0.0, tol, -tol, 1j * tol, -1j * tol, POINT_MATCH_TOL, -1j * POINT_MATCH_TOL,
+               2 * POINT_MATCH_TOL, tol * (1 + 1e-9), 0.125, 0.125j, 0.375]
+    near = st.builds(lambda p, d: p + d, st.sampled_from(finite or [0j]), st.sampled_from(offsets))
+    ties = st.builds(lambda p, q: (p + q) / 2, st.sampled_from(finite or [0j]), st.sampled_from(finite or [0j]))
+    label = st.one_of(near, ties, st.sampled_from(INF_LABELS + [100.0, -3.7 + 9j, 0.1 + 0.1j]))
+    labels = draw(st.lists(label, max_size=8))
+    return SpectrumReport(sum(m for _, m in entries), tuple(entries)), labels, tol
+
+
+def as_label_array(labels):
+    """labels as a complex ndarray, inf at INF; other infinite values stay as they are."""
+    return np.array([np.inf if is_inf(z) else z for z in labels], dtype=complex)
+
+
 class TestMatch:
     def test_nearest_point_first_on_ties_infinity_apart(self):
         rep = SpectrumReport(4, ((1.0 + 0j, 1), (2.0 + 0j, 2), (INF, 1)))
@@ -700,6 +746,35 @@ class TestMatch:
                     assert got.dtype.kind == want.dtype.kind == "i"
                     assert np.array_equal(got, want), (rep, labels, tol)
             assert np.array_equal(rep.match(np.zeros(0, dtype=complex), 1.0), rep.match([], 1.0))
+
+    @given(match_draws())
+    @settings(max_examples=300, deadline=None)
+    def test_match_is_the_brute_force_rule(self, draw):
+        rep, labels, tol = draw
+        want = reference_match(rep, labels, tol)
+        for form in (labels, as_label_array(labels)):
+            got = rep.match(form, tol)
+            assert got.dtype.kind == "i" and got.shape == (len(labels),)
+            assert got.tolist() == want, (rep.points, labels, tol)
+
+    @given(match_draws())
+    @settings(max_examples=200, deadline=None)
+    def test_contains_and_multiplicity_of_read_match(self, draw):
+        rep, labels, _ = draw
+        for z in labels:
+            i = int(rep.match([z], POINT_MATCH_TOL)[0])
+            assert rep.contains(z) == (i >= 0)
+            assert rep.multiplicity_of(z) == (rep.points[i][1] if i >= 0 else 0)
+
+    def test_nan_in_a_list_raises(self):
+        for report in (SpectrumReport(2, ((1.0 + 0j, 1), (INF, 1))), SpectrumReport(0, ())):
+            for bad in (float("nan"), complex(1.0, float("nan"))):
+                with pytest.raises(ValidationError, match="NaN"):
+                    report.match([1.0, bad], 1.0)
+                with pytest.raises(ValidationError, match="NaN"):
+                    report.contains(bad)
+                with pytest.raises(ValidationError, match="NaN"):
+                    report.multiplicity_of(bad)
 
     def test_nan_in_an_array_raises_as_as_point_does(self):
         rep = SpectrumReport(2, ((1.0 + 0j, 1), (INF, 1)))
