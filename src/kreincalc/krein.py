@@ -117,6 +117,11 @@ class DefinitizablePair:
         self._calculus_plans = {}  # calculus plans by base point, built and read by jetcalc
 
     @functools.cached_property
+    def resolvent_point(self) -> float:
+        """The real point mu of the factor space's resolvent, _resolvent_point of the pair's own report."""
+        return _resolvent_point(self.report)
+
+    @functools.cached_property
     def calculus_point(self) -> complex:
         """The calculus's default base point, _calculus_point of the pair's own report and q."""
         return _calculus_point(self.report, self.q)
@@ -177,7 +182,9 @@ def verify_definitizing(
         raise NotSelfAdjointError("relation is not self-adjoint in this Krein space")
     # the resolvents at the finite poles of q, at the factor-space point and at
     # the default calculus base point, all from one stacked solve
-    shifts = [p for p, _ in q.poles() if not is_inf(p)] + [_resolvent_point(report), _calculus_point(report, q)]
+    mu = _resolvent_point(report)
+    base = _calculus_point(report, q, mu)
+    shifts = [p for p, _ in q.poles() if not is_inf(p)] + [mu, base]
     resolvents = ResolventStack(rel, shifts)
     q_matrix = rational_apply(q, rel, report, resolvents)  # raises when a pole meets the spectrum
     hermitian_part = space.gram @ q_matrix
@@ -206,7 +213,7 @@ def verify_definitizing(
         "hermitian_residual": q_residual,
         "psd_margin": float(kept.min()) if kept.size else 0.0,
     }
-    return DefinitizablePair(
+    pair = DefinitizablePair(
         space=space,
         relation=rel,
         q=q,
@@ -219,6 +226,8 @@ def verify_definitizing(
         psd_eig=tuple(psd_eig),
         resolvents=resolvents,
     )
+    pair.__dict__.update(resolvent_point=mu, calculus_point=base)  # the cached properties, from the same report and q
+    return pair
 
 
 class SpectralMeasure:
@@ -254,12 +263,13 @@ def _resolvent_point(report: SpectrumReport) -> float:
     return 1.0 + max(map(abs, values[finite].tolist()), default=0.0)
 
 
-def _calculus_point(report: SpectrumReport, q: RationalFunction) -> complex:
+def _calculus_point(report: SpectrumReport, q: RationalFunction, mu: float = None) -> complex:
     """i (1 + r), r the largest modulus of a spectral point or a zero of q: a
     point at distance at least 1 from every spectral point and from the real
-    axis, the calculus's default base point."""
+    axis, the calculus's default base point.  mu is _resolvent_point(report) where the caller has it."""
     # scalar moduli, as in _resolvent_point; 1 + max(r_k) is max(1 + r_k) in floating point too
-    return 1j * max([_resolvent_point(report)] + [1.0 + abs(z) for z, _ in q.num.clustered_roots()])
+    mu = _resolvent_point(report) if mu is None else mu
+    return 1j * max([mu] + [1.0 + abs(z) for z, _ in q.num.clustered_roots()])
 
 
 def _pull_back(factor: np.ndarray, left_inverse: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -391,7 +401,7 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     resid_factor = frobenius(factor @ factor_adjoint - pair.q_matrix)
     if not resid_factor <= FACTOR_TOL * max(1.0, frobenius(pair.q_matrix)):
         raise InconsistencyError("T T^+ failed to reproduce q(A)")
-    mu = _resolvent_point(pair.report)
+    mu = pair.resolvent_point
     if rank == 0:
         res = np.zeros((0, 0), dtype=complex)
         measure = _NO_MEASURE

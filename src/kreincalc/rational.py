@@ -10,6 +10,7 @@ are derived from the degree gap, and Taylor jets at infinity are jets of
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -78,6 +79,34 @@ def _taylor_shift(coeffs: list, w: complex) -> list:
         for i in range(len(c) - 2, j - 1, -1):
             c[i] += w * c[i + 1]
     return c
+
+
+def _horner(coeffs: list, w: complex) -> complex:
+    """p(w) by the first pass of _taylor_shift, so the same bits as its entry 0.  Of the moduli |c_j| of p at
+    x >= |w| + 1 it bounds every Taylor entry of p at w, and at x >= |w| + rho their k-th times rho^k."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + w * acc
+    return acc
+
+
+def _clear_of_cut(value: complex, bound: float, tol: float) -> bool:
+    """Whether |value| is finite and above 2 tol bound, a normal float: where bound caps the magnitudes that a
+    cut at tol reads, and value is their first, no rounding of theirs makes it negligible (_leading_negligible,
+    _vanishes); below the normal range a product can round to a lower magnitude."""
+    return sys.float_info.min <= 2.0 * tol * bound < abs(value) < math.inf
+
+
+def _regular_value(num: list, den: list, num_mags: list, den_mags: list, w: complex) -> complex | None:
+    """num(w) / den(w), by _horner, where bounds on every Taylor entry at w (_horner of the moduli of the
+    coefficients) prove that _zero_order reads 0 and the pole test fails: then the full shifts' jet has the same
+    bits.  None where the bounds do not prove it."""
+    r, value, pole = abs(w), _horner(num, w), _horner(den, w)
+    scale = max(1.0, r) ** (1 - len(num))  # rho^-deg: abs(value) * scale is _zero_order's first magnitude
+    if _clear_of_cut(abs(value) * scale, _horner(num_mags, r + max(1.0, r)) * scale, COEFF_TRIM_TOL) \
+            and _clear_of_cut(pole, max(_horner(den_mags, 1.0 + r), 1.0), COEFF_TRIM_TOL):
+        return value / pole
+    return None
 
 
 def _series_divide(num, den, length: int) -> list:
@@ -383,14 +412,23 @@ class RationalFunction:
         """zero_degree_at and jet_at at points (complex or INF): the orders d(w), and end to end the k-th jet
         through entry lengths[k] - 1 (through d(w) without lengths).  num and den are shifted in full, once a point:
         d(w) is _zero_order of num's shift, and den's is the pole test, its leading entries divide.  At infinity
-        d(w) is the degree gap, and num and den are reversed, the shorter padded."""
+        d(w) is the degree gap, and num and den are reversed, the shorter padded.
+
+        Where one entry is asked for (d(w) = 0 without lengths), _regular_value comes first, and the shifts only
+        where it cannot prove d(w) = 0 and no pole."""
         num, den, orders, out = self.num.coeffs.tolist(), self.den.coeffs.tolist(), [], []
+        num_mags, den_mags = list(map(abs, num)), list(map(abs, den))
         for k, w in enumerate(points):
             if is_inf(w):
                 order = max(0, self.den.degree - self.num.degree)
                 top, bottom = num[::-1], den[::-1]
                 top, bottom = ([0j] * (max(len(top), len(bottom)) - len(c)) + c for c in (top, bottom))
             else:
+                value = _regular_value(num, den, num_mags, den_mags, w) if lengths is None or lengths[k] == 1 else None
+                if value is not None:
+                    orders.append(0)
+                    out.append(value)
+                    continue
                 top, bottom = _taylor_shift(num, w), _taylor_shift(den, w)
                 order = _zero_order(num, top, w)
             if _vanishes(bottom, COEFF_TRIM_TOL):
@@ -404,13 +442,17 @@ class RationalFunction:
 
         With w = num mod den, the principal part at a pole alpha_k of order nu_k is the jet of w / v_k there
         through entry nu_k - 1, v_k = prod_{i != k} (z - alpha_i)^nu_i (_cofactor_jet).  The overlap test takes
-        v_k's full jet, of degree + 1 - nu_k entries, at every pole before any principal part is formed.
+        v_k's full jet, of degree + 1 - nu_k entries, at every pole before any principal part is formed, unless
+        v_k(alpha_k) clears its cut over prod_{i != k} (|alpha_k - alpha_i| + 1)^nu_i, a bound on every entry.
         """
         p, w = self.num.divmod(self.den)
         poles = self.den.clustered_roots()
-        cofactors = [_cofactor_jet(poles, k, max(nu, self.den.degree + 1 - nu)) for k, (_, nu) in enumerate(poles)]
-        if any(_vanishes(jet, POLE_SEPARATION_TOL) for jet in cofactors):
-            raise InconsistencyError("pole clusters of the denominator overlap")
+        cofactors = [_cofactor_jet(poles, k, nu) for k, (_, nu) in enumerate(poles)]  # the full jets' first entries
+        for k, ((alpha, nu), jet) in enumerate(zip(poles, cofactors)):
+            bound = math.prod((abs(alpha - other) + 1.0) ** m for i, (other, m) in enumerate(poles) if i != k)
+            if not _clear_of_cut(jet[0], bound, POLE_SEPARATION_TOL) \
+                    and _vanishes(_cofactor_jet(poles, k, self.den.degree + 1 - nu), POLE_SEPARATION_TOL):
+                raise InconsistencyError("pole clusters of the denominator overlap")
         terms = []
         for (alpha, nu), jet in zip(poles, cofactors):
             t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha), jet, nu)

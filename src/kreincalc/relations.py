@@ -193,7 +193,7 @@ def _quotients(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # the graph of a matrix R has a rank-deficient domain block, at RANK_TOL,
     # once ||R|| reaches about 1 / RANK_TOL
     finite = np.all(np.isfinite(out), axis=(-2, -1))
-    norms = np.linalg.norm(np.where(finite[..., None, None], out, 0.0), axis=(-2, -1))
+    norms = np.linalg.norm(out if finite.all() else np.where(finite[..., None, None], out, 0.0), axis=(-2, -1))
     return out, finite & (norms * RANK_TOL < 1.0)
 
 

@@ -38,7 +38,7 @@ from kreincalc import (
     verify_definitizing,
 )
 
-from kreincalc import cli, jetcalc
+from kreincalc import cli, jetcalc, rational
 from kreincalc.jetcalc import _basis_table, _plan
 from kreincalc.krein import _calculus_point
 from kreincalc.tolerances import PSD_TOL, RANK_TOL
@@ -843,3 +843,47 @@ class TestRootFindsPerRequest:
         assert found == [num.size - 1, den.size - 1]
         # the pair is critical-like: a zero of q, the point infinity and a pole of q all take part
         assert any(d > 0 for d in pair.degrees.values()) and INF in pair.points and q.den.degree > 0
+
+
+class TestTaylorShiftsPerRequest:
+    """At a spectral point where q does not vanish and that lies away from its poles, q's jet is num(w) / den(w):
+    no step of a request shifts num and den in full there (RationalFunction._jets)."""
+
+    @pytest.fixture
+    def shifted(self, monkeypatch):
+        at = []
+        shift = rational._taylor_shift
+        monkeypatch.setattr(rational, "_taylor_shift", lambda c, w, *rest: at.append(w) or shift(c, w, *rest))
+        return at
+
+    @staticmethod
+    def check(pair, shifted):
+        finite = [w for w in pair.points if not is_inf(w)]
+        regular = [w for w in finite if pair.degrees[w] == 0]
+        poles = [p for p, _ in pair.q.poles() if not is_inf(p)]
+        assert regular and all(abs(w - p) >= 0.1 for w in regular for p in poles)
+        assert not any(w in shifted for w in regular)
+        # where q vanishes the full shift reads the order
+        assert all(w in shifted for w in finite if pair.degrees[w] > 0)
+
+    def test_running_fixture(self, shifted):
+        doc = json.loads((FIXTURES / "running.json").read_text())
+        pair = TestRootFindsPerRequest.request(
+            GramSpace(np.array(doc["gram"], dtype=float)),
+            LinearRelation.from_operator(np.array(doc["relation"]["operator"], dtype=float)),
+            RationalFunction(Polynomial(doc["q"]["num"])),
+            lambda pair: {w: np.ones(pair.degrees[w] + 1) for w in pair.points}, [lambda pair: [1.0]])
+        self.check(pair, shifted)
+
+    def test_planted_calc16_case(self, shifted):
+        # n = 16, q with four poles, two critical points and infinity among the points
+        case = planted.calc16_case(planted.POOL_SEED, 7)
+        point = lambda p: INF if p == planted.INF else p  # noqa: E731
+        q = RationalFunction(Polynomial(case.q_num), Polynomial(case.q_den))
+        pair = verify_definitizing(GramSpace(case.gram), LinearRelation.from_graph_columns(case.x, case.y), q)
+        fact = gram_factorize(pair)
+        apply_calculus(fact, JetFunction.from_points(pair, {point(p): j for p, j in case.jets.items()}))
+        for delta in (case.delta, case.rest):
+            spectral_projection(fact, [point(p) for p in delta])
+        assert q.den.degree == 4 and INF in pair.points and len(pair.points) >= 10
+        self.check(pair, shifted)

@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kreincalc import (
     INF,
+    InconsistencyError,
     JetAtPoleError,
     MoebiusMap,
     Polynomial,
@@ -18,7 +19,16 @@ from kreincalc import (
     SingularMoebiusError,
     ValidationError,
 )
-from kreincalc.rational import _cluster_members, _series_divide, _taylor_shift
+from kreincalc.rational import (
+    _cluster_members,
+    _cofactor_jet,
+    _series_divide,
+    _taylor_shift,
+    _vanishes,
+    _zero_order,
+)
+from kreincalc.relations import is_inf
+from kreincalc.tolerances import COEFF_TRIM_TOL, POLE_SEPARATION_TOL
 
 from helpers import exact_shift, exact_zero_degree
 
@@ -493,3 +503,193 @@ class TestExactReference:
                     PROPER.q._jets([0.5, w], [1, length])
                 with pytest.raises(JetAtPoleError, match="pole"):
                     PROPER.q.jet_at(w, length - 1)
+
+
+# -- the full-shift references --------------------------------------------------
+# _jets takes num(w) and den(w) alone where bounds on the shifted entries prove
+# the order 0 and no pole, and partial_fractions the cofactor's leading entries
+# alone where a bound proves the poles apart.  The references take the full
+# shifts and jets everywhere, as the rules read, and both routines must agree
+# with them bit for bit, errors included.
+
+
+def _reference_jets(q, points, lengths=None):
+    """RationalFunction._jets with the full Taylor shift of num and den at every finite point."""
+    num, den, orders, out = q.num.coeffs.tolist(), q.den.coeffs.tolist(), [], []
+    for k, w in enumerate(points):
+        if is_inf(w):
+            order = max(0, q.den.degree - q.num.degree)
+            top, bottom = num[::-1], den[::-1]
+            top, bottom = ([0j] * (max(len(top), len(bottom)) - len(c)) + c for c in (top, bottom))
+        else:
+            top, bottom = _taylor_shift(num, w), _taylor_shift(den, w)
+            order = _zero_order(num, top, w)
+        if _vanishes(bottom, COEFF_TRIM_TOL):
+            raise JetAtPoleError(f"jet requested at {'the pole infinity' if is_inf(w) else f'pole {w}'}")
+        orders.append(order)
+        out += _series_divide(top, bottom, order + 1 if lengths is None else lengths[k])
+    return orders, out
+
+
+def _reference_partial_fractions(q):
+    """RationalFunction.partial_fractions with every cofactor's full jet in the overlap test, as
+    (polynomial part's coefficients, terms)."""
+    p, w = q.num.divmod(q.den)
+    poles = q.den.clustered_roots()
+    cofactors = [_cofactor_jet(poles, k, max(nu, q.den.degree + 1 - nu)) for k, (_, nu) in enumerate(poles)]
+    if any(_vanishes(jet, POLE_SEPARATION_TOL) for jet in cofactors):
+        raise InconsistencyError("pole clusters of the denominator overlap")
+    terms = []
+    for (alpha, nu), jet in zip(poles, cofactors):
+        t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha), jet, nu)
+        if _vanishes(t, COEFF_TRIM_TOL):
+            raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
+                                     "denominator were not coprime after normalization")
+        terms += [(alpha, j, t[nu - j]) for j in range(1, nu + 1)]
+    return p.coeffs.tolist(), terms
+
+
+def _outcome(call):
+    """repr of call's result, or of the type and message of what it raised: equal strings are equal
+    results bit for bit (repr round-trips a float exactly) or the same error."""
+    try:
+        return repr(call())
+    except Exception as exc:  # noqa: BLE001
+        return repr((type(exc), str(exc)))
+
+
+def _jets_agree(q, points, lengths=None):
+    """_jets and _reference_jets give the same outcome; returns the reference's orders ([] on an error)."""
+    want = _outcome(lambda: _reference_jets(q, points, lengths))
+    assert _outcome(lambda: q._jets(points, lengths)) == want, (q, points, lengths)
+    return _reference_jets(q, points, lengths)[0] if not want.startswith("(<class") else []
+
+
+def _fractions_agree(q):
+    """partial_fractions and _reference_partial_fractions give the same outcome; returns it."""
+    def fractions():
+        pf = q.partial_fractions()
+        return pf.poly.coeffs.tolist(), list(pf.terms)
+    want = _outcome(lambda: _reference_partial_fractions(q))
+    assert _outcome(fractions) == want, q
+    return want
+
+
+def _raw(num, den):
+    """num / den with the coefficients as given: nothing cancelled, den not made monic."""
+    q = RationalFunction.__new__(RationalFunction)
+    q.num, q.den = Polynomial(num), Polynomial(den)
+    return q
+
+
+@st.composite
+def _placed(draw):
+    """(q, points): q of degrees 0..10 over 0..10, real or complex, whose zeros and poles sit on the points, off
+    them by 1e-14 to 1e-9 (relative to max(1, |w|)) or anywhere, its coefficients scaled so that the largest is
+    1e-300 to 1e300; the points of modulus 1e-8 to 1e8, some pairs of them mirrored, infinity among them at times."""
+    real = draw(st.booleans())
+
+    def free():
+        mod = 10.0 ** draw(st.floats(-8.0, 8.0))
+        if real:
+            return complex(draw(st.sampled_from([1.0, -1.0])) * mod)
+        return mod * complex(math.cos(t := draw(st.floats(0.0, 2.0 * math.pi))), math.sin(t))
+
+    points = [free() for _ in range(draw(st.integers(1, 4)))]
+    points += [-points[0]] * draw(st.booleans())
+
+    def root():
+        kind = draw(st.sampled_from(["on", "off", "free"]))
+        if kind == "free":
+            return free()
+        w = draw(st.sampled_from(points))
+        if kind == "on":
+            return w
+        off = draw(st.sampled_from([1.0, -1.0] if real else [1.0, -1.0, 1j, -1j]))
+        return w + off * 10.0 ** draw(st.floats(-14.0, -9.0)) * max(1.0, abs(w))
+
+    def poly():
+        c = npp.polyfromroots([root() for _ in range(draw(st.integers(0, 10)))])
+        c = np.real(c) if real else c
+        return c / np.abs(c).max() * 10.0 ** (draw(st.sampled_from([-300.0, -150.0, 0.0, 150.0, 300.0]))
+                                              + draw(st.floats(-5.0, 5.0)))
+
+    num, den = poly(), poly()
+    assume(np.abs(den).max() > 0.0)
+    if draw(st.booleans()):
+        q = _raw(num, den)
+    else:
+        try:
+            q = RationalFunction(num, den)
+        except (ValidationError, OverflowError):  # normalization overflowed: a ValidationError, or a raw
+            assume(False)  # OverflowError where the jet that validates a root cluster outgrows the float range
+    if draw(st.booleans()):
+        points.insert(draw(st.integers(0, len(points))), INF)
+    return q, points
+
+
+class TestFullShiftReference:
+    @given(_placed(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_jets(self, placed, data):
+        q, points = placed
+        lengths = data.draw(st.one_of(st.none(), st.lists(st.integers(1, 3), min_size=len(points),
+                                                          max_size=len(points))))
+        _jets_agree(q, points, lengths)
+        # one point at a time: an error at one point does not hide the others
+        for w in points:
+            _jets_agree(q, [w])
+
+    @given(_placed())
+    @settings(max_examples=150, deadline=None)
+    def test_partial_fractions(self, placed):
+        _fractions_agree(placed[0])
+
+    # relative offsets 1e-14 to 1e-8 in steps of 10^0.1: the cuts at COEFF_TRIM_TOL fall among them
+    OFFSETS = [10.0 ** (-14.0 + 0.1 * i) for i in range(61)]
+
+    @pytest.mark.parametrize("degree", [1, 3, 10])
+    def test_zeros_and_poles_across_the_cut(self, degree):
+        # a zero at w + delta rho, rho = max(1, |w|), and a pole at w + delta, over degree - 1 roots at -w - rho:
+        # the shifted entries at w grow with binomial weights, so a bound that misses them, or too thin a margin
+        # over it, reads an order 0 or a regular point where the full shift does not
+        orders, regular = set(), set()
+        for w in (1e-8, -0.75, 1.0, 0.6 + 0.8j, 3e4, -1e8, 1e8j):
+            rho = max(1.0, abs(w))
+            for delta in self.OFFSETS:
+                zero, pole = (npp.polyfromroots([w + off] + [-w - rho] * (degree - 1)) for off in (delta * rho, delta))
+                for scale in (1.0, 1e6):
+                    orders.update(_jets_agree(_raw(scale * zero, [1.0, 2.0]), [w]))
+                    orders.update(_jets_agree(_raw(scale * zero, [1.0]), [w], [1]))
+                    regular.add(bool(_jets_agree(_raw([1.0, 2.0], scale * pole), [w])))
+                    _jets_agree(_raw([1.0], scale * pole), [w, -w], [1, 2])
+        # the scan crosses both cuts
+        assert orders == {0, 1} and regular == {False, True}
+
+    def test_coefficients_at_the_ends_of_the_float_range(self):
+        # 1e-300 (z - 1000)^5 / max|c_j| at 1000: the full shift's entries times rho^(k - 5) fall below the normal
+        # range, where the first rounds to a lower magnitude than its bound, and the order reads 1
+        orders = []
+        for top in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            for w in (1000.0, -3.5, 0.25j):
+                for roots in ([w], [w] * 5, [w] * 6 + [1.0]):
+                    c = npp.polyfromroots(roots)
+                    q = _raw(c / np.abs(c).max() * top, [1.0])
+                    orders += _jets_agree(q, [w, -w, 1.0]) + _jets_agree(q, [w, -w, 1.0], [1, 1, 1])
+        assert {0, 1} <= set(orders)
+
+    def test_overlapping_pole_clusters(self):
+        # clusters given as they are: no denominator was found whose clustered roots come this close, as roots
+        # that near validate as one multiple root; the cofactor at 0 of the poles eps and 10 is
+        # t^2 - (10 + eps) t + 10 eps, which the test reads as vanishing up to eps = 1e-13
+        raised = set()
+        for eps in self.OFFSETS:
+            q = _raw([1.0, 1.0], npp.polyfromroots([0.0, eps, 10.0]))
+            q.den._clustered = ((0j, 1), (complex(eps), 1), (10 + 0j, 1))
+            raised.add("overlap" in _fractions_agree(q))
+        assert raised == {False, True}
+
+    def test_vanishing_principal_part(self):
+        # a residue below COEFF_TRIM_TOL reads as vanished, the floor of the test being 1
+        assert "vanished" in _fractions_agree(RationalFunction([1e-20], [-1.0, 1.0]))
+        assert "vanished" not in _fractions_agree(RationalFunction([1e-10], [-1.0, 1.0]))
