@@ -124,7 +124,7 @@ class DefinitizablePair:
     @functools.cached_property
     def calculus_point(self) -> complex:
         """The calculus's default base point, _calculus_point of the pair's own report and q."""
-        return _calculus_point(self.report, self.q)
+        return _calculus_point(self.report, self.q, self.resolvent_point)
 
     @property
     def critical_points(self) -> tuple[object, ...]:
@@ -263,12 +263,11 @@ def _resolvent_point(report: SpectrumReport) -> float:
     return 1.0 + max(map(abs, values[finite].tolist()), default=0.0)
 
 
-def _calculus_point(report: SpectrumReport, q: RationalFunction, mu: float = None) -> complex:
+def _calculus_point(report: SpectrumReport, q: RationalFunction, mu: float) -> complex:
     """i (1 + r), r the largest modulus of a spectral point or a zero of q: a
     point at distance at least 1 from every spectral point and from the real
-    axis, the calculus's default base point.  mu is _resolvent_point(report) where the caller has it."""
+    axis, the calculus's default base point.  mu is _resolvent_point(report)."""
     # scalar moduli, as in _resolvent_point; 1 + max(r_k) is max(1 + r_k) in floating point too
-    mu = _resolvent_point(report) if mu is None else mu
     return 1j * max([mu] + [1.0 + abs(z) for z, _ in q.num.clustered_roots()])
 
 

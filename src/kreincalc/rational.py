@@ -442,17 +442,13 @@ class RationalFunction:
 
         With w = num mod den, the principal part at a pole alpha_k of order nu_k is the jet of w / v_k there
         through entry nu_k - 1, v_k = prod_{i != k} (z - alpha_i)^nu_i (_cofactor_jet).  The overlap test takes
-        v_k's full jet, of degree + 1 - nu_k entries, at every pole before any principal part is formed, unless
-        v_k(alpha_k) clears its cut over prod_{i != k} (|alpha_k - alpha_i| + 1)^nu_i, a bound on every entry.
+        v_k's full jet, of degree + 1 - nu_k entries, at every pole before any principal part is formed.
         """
         p, w = self.num.divmod(self.den)
         poles = self.den.clustered_roots()
-        cofactors = [_cofactor_jet(poles, k, nu) for k, (_, nu) in enumerate(poles)]  # the full jets' first entries
-        for k, ((alpha, nu), jet) in enumerate(zip(poles, cofactors)):
-            bound = math.prod((abs(alpha - other) + 1.0) ** m for i, (other, m) in enumerate(poles) if i != k)
-            if not _clear_of_cut(jet[0], bound, POLE_SEPARATION_TOL) \
-                    and _vanishes(_cofactor_jet(poles, k, self.den.degree + 1 - nu), POLE_SEPARATION_TOL):
-                raise InconsistencyError("pole clusters of the denominator overlap")
+        cofactors = [_cofactor_jet(poles, k, max(nu, self.den.degree + 1 - nu)) for k, (_, nu) in enumerate(poles)]
+        if any(_vanishes(jet, POLE_SEPARATION_TOL) for jet in cofactors):
+            raise InconsistencyError("pole clusters of the denominator overlap")
         terms = []
         for (alpha, nu), jet in zip(poles, cofactors):
             t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha), jet, nu)

@@ -91,12 +91,8 @@ class SpectrumReport:
                 continue
             # abs(z - p) >= |(z - p).real| (hypot is faithfully rounded), which exceeds tol wherever p.real
             # lies more than 2 tol from z.real, rounding included: only the points of this window can hit
-            lo, hi = bisect_left(reals, z.real - 2 * tol), bisect_right(reals, z.real + 2 * tol)
-            if hi - lo == 1:  # one candidate, the common case
-                i = order[lo]
-                hits.append(i if abs(z - values[i]) <= tol else -1)
-                continue
-            dist, i = min([(abs(z - values[i]), i) for i in order[lo:hi]], default=(np.inf, -1))  # first on ties
+            window = order[bisect_left(reals, z.real - 2 * tol):bisect_right(reals, z.real + 2 * tol)]
+            dist, i = min([(abs(z - values[i]), i) for i in window], default=(np.inf, -1))  # first on ties
             hits.append(i if dist <= tol else -1)
         return np.array(hits, dtype=int)
 

@@ -40,7 +40,7 @@ from kreincalc import (
 
 from kreincalc import cli, jetcalc, rational
 from kreincalc.jetcalc import _basis_table, _plan
-from kreincalc.krein import _calculus_point
+from kreincalc.krein import _calculus_point, _resolvent_point
 from kreincalc.tolerances import PSD_TOL, RANK_TOL
 
 from helpers import jet_max_abs, random_definitizable, random_real_rational, reassemble, replace_pair
@@ -420,19 +420,20 @@ class TestApplyCalculus:
             pair = random_definitizable(rng, allow_mul=(trial % 2 == 0), allow_jordan=True).verify()
             fact = gram_factorize(pair)
             phi = JetFunction(pair, {w: rng.normal(size=pair.degrees[w] + 1) for w in pair.points})
-            mu = _calculus_point(pair.report, pair.q)
+            mu = _calculus_point(pair.report, pair.q, _resolvent_point(pair.report))
             assert np.array_equal(apply_calculus(fact, phi, mu=mu), apply_calculus(fact, phi))
 
     def test_a_copied_pair_takes_the_base_point_of_its_own_report(self):
         pair = running_pair()
-        assert pair.calculus_point == _calculus_point(pair.report, pair.q)
+        assert pair.calculus_point == _calculus_point(pair.report, pair.q, _resolvent_point(pair.report))
         with pytest.raises(TypeError):
             replace_pair(pair, calculus_point=0j)  # derived from the pair, not a constructor argument
         # the spectral point 2 moved to 20: a copy must not keep the base point of the old report
         points = tuple(20.0 + 0j if abs(w - 2.0) < 1e-9 else w for w in pair.points)
         copy = replace_pair(pair, report=SpectrumReport(2, tuple(zip(points, (1, 1)))), points=points,
                             degrees=dict(zip(points, pair.degrees.values())))
-        assert copy.calculus_point == _calculus_point(copy.report, copy.q) != pair.calculus_point
+        assert copy.resolvent_point == _resolvent_point(copy.report) != pair.resolvent_point
+        assert copy.calculus_point == _calculus_point(copy.report, copy.q, copy.resolvent_point) != pair.calculus_point
         assert _plan(copy, None).mu == copy.calculus_point
 
     def test_accepts_a_decomposition(self):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from kreincalc import (
     INF,
-    InconsistencyError,
     JetAtPoleError,
     MoebiusMap,
     Polynomial,
@@ -21,14 +20,13 @@ from kreincalc import (
 )
 from kreincalc.rational import (
     _cluster_members,
-    _cofactor_jet,
     _series_divide,
     _taylor_shift,
     _vanishes,
     _zero_order,
 )
 from kreincalc.relations import is_inf
-from kreincalc.tolerances import COEFF_TRIM_TOL, POLE_SEPARATION_TOL
+from kreincalc.tolerances import COEFF_TRIM_TOL
 
 from helpers import exact_shift, exact_zero_degree
 
@@ -505,12 +503,10 @@ class TestExactReference:
                     PROPER.q.jet_at(w, length - 1)
 
 
-# -- the full-shift references --------------------------------------------------
+# -- the full-shift reference ---------------------------------------------------
 # _jets takes num(w) and den(w) alone where bounds on the shifted entries prove
-# the order 0 and no pole, and partial_fractions the cofactor's leading entries
-# alone where a bound proves the poles apart.  The references take the full
-# shifts and jets everywhere, as the rules read, and both routines must agree
-# with them bit for bit, errors included.
+# the order 0 and no pole.  The reference takes the full shifts everywhere, as
+# the rules read, and _jets must agree with it bit for bit, errors included.
 
 
 def _reference_jets(q, points, lengths=None):
@@ -531,24 +527,6 @@ def _reference_jets(q, points, lengths=None):
     return orders, out
 
 
-def _reference_partial_fractions(q):
-    """RationalFunction.partial_fractions with every cofactor's full jet in the overlap test, as
-    (polynomial part's coefficients, terms)."""
-    p, w = q.num.divmod(q.den)
-    poles = q.den.clustered_roots()
-    cofactors = [_cofactor_jet(poles, k, max(nu, q.den.degree + 1 - nu)) for k, (_, nu) in enumerate(poles)]
-    if any(_vanishes(jet, POLE_SEPARATION_TOL) for jet in cofactors):
-        raise InconsistencyError("pole clusters of the denominator overlap")
-    terms = []
-    for (alpha, nu), jet in zip(poles, cofactors):
-        t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha), jet, nu)
-        if _vanishes(t, COEFF_TRIM_TOL):
-            raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
-                                     "denominator were not coprime after normalization")
-        terms += [(alpha, j, t[nu - j]) for j in range(1, nu + 1)]
-    return p.coeffs.tolist(), terms
-
-
 def _outcome(call):
     """repr of call's result, or of the type and message of what it raised: equal strings are equal
     results bit for bit (repr round-trips a float exactly) or the same error."""
@@ -563,16 +541,6 @@ def _jets_agree(q, points, lengths=None):
     want = _outcome(lambda: _reference_jets(q, points, lengths))
     assert _outcome(lambda: q._jets(points, lengths)) == want, (q, points, lengths)
     return _reference_jets(q, points, lengths)[0] if not want.startswith("(<class") else []
-
-
-def _fractions_agree(q):
-    """partial_fractions and _reference_partial_fractions give the same outcome; returns it."""
-    def fractions():
-        pf = q.partial_fractions()
-        return pf.poly.coeffs.tolist(), list(pf.terms)
-    want = _outcome(lambda: _reference_partial_fractions(q))
-    assert _outcome(fractions) == want, q
-    return want
 
 
 def _raw(num, den):
@@ -640,11 +608,6 @@ class TestFullShiftReference:
         for w in points:
             _jets_agree(q, [w])
 
-    @given(_placed())
-    @settings(max_examples=150, deadline=None)
-    def test_partial_fractions(self, placed):
-        _fractions_agree(placed[0])
-
     # relative offsets 1e-14 to 1e-8 in steps of 10^0.1: the cuts at COEFF_TRIM_TOL fall among them
     OFFSETS = [10.0 ** (-14.0 + 0.1 * i) for i in range(61)]
 
@@ -678,18 +641,20 @@ class TestFullShiftReference:
                     orders += _jets_agree(q, [w, -w, 1.0]) + _jets_agree(q, [w, -w, 1.0], [1, 1, 1])
         assert {0, 1} <= set(orders)
 
+
+class TestPartialFractionsErrors:
     def test_overlapping_pole_clusters(self):
         # clusters given as they are: no denominator was found whose clustered roots come this close, as roots
         # that near validate as one multiple root; the cofactor at 0 of the poles eps and 10 is
         # t^2 - (10 + eps) t + 10 eps, which the test reads as vanishing up to eps = 1e-13
         raised = set()
-        for eps in self.OFFSETS:
+        for eps in TestFullShiftReference.OFFSETS:
             q = _raw([1.0, 1.0], npp.polyfromroots([0.0, eps, 10.0]))
             q.den._clustered = ((0j, 1), (complex(eps), 1), (10 + 0j, 1))
-            raised.add("overlap" in _fractions_agree(q))
+            raised.add("overlap" in _outcome(q.partial_fractions))
         assert raised == {False, True}
 
     def test_vanishing_principal_part(self):
         # a residue below COEFF_TRIM_TOL reads as vanished, the floor of the test being 1
-        assert "vanished" in _fractions_agree(RationalFunction([1e-20], [-1.0, 1.0]))
-        assert "vanished" not in _fractions_agree(RationalFunction([1e-10], [-1.0, 1.0]))
+        assert "vanished" in _outcome(RationalFunction([1e-20], [-1.0, 1.0]).partial_fractions)
+        assert "vanished" not in _outcome(RationalFunction([1e-10], [-1.0, 1.0]).partial_fractions)
