@@ -22,15 +22,16 @@ from .errors import (
     ValidationError,
 )
 from .relations import INF, MoebiusMap, Point, as_point, is_inf, require_finite
-from .tolerances import COEFF_TRIM_TOL, JET_ZERO_TOL, POLE_SEPARATION_TOL, REALNESS_TOL, ROOT_CLUSTER_TOL
+from .tolerances import COEFF_TRIM_TOL, JET_ZERO_TOL, REALNESS_TOL, ROOT_CLUSTER_TOL
 
 
 def _trim(coeffs) -> np.ndarray:
-    """The coefficients as given, less their exactly-zero leading ones; [0] when none is left."""
+    """The coefficients as given, less their exactly-zero leading ones; [0] when none is left.  Each modulus must
+    be finite: Python's abs raises on a complex whose modulus passes the float range."""
     c = np.array(coeffs, dtype=complex, ndmin=1).ravel()
     mags = np.abs(c).tolist()
-    if not math.isfinite(sum(mags)):  # a NaN or infinite part, or moduli too large to add
-        require_finite(c, "polynomial coefficients")
+    if not math.isfinite(sum(mags)):  # a NaN or infinite part or modulus, or moduli too large to add
+        require_finite(mags, "polynomial coefficients and their moduli")
     while mags and mags[-1] == 0.0:
         mags.pop()
     return c[:len(mags)] if mags else np.zeros(1, dtype=complex)
@@ -82,31 +83,21 @@ def _taylor_shift(coeffs: list, w: complex) -> list:
 
 
 def _horner(coeffs: list, w: complex) -> complex:
-    """p(w) by the first pass of _taylor_shift, so the same bits as its entry 0.  Of the moduli |c_j| of p at
-    x >= |w| + 1 it bounds every Taylor entry of p at w, and at x >= |w| + rho their k-th times rho^k."""
+    """p(w) by the first pass of _taylor_shift, so the same bits as its entry 0."""
     acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = c + w * acc
     return acc
 
 
-def _clear_of_cut(value: complex, bound: float, tol: float) -> bool:
-    """Whether |value| is finite and above 2 tol bound, a normal float: where bound caps the magnitudes that a
-    cut at tol reads, and value is their first, no rounding of theirs makes it negligible (_leading_negligible,
-    _vanishes); below the normal range a product can round to a lower magnitude."""
-    return sys.float_info.min <= 2.0 * tol * bound < abs(value) < math.inf
-
-
-def _regular_value(num: list, den: list, num_mags: list, den_mags: list, w: complex) -> complex | None:
-    """num(w) / den(w), by _horner, where bounds on every Taylor entry at w (_horner of the moduli of the
-    coefficients) prove that _zero_order reads 0 and the pole test fails: then the full shifts' jet has the same
-    bits.  None where the bounds do not prove it."""
-    r, value, pole = abs(w), _horner(num, w), _horner(den, w)
-    scale = max(1.0, r) ** (1 - len(num))  # rho^-deg: abs(value) * scale is _zero_order's first magnitude
-    if _clear_of_cut(abs(value) * scale, _horner(num_mags, r + max(1.0, r)) * scale, COEFF_TRIM_TOL) \
-            and _clear_of_cut(pole, max(_horner(den_mags, 1.0 + r), 1.0), COEFF_TRIM_TOL):
-        return value / pole
-    return None
+def _clears(value: complex, mags: list, r: float, rho: float) -> bool:
+    """Whether _zero_order at COEFF_TRIM_TOL provably reads 0 at w, r = |w|, rho = max(1, r), for p of coefficient
+    moduli mags and value = p(w), with no shift: each |jet_k| rho^(k - deg) is at most rho^-deg sum_j |c_j|
+    (|w| + rho)^j, and abs(value) rho^-deg, the first bit for bit, is finite and above twice the cut of that
+    bound, a normal float, which no rounding of the entries can undo (below the normal range a product can round
+    to a lower magnitude)."""
+    scale = rho ** (1 - len(mags))
+    return sys.float_info.min <= 2.0 * COEFF_TRIM_TOL * (_horner(mags, r + rho) * scale) < abs(value) * scale < math.inf
 
 
 def _series_divide(num, den, length: int) -> list:
@@ -120,29 +111,30 @@ def _series_divide(num, den, length: int) -> list:
     return out
 
 
-def _leading_negligible(mags: list, tol: float) -> int:
-    """How many leading magnitudes are at most tol times the largest (0 when none is above)."""
+def _zero_order(coeffs: list | None, jet: list, w: complex, tol: float) -> int:
+    """The order of w as a zero of p, from p's coefficients and jet = _taylor_shift(coeffs, w): how many leading
+    coefficients of t -> p(w + rho t) / rho^deg, rho = max(1, |w|), jet[k] rho^(k - deg), are at most tol times
+    the largest.  The one rule for every Taylor entry that may be negligible: q's zeros and poles, and the two
+    checks of partial_fractions, at COEFF_TRIM_TOL; a multiple root of clustered_roots at JET_ZERO_TOL.
+
+    Where one passes the float range, they are the shift to w / rho of c_j rho^(j - deg) times the power of two
+    that brings the largest |c_j| below 1, which moves no cut and keeps the shift in range; without coeffs (a
+    cofactor given by its poles) that is a ValidationError."""
+    rho, deg = max(1.0, abs(w)), len(jet) - 1
+    try:
+        mags = [abs(c) * rho ** (k - deg) for k, c in enumerate(jet)]
+    except OverflowError:  # Python's abs of a finite complex whose modulus passes the float range
+        mags = [math.inf]
+    if not all(map(math.isfinite, mags)):
+        if coeffs is None:
+            raise ValidationError(f"the Taylor coefficients at {w} pass the float range")
+        unit = 2.0 ** -math.frexp(max(map(abs, coeffs)))[1]
+        mags = [abs(c) for c in _taylor_shift([c * rho ** (j - deg) * unit for j, c in enumerate(coeffs)], w / rho)]
     cut = tol * max(mags)
     for k, m in enumerate(mags):
         if m > cut:
             return k
-    return 0
-
-
-def _zero_order(coeffs: list, jet: list, w: complex) -> int:
-    """The order of w as a zero of p, from p's coefficients and jet = _taylor_shift(coeffs, w): _leading_negligible
-    at COEFF_TRIM_TOL of the coefficients of t -> p(w + rho t) / rho^deg, rho = max(1, |w|), jet[k] rho^(k - deg).
-    Where jet overflows, they are the shift of the scaled coefficients c_j rho^(j - deg) to w / rho."""
-    rho, deg = max(1.0, abs(w)), len(jet) - 1
-    mags = [abs(c) * rho ** (k - deg) for k, c in enumerate(jet)]
-    if not all(map(math.isfinite, mags)):
-        mags = [abs(c) for c in _taylor_shift([c * rho ** (j - deg) for j, c in enumerate(coeffs)], w / rho)]
-    return _leading_negligible(mags, COEFF_TRIM_TOL)
-
-
-def _vanishes(jet: list, tol: float) -> bool:
-    """Whether jet[0] is at most tol times the largest |entry| of the jet, floored at 1."""
-    return abs(jet[0]) <= tol * max(max(map(abs, jet)), 1.0)
+    return 0  # all zero
 
 
 def _cofactor_jet(poles: list, k: int, length: int) -> list:
@@ -227,7 +219,7 @@ class Polynomial:
         out = Polynomial.__new__(Polynomial)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by _trim below
             out.coeffs = self.coeffs / c  # leading coefficient nonzero, unless the division over- or underflows
-        if out.coeffs[-1] == 0.0 or not np.isfinite(out.coeffs).all():
+        if out.coeffs[-1] == 0.0 or not np.isfinite(np.abs(out.coeffs)).all():  # a modulus, too, may overflow
             out.coeffs = _trim(out.coeffs)
         out._clustered = self._clustered
         return out
@@ -249,9 +241,6 @@ class Polynomial:
         exp = math.frexp(max(map(abs, self.coeffs.tolist())))[1]
         c = np.ldexp(self.coeffs.real, -exp) + 1j * np.ldexp(self.coeffs.imag, -exp)
         return np.asarray(npp.polyroots(c), dtype=complex)
-
-    def _jet_validates(self, center: complex, mult: int) -> bool:
-        return _leading_negligible([abs(c) for c in _taylor_shift(self.coeffs.tolist(), center)], JET_ZERO_TOL) >= mult
 
     def clustered_roots(self) -> list[tuple[complex, int]]:
         """Roots grouped into (center, multiplicity) pairs.
@@ -280,8 +269,9 @@ class Polynomial:
                 if m == 1:
                     out.append((center, 1))
                     continue
-                spread = max(abs(r - center) for r in members)
-                if spread <= 8.0 * eps ** (1.0 / m) * max(1.0, abs(center)) and self._jet_validates(center, m):
+                spread, coeffs = max(abs(r - center) for r in members), self.coeffs.tolist()
+                if spread <= 8.0 * eps ** (1.0 / m) * max(1.0, abs(center)) \
+                        and _zero_order(coeffs, _taylor_shift(coeffs, center), center, JET_ZERO_TOL) >= m:
                     out.append((center, m))
                 elif radius > ROOT_CLUSTER_TOL:
                     work.append((max(radius / 16.0, ROOT_CLUSTER_TOL), members))
@@ -398,7 +388,7 @@ class RationalFunction:
         if is_inf(w):
             return max(0, self.den.degree - self.num.degree)
         num = self.num.coeffs.tolist()
-        return _zero_order(num, _taylor_shift(num, w), w)
+        return _zero_order(num, _taylor_shift(num, w), w, COEFF_TRIM_TOL)
 
     def jet_at(self, w, order: int) -> np.ndarray:
         """Taylor jet (f(w), f'(w)/1!, ..., f^(order)(w)/order!).
@@ -411,28 +401,35 @@ class RationalFunction:
     def _jets(self, points, lengths=None) -> tuple[list, list]:
         """zero_degree_at and jet_at at points (complex or INF): the orders d(w), and end to end the k-th jet
         through entry lengths[k] - 1 (through d(w) without lengths).  num and den are shifted in full, once a point:
-        d(w) is _zero_order of num's shift, and den's is the pole test, its leading entries divide.  At infinity
-        d(w) is the degree gap, and num and den are reversed, the shorter padded.
+        w is a pole where _zero_order of den's shift is positive, and d(w) is _zero_order of num's.  At infinity
+        both are read from the degree gap, and num and den are reversed, the shorter padded.
 
-        Where one entry is asked for (d(w) = 0 without lengths), _regular_value comes first, and the shifts only
-        where it cannot prove d(w) = 0 and no pole."""
+        Where one entry is asked for (d(w) = 0 without lengths), num(w) and den(w) come first, by _horner (the
+        first pass of _taylor_shift, so the same bits), and the shifts only where _clears cannot prove d(w) = 0
+        and no pole; den's order is not read again where its bound cleared."""
         num, den, orders, out = self.num.coeffs.tolist(), self.den.coeffs.tolist(), [], []
         num_mags, den_mags = list(map(abs, num)), list(map(abs, den))
         for k, w in enumerate(points):
             if is_inf(w):
+                if self.num.degree > self.den.degree:
+                    raise JetAtPoleError("jet requested at the pole infinity")
                 order = max(0, self.den.degree - self.num.degree)
                 top, bottom = num[::-1], den[::-1]
                 top, bottom = ([0j] * (max(len(top), len(bottom)) - len(c)) + c for c in (top, bottom))
             else:
-                value = _regular_value(num, den, num_mags, den_mags, w) if lengths is None or lengths[k] == 1 else None
-                if value is not None:
-                    orders.append(0)
-                    out.append(value)
-                    continue
+                pole_free = False
+                if lengths is None or lengths[k] == 1:
+                    value, pole, r = _horner(num, w), _horner(den, w), abs(w)
+                    rho = max(1.0, r)
+                    pole_free = _clears(pole, den_mags, r, rho)
+                    if pole_free and _clears(value, num_mags, r, rho):
+                        orders.append(0)
+                        out.append(value / pole)
+                        continue
                 top, bottom = _taylor_shift(num, w), _taylor_shift(den, w)
-                order = _zero_order(num, top, w)
-            if _vanishes(bottom, COEFF_TRIM_TOL):
-                raise JetAtPoleError(f"jet requested at {'the pole infinity' if is_inf(w) else f'pole {w}'}")
+                if not pole_free and _zero_order(den, bottom, w, COEFF_TRIM_TOL):
+                    raise JetAtPoleError(f"jet requested at pole {w}")
+                order = _zero_order(num, top, w, COEFF_TRIM_TOL)
             orders.append(order)
             out += _series_divide(top, bottom, order + 1 if lengths is None else lengths[k])
         return orders, out
@@ -442,19 +439,22 @@ class RationalFunction:
 
         With w = num mod den, the principal part at a pole alpha_k of order nu_k is the jet of w / v_k there
         through entry nu_k - 1, v_k = prod_{i != k} (z - alpha_i)^nu_i (_cofactor_jet).  The overlap test takes
-        v_k's full jet, of degree + 1 - nu_k entries, at every pole before any principal part is formed.
+        v_k's full jet, of degree + 1 - nu_k entries, at every pole before any principal part is formed: pole
+        clusters overlap where alpha_k is a zero of v_k, and a principal part vanishes where it is one of w
+        (_zero_order).
         """
         p, w = self.num.divmod(self.den)
         poles = self.den.clustered_roots()
         cofactors = [_cofactor_jet(poles, k, max(nu, self.den.degree + 1 - nu)) for k, (_, nu) in enumerate(poles)]
-        if any(_vanishes(jet, POLE_SEPARATION_TOL) for jet in cofactors):
+        if any(_zero_order(None, jet, alpha, COEFF_TRIM_TOL) for (alpha, _), jet in zip(poles, cofactors)):
             raise InconsistencyError("pole clusters of the denominator overlap")
-        terms = []
+        rem, terms = w.coeffs.tolist(), []
         for (alpha, nu), jet in zip(poles, cofactors):
-            t = _series_divide(_taylor_shift(w.coeffs.tolist(), alpha), jet, nu)
-            if _vanishes(t, COEFF_TRIM_TOL):
+            shift = _taylor_shift(rem, alpha)
+            if w.is_zero or _zero_order(rem, shift, alpha, COEFF_TRIM_TOL):
                 raise InconsistencyError("leading principal-part coefficient vanished; numerator and "
                                          "denominator were not coprime after normalization")
+            t = _series_divide(shift, jet, nu)
             terms += [(alpha, j, t[nu - j]) for j in range(1, nu + 1)]
         return PartialFractions(p, tuple(terms))
 

@@ -19,8 +19,9 @@ default, because a caller sets them:
 
 The radius of ``rational._cluster_members`` has no default either: polynomial
 roots cluster at ``ROOT_CLUSTER_TOL``, pencil eigenvalues at
-``SPECTRUM_CLUSTER_TOL``; q's zero orders are read from jets, not clusters,
-and the coefficients a polynomial is given are kept as they are.
+``SPECTRUM_CLUSTER_TOL``; nor has the cut of ``rational._zero_order``.  q's
+zero orders are read from jets, not clusters, and the coefficients a
+polynomial is given are kept as they are.
 """
 
 # -- rank and subspaces
@@ -37,17 +38,15 @@ MOEBIUS_DET_TOL = 1e-12  # Möbius matrix singular: |det| <= this * (largest ent
 ROOT_CLUSTER_TOL = 1e-6
 # Only a sum or difference zeroes a coefficient: one below this times the larger
 # operand coefficient of its power, so cancellation cannot raise the degree.
-# A Taylor entry at most this times the largest is negligible.  q's zero order
-# at w counts such leading entries of num(w + rho t), rho = max(1, |w|)
-# (1.5e-13 and less, 2.9e-5 and more at the hard panel's points;
-# err_inconsistency.json, |q(+-i)| ~ 4e-10, needs it < 1e-10); w is a pole where
-# den's jet starts so; a principal part that starts so means num and den were
-# not coprime after normalization.
+# rational._zero_order, the one rule for where a polynomial vanishes, counts the
+# leading entries of p(w + rho t) / rho^deg, rho = max(1, |w|), at most this
+# times the largest, for q's zero order at w (1.5e-13 and less, 2.9e-5 and more
+# at the hard panel's points; err_inconsistency.json, |q(+-i)| ~ 4e-10, needs it
+# < 1e-10); for w a pole (den's order positive); for pole clusters that overlap
+# in partial fractions (a pole a zero of its cofactor); and for a principal part
+# that vanished (a pole a zero of num mod den: num and den not coprime).
 COEFF_TRIM_TOL = 1e-12
-# Jet entries below this (relative) vanish: the derivative jet confirming a
-# multiple root.
-JET_ZERO_TOL = 1e-9
-POLE_SEPARATION_TOL = 1e-13  # partial fractions: other pole clusters vanish at a pole
+JET_ZERO_TOL = 1e-9  # the same rule confirms a multiple root, from the jet at its cluster's mean
 REALNESS_TOL = 1e-8  # imaginary parts below this (relative) count as real
 
 # -- spectra

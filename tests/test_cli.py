@@ -568,6 +568,18 @@ class TestNonFiniteInput:
             got, doc = run_cli("definitize", "--input", str(problem))
         assert (got, doc["error"]["code"]) == (rc, code)
 
+    def test_a_coefficient_whose_modulus_overflows_is_a_validation_error(self, tmp_path):
+        # each part is finite, but |1.5e308 + 1.5e308 i| passes the float range, where Python's abs raises
+        problem = tmp_path / "huge_modulus.json"
+        problem.write_text(json.dumps({"relation": {"operator": [[1, 0], [0, 2]]}, "function": {"rational": {
+            "num": [[-5e307, -5e307], [1.5e308, 1.5e308], [-1.5e308, -1.5e308], [5e307, 5e307]], "den": [1, 1]}}}))
+        rc, doc = run_cli("rational-apply", "--input", str(problem))
+        assert (rc, doc["error"]["code"]) == (2, "validation")
+        assert doc["error"]["message"] == "polynomial coefficients and their moduli must be finite"
+        proc = subprocess.run([sys.executable, "-m", "kreincalc.cli", "rational-apply", "--input", str(problem)],
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, b"")
+
     def test_finite_jets_whose_decomposition_overflows_are_a_validation_error(self, tmp_path):
         # on the running example s = -1e308 matches the jet at 2, so g at 1 is 2e308
         base = json.loads((FIXTURES / "running.json").read_text())
@@ -613,12 +625,13 @@ def test_console_entry_point(command, fixture, code, tmp_path):
 
 # q = (z - 2) / (z - 1.00005)^3 on the running example: its pole sits 5e-5 from the spectral point 1, where
 # q is about 8e12 and G q(A) is positive, but q's denominator shifted to 1 is -1.25e-13 against a largest
-# entry of 1, so RationalFunction._jets' pole test reads 1 as a pole while spectral._pole_in_spectrum does not
+# entry of 1, so RationalFunction._jets' pole test (_zero_order of den at 1, rho = 1) reads 1 as a pole of
+# order 1 while spectral._pole_in_spectrum, a distance rule, does not
 @pytest.mark.xfail(strict=True, reason=(
     "two rules decide whether a spectral point is a pole of q, and every command that verifies the pair exits 3 "
-    "jet-at-pole here; replacing _jets' _vanishes pole test by an exact-zero test makes definitize pass, but "
-    "calculus with jets {1: [3], 2: [1, 0]} then returns 3.0037 where the answer is 3, a silent error, and project "
-    "ends in inconsistency: one pole rule must also keep the calculus accurate where |q| is about 8e12"))
+    "jet-at-pole here; replacing _jets' pole test, _zero_order of den, by an exact-zero test makes definitize "
+    "pass, but calculus with jets {1: [3], 2: [1, 0]} then returns 3.0037 where the answer is 3, a silent error, "
+    "and project ends in inconsistency: one pole rule must also keep the calculus accurate where |q| is about 8e12"))
 def test_pole_of_q_near_a_spectral_point(tmp_path):
     base = json.loads((FIXTURES / "running.json").read_text())
     base["q"] = {"num": [-2, 1], "den": np.poly([1.00005] * 3)[::-1].tolist()}

@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 
 from kreincalc import (
     INF,
+    GramSpace,
     JetAtPoleError,
+    LinearRelation,
     MoebiusMap,
     Polynomial,
     RationalFunction,
     SingularMoebiusError,
     ValidationError,
+    verify_definitizing,
 )
 from kreincalc.rational import (
     _cluster_members,
     _series_divide,
     _taylor_shift,
-    _vanishes,
     _zero_order,
 )
 from kreincalc.relations import is_inf
@@ -284,6 +286,30 @@ class TestRationalFunction:
         assert [np.isfinite(_taylor_shift(r.num.coeffs.tolist(), w)).all() for w in points] == [False] + [True] * 4
         assert [r.zero_degree_at(w) for w in points] == r._jets(points)[0] == [1, 1, 1, 1, 0]
 
+    def test_a_modulus_that_passes_the_float_range_is_a_validation_error(self):
+        # finite parts whose modulus passes the float range, where Python's abs raises: as given, or once the
+        # division by den's leading coefficient 0.9 makes it so
+        for num, den in (([1.5e308 + 1.5e308j, 1.0], [1.0]), ([1.2e308 + 1.2e308j, 1.0], [0.9])):
+            with pytest.raises(ValidationError, match="moduli must be finite"):
+                RationalFunction(num, den)
+
+    def test_multiple_roots_whose_jets_pass_the_float_range(self):
+        # an m-fold root (m = 2..4) at a center in [-2, 2], complex half the time, and 0..2 simple real roots, the
+        # largest coefficient near the top of the float range: where an entry of the Taylor shift that confirms the
+        # cluster passes the float range (Python's abs raises on a finite complex whose modulus does), the order
+        # is read from the rescaled shift, and the cluster is still found m-fold
+        rng, overflowed = np.random.default_rng(3), 0
+        for _ in range(2000):
+            m = int(rng.integers(2, 5))
+            center = rng.uniform(-2.0, 2.0) + (1j * rng.uniform(-2.0, 2.0) if rng.random() < 0.5 else 0.0)
+            c = npp.polyfromroots([center] * m + list(rng.uniform(-2.0, 2.0, int(rng.integers(0, 3)))))
+            c = c / np.abs(c).max() * (1.7e308 * rng.uniform(0.5, 1.0)) * np.exp(2j * np.pi * rng.uniform())
+            q = RationalFunction(c, [1.0, 1.0])
+            if not np.isfinite(np.abs(_taylor_shift(c.tolist(), center))).all():
+                overflowed += 1
+                assert max(k for _, k in q.num.clustered_roots()) == m, c
+        assert overflowed > 0
+
     def test_partial_fractions_simple_poles_golden(self):
         # [DERIVED] 1/(z^2 - 1) = 1/2 * 1/(z-1) - 1/2 * 1/(z+1)
         r = RationalFunction(Polynomial([1.0]), Polynomial([-1.0, 0.0, 1.0]))
@@ -514,14 +540,16 @@ def _reference_jets(q, points, lengths=None):
     num, den, orders, out = q.num.coeffs.tolist(), q.den.coeffs.tolist(), [], []
     for k, w in enumerate(points):
         if is_inf(w):
+            if q.num.degree > q.den.degree:
+                raise JetAtPoleError("jet requested at the pole infinity")
             order = max(0, q.den.degree - q.num.degree)
             top, bottom = num[::-1], den[::-1]
             top, bottom = ([0j] * (max(len(top), len(bottom)) - len(c)) + c for c in (top, bottom))
         else:
             top, bottom = _taylor_shift(num, w), _taylor_shift(den, w)
-            order = _zero_order(num, top, w)
-        if _vanishes(bottom, COEFF_TRIM_TOL):
-            raise JetAtPoleError(f"jet requested at {'the pole infinity' if is_inf(w) else f'pole {w}'}")
+            if _zero_order(den, bottom, w, COEFF_TRIM_TOL):
+                raise JetAtPoleError(f"jet requested at pole {w}")
+            order = _zero_order(num, top, w, COEFF_TRIM_TOL)
         orders.append(order)
         out += _series_divide(top, bottom, order + 1 if lengths is None else lengths[k])
     return orders, out
@@ -589,8 +617,8 @@ def _placed(draw):
     else:
         try:
             q = RationalFunction(num, den)
-        except (ValidationError, OverflowError):  # normalization overflowed: a ValidationError, or a raw
-            assume(False)  # OverflowError where the jet that validates a root cluster outgrows the float range
+        except ValidationError:  # normalization overflowed
+            assume(False)
     if draw(st.booleans()):
         points.insert(draw(st.integers(0, len(points))), INF)
     return q, points
@@ -629,6 +657,26 @@ class TestFullShiftReference:
         # the scan crosses both cuts
         assert orders == {0, 1} and regular == {False, True}
 
+    @given(_placed())
+    @settings(max_examples=150, deadline=None)
+    def test_a_pole_of_q_is_a_zero_of_1_over_q(self, placed):
+        # the pole test is _zero_order of den: w is a pole of q exactly where 1/q has a zero, den being monic, so
+        # that RationalFunction(den) keeps den's coefficients bit for bit; at infinity, where 1/q = den / num does
+        q, points = placed
+        assume(not q.is_zero and q.den.leading == 1.0)
+        for w in points:
+            if is_inf(w):
+                try:
+                    inverse = RationalFunction(q.den, q.num)
+                except ValidationError:  # den over num's leading coefficient passes the float range
+                    continue
+                zero = inverse.zero_degree_at(INF) > 0
+            else:
+                inverse = RationalFunction(q.den)
+                assert inverse.num.coeffs.tolist() == q.den.coeffs.tolist()
+                zero = inverse.zero_degree_at(w) > 0
+            assert ("JetAtPoleError" in _outcome(lambda: q._jets([w]))) == zero, (q, w)
+
     def test_coefficients_at_the_ends_of_the_float_range(self):
         # 1e-300 (z - 1000)^5 / max|c_j| at 1000: the full shift's entries times rho^(k - 5) fall below the normal
         # range, where the first rounds to a lower magnitude than its bound, and the order reads 1
@@ -646,7 +694,7 @@ class TestPartialFractionsErrors:
     def test_overlapping_pole_clusters(self):
         # clusters given as they are: no denominator was found whose clustered roots come this close, as roots
         # that near validate as one multiple root; the cofactor at 0 of the poles eps and 10 is
-        # t^2 - (10 + eps) t + 10 eps, which the test reads as vanishing up to eps = 1e-13
+        # t^2 - (10 + eps) t + 10 eps, which _zero_order reads as vanishing up to eps = 1e-12
         raised = set()
         for eps in TestFullShiftReference.OFFSETS:
             q = _raw([1.0, 1.0], npp.polyfromroots([0.0, eps, 10.0]))
@@ -654,7 +702,23 @@ class TestPartialFractionsErrors:
             raised.add("overlap" in _outcome(q.partial_fractions))
         assert raised == {False, True}
 
+    def test_a_cofactor_that_passes_the_float_range_is_a_validation_error(self):
+        # at the pole -1e300 the cofactor z^2 is 1e600; it is given by its poles, so there are no coefficients to
+        # rescale
+        q = _raw([1.0], [0.0, 0.0, 1e300, 1.0])
+        q.den._clustered = ((-1e300 + 0j, 1), (0j, 2))
+        with pytest.raises(ValidationError, match=r"Taylor coefficients at \(-1e\+300\+0j\) pass the float range"):
+            q.partial_fractions()
+
     def test_vanishing_principal_part(self):
-        # a residue below COEFF_TRIM_TOL reads as vanished, the floor of the test being 1
-        assert "vanished" in _outcome(RationalFunction([1e-20], [-1.0, 1.0]).partial_fractions)
-        assert "vanished" not in _outcome(RationalFunction([1e-10], [-1.0, 1.0]).partial_fractions)
+        # the remainder num mod den is read at its own scale, so a small residue does not vanish
+        assert RationalFunction([1e-20], [-1.0, 1.0]).partial_fractions().terms == ((1.0, 1, 1e-20),)
+        for c in (-1e-10, -1e-13, -1e-20):
+            pair = verify_definitizing(GramSpace(np.eye(2)), LinearRelation.from_operator(np.diag([1.0, 2.0])),
+                                       RationalFunction([c], [-5.0, 1.0]))
+            assert [pair.degrees[w] for w in pair.points] == [0, 0]
+        # a remainder that vanishes at a pole: z - 1 - 1e-14 at the pole 1 of (z - 1)(z - 2), and the zero one
+        den = npp.polyfromroots([1.0, 2.0])
+        for num in ([-1.0 - 1e-14, 1.0], [-1e-20 - 1e-34, 1e-20], den):
+            assert "vanished" in _outcome(_raw(num, den).partial_fractions), num
+        assert "vanished" not in _outcome(_raw([-1.0 - 1e-11, 1.0], den).partial_fractions)
