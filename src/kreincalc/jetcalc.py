@@ -334,7 +334,7 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
     packed = phi._jets
     scale = max(1.0, _max_abs(packed))
     rhs = packed[plan.below]
-    if rhs.size == 0 or _max_abs(rhs) <= ROUNDOFF_TOL * scale:
+    if _max_abs(rhs) <= ROUNDOFF_TOL * scale:
         # interpolation data is pure roundoff; the exact solution is zero
         coeffs = np.zeros(plan.size, dtype=complex)
     else:
@@ -386,8 +386,6 @@ def apply_calculus(fact: Factorization, phi, mu=None) -> np.ndarray:
         for c in dec.coeffs[-2::-1]:
             s_matrix = res @ s_matrix
             s_matrix.reshape(-1)[:: n + 1] += c  # the diagonal of the C-ordered matmul result, in place
-    if fact.rank == 0:
-        return s_matrix
     left, right = fact.eigen_factors
     return s_matrix + (left * dec._g[fact.measure.index]) @ right  # the measure's points are the pair's
 

@@ -106,25 +106,17 @@ class DefinitizablePair:
 
     def __init__(self, space: GramSpace, relation: LinearRelation, q: RationalFunction, q_matrix: np.ndarray,
                  report: SpectrumReport, points: tuple[object, ...], degrees: dict, q_jets: np.ndarray,
-                 diagnostics: dict = None, psd_eig: tuple = None, resolvents: ResolventStack = None):
+                 diagnostics: dict, psd_eig: tuple, resolvents: ResolventStack):
         self.space, self.relation, self.q, self.q_matrix, self.report = space, relation, q, q_matrix, report
         self.points, self.degrees = points, degrees
         self.q_jets = q_jets  # q's Taylor jets at the points through entry degrees[w], end to end in point order
-        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.diagnostics = diagnostics
         self.psd_eig = psd_eig  # eigh of the Hermitian part of G q(A): (eigenvalues, eigenvectors)
         # the resolvents solved with q(A): at the poles of q, _resolvent_point and _calculus_point
         self.resolvents = resolvents
+        self.resolvent_point = _resolvent_point(report)  # the real point mu of the factor space's resolvent
+        self.calculus_point = _calculus_point(report, q, self.resolvent_point)  # the calculus's default base point
         self._calculus_plans = {}  # calculus plans by base point, built and read by jetcalc
-
-    @functools.cached_property
-    def resolvent_point(self) -> float:
-        """The real point mu of the factor space's resolvent, _resolvent_point of the pair's own report."""
-        return _resolvent_point(self.report)
-
-    @functools.cached_property
-    def calculus_point(self) -> complex:
-        """The calculus's default base point, _calculus_point of the pair's own report and q."""
-        return _calculus_point(self.report, self.q, self.resolvent_point)
 
     @property
     def critical_points(self) -> tuple[object, ...]:
@@ -132,7 +124,7 @@ class DefinitizablePair:
 
     def resolvent(self, z) -> np.ndarray:
         """(A - z)^{-1}, read from the stack solved with q(A) when it holds z, else from resolvent_at."""
-        if self.resolvents is not None and z in self.resolvents:
+        if z in self.resolvents:
             return self.resolvents[z]
         return resolvent_at(self.relation, z, self.report)
 
@@ -213,7 +205,7 @@ def verify_definitizing(
         "hermitian_residual": q_residual,
         "psd_margin": float(kept.min()) if kept.size else 0.0,
     }
-    pair = DefinitizablePair(
+    return DefinitizablePair(
         space=space,
         relation=rel,
         q=q,
@@ -226,8 +218,6 @@ def verify_definitizing(
         psd_eig=tuple(psd_eig),
         resolvents=resolvents,
     )
-    pair.__dict__.update(resolvent_point=mu, calculus_point=base)  # the cached properties, from the same report and q
-    return pair
 
 
 class SpectralMeasure:
@@ -337,15 +327,14 @@ class Factorization:
     """Gram factorization q(A) = T T^+ through a Hilbert space C^r."""
 
     def __init__(self, pair: DefinitizablePair, rank: int, factor: np.ndarray, factor_adjoint: np.ndarray,
-                 left_inverse: np.ndarray, resolvent: np.ndarray, base_point: float, measure: SpectralMeasure,
-                 diagnostics: dict = None):
+                 left_inverse: np.ndarray, resolvent: np.ndarray, measure: SpectralMeasure, diagnostics: dict):
         self.pair, self.rank, self.measure = pair, rank, measure
         self.factor = factor                  # T: C^r -> C^n
         self.factor_adjoint = factor_adjoint  # T^+ = T* G: C^n -> C^r
         self.left_inverse = left_inverse      # L = diag(1/lambda) T^+ G with L T = I, lambda the kept eigenvalues
         self.resolvent = resolvent            # X with R T = T X, R the resolvent of A at base_point
-        self.base_point = base_point          # the real point mu of the resolvent set
-        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.base_point = pair.resolvent_point  # the real point mu of the resolvent set
+        self.diagnostics = diagnostics
 
     @functools.cached_property
     def theta(self) -> LinearRelation:
@@ -419,7 +408,6 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
         factor_adjoint=factor_adjoint,
         left_inverse=left_inverse,
         resolvent=res,
-        base_point=mu,
         measure=measure,
         diagnostics=diagnostics,
     )
@@ -443,8 +431,6 @@ def theta_op(fact: Factorization, mat: np.ndarray) -> np.ndarray:
         raise ValidationError("operator matrix has the wrong shape")
     require_finite(mat, "operator matrix")
     _check_commutes(mat, fact.gram_product, "operator does not commute with q(A)")
-    if fact.rank == 0:
-        return np.zeros((0, 0), dtype=complex)
     out = _pull_back(fact.factor, fact.left_inverse, mat)
     resid = frobenius(fact.factor_adjoint @ mat - out @ fact.factor_adjoint)
     if not resid <= IDENTITY_TOL * max(1.0, frobenius(mat)):

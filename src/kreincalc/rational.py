@@ -240,7 +240,12 @@ class Polynomial:
         # division by a subnormal scalar yields nan in numpy) and leaves its c[:-1] / c[-1], so the roots, as they are
         exp = math.frexp(max(map(abs, self.coeffs.tolist())))[1]
         c = np.ldexp(self.coeffs.real, -exp) + 1j * np.ldexp(self.coeffs.imag, -exp)
-        return np.asarray(npp.polyroots(c), dtype=complex)
+        # where the leading coefficient is far below the largest, c[:-1] / c[-1] overflows and eig refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return np.asarray(npp.polyroots(c), dtype=complex)
+            except np.linalg.LinAlgError as exc:
+                raise ValidationError("polynomial coefficients span more than the float range") from exc
 
     def clustered_roots(self) -> list[tuple[complex, int]]:
         """Roots grouped into (center, multiplicity) pairs.

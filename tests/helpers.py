@@ -29,8 +29,9 @@ from kreincalc.tolerances import COEFF_TRIM_TOL
 def replace_pair(pair, **changes):
     """A new DefinitizablePair built from pair's constructor arguments, changes replacing some of them.
 
-    It goes through the constructor, so a name that is not an argument raises TypeError and nothing cached on
-    pair (its calculus_point, its calculus plans) is carried over."""
+    It goes through the constructor, so a name that is not an argument raises TypeError, and nothing that pair
+    derived is carried over: the copy computes its own resolvent_point and calculus_point from its own report
+    and q, and starts with no calculus plans."""
     args = {name: getattr(pair, name) for name in inspect.signature(DefinitizablePair).parameters}
     return DefinitizablePair(**{**args, **changes})
 

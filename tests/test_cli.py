@@ -580,6 +580,20 @@ class TestNonFiniteInput:
                               capture_output=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (2, b"")
 
+    def test_coefficients_that_span_the_float_range_are_a_validation_error(self, tmp_path):
+        # den has the roots +-1e154 i, whose companion matrix overflows
+        problem = tmp_path / "wide_span.json"
+        problem.write_text(json.dumps({"relation": {"operator": [[1, 0], [0, 2]]},
+                                       "function": {"rational": {"num": [1], "den": [1e308, 0.5, 1]}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, doc = run_cli("rational-apply", "--input", str(problem))
+        assert (rc, doc["error"]["code"]) == (2, "validation")
+        assert doc["error"]["message"] == "polynomial coefficients span more than the float range"
+        proc = subprocess.run([sys.executable, "-m", "kreincalc.cli", "rational-apply", "--input", str(problem)],
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, b"")
+
     def test_finite_jets_whose_decomposition_overflows_are_a_validation_error(self, tmp_path):
         # on the running example s = -1e308 matches the jet at 2, so g at 1 is 2e308
         base = json.loads((FIXTURES / "running.json").read_text())

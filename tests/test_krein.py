@@ -36,7 +36,7 @@ from kreincalc import (
     xi,
 )
 
-from kreincalc import jetcalc, krein, spectral
+from kreincalc import cli, jetcalc, krein, spectral
 from kreincalc.krein import _is_psd, _measure_from_resolvent, _pull_back, _resolvent_point
 from kreincalc.relations import hermitian_residual
 from kreincalc.tolerances import ATOM_MATCH_TOL, POINT_MATCH_TOL, PSD_TOL, RANK_TOL
@@ -703,6 +703,17 @@ class TestCompressedResolvent:
         assert counts == {"resolvent_at": 0, "lstsq": 0}
         assert relative_error(calc, fixture_matrix(case, "r_matrix")) < 1e-6
         assert relative_error(proj, fixture_matrix(case, "delta_proj")) < 1e-6
+        # the running example, one critical at infinity, and one of rank 0: the pair's own base points are
+        # the ones verify_definitizing solved for
+        for name, rank in (("running.json", 1), ("mul.json", 1), ("degenerate.json", 0)):
+            problem = cli.Problem(json.loads((FIXTURES / name).read_text()), RANK_TOL, PSD_TOL)
+            pair = problem.pair()
+            assert pair.resolvent_point in pair.resolvents and pair.calculus_point in pair.resolvents
+            fact = gram_factorize(pair)
+            assert fact.rank == rank
+            apply_calculus(fact, problem.jet_function(pair))
+            spectral_projection(fact, problem.delta())
+            assert counts == {"resolvent_at": 0, "lstsq": 0}, name
 
 
 class TestTransport:

@@ -1,6 +1,7 @@
 """Polynomial and rational function algebra, jets, partial fractions."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -292,6 +293,14 @@ class TestRationalFunction:
         for num, den in (([1.5e308 + 1.5e308j, 1.0], [1.0]), ([1.2e308 + 1.2e308j, 1.0], [0.9])):
             with pytest.raises(ValidationError, match="moduli must be finite"):
                 RationalFunction(num, den)
+
+    def test_coefficients_that_span_more_than_the_float_range_are_a_validation_error(self):
+        # roots +-1e154 i: scaled by the largest modulus, the leading coefficient is subnormal, so the companion
+        # matrix's c[:-1] / c[-1] overflows; no numpy warning may escape either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^polynomial coefficients span more than the float range$"):
+                Polynomial([1e308, 0.5, 1]).clustered_roots()
 
     def test_multiple_roots_whose_jets_pass_the_float_range(self):
         # an m-fold root (m = 2..4) at a center in [-2, 2], complex half the time, and 0..2 simple real roots, the
