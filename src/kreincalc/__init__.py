@@ -43,7 +43,6 @@ _EXPORTS = {
         "JetFunction",
         "apply_calculus",
         "decompose",
-        "decompose_polynomial",
         "embed_rational",
         "indicator",
         "jet_multiply",

@@ -18,11 +18,10 @@ the top one at the critical points, held in pole-residue form
 
 with m the total critical degree and mu a base point in the resolvent set.
 The basis jets have closed forms, so the decomposition finds no roots, and
-s(A) is a Horner sum in R = (A - mu)^(-1).  The base point mu = INF stands
-for the polynomial basis z^j, with R = A; it needs a bounded relation.
-Everything that does not depend on phi (the base point, the basis jets at
-every spectral point and the interpolation matrix) is a plan built once per
-pair and base point and cached on the pair; R and q's jets come from the pair.
+s(A) is a Horner sum in R = (A - mu)^(-1).  Everything that does not depend
+on phi (the base point, the basis jets at every spectral point and the
+interpolation matrix) is a plan built once per pair and base point and cached
+on the pair; R and q's jets come from the pair.
 
 The plan and the decomposition work on packed jets: the entries 0..d(w) of
 each point's jet are consecutive rows, and the points follow the pair's
@@ -46,14 +45,13 @@ import numpy as np
 
 from .errors import (
     InconsistencyError,
-    NotBoundedError,
     PointNotInSpectrumError,
     PoleMeetsSpectrumError,
     ValidationError,
 )
 from .krein import DefinitizablePair, Factorization
 from .rational import Polynomial, RationalFunction
-from .relations import INF, as_point, frobenius, is_inf, point_sort_key, require_finite
+from .relations import as_point, frobenius, is_inf, point_sort_key, require_finite
 # rational_apply is unused here but stays a module attribute: the tracing
 # test in bench/test_bench.py checks that this binding is wrapped
 from .spectral import _pole_in_spectrum, rational_apply  # noqa: F401
@@ -213,7 +211,6 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
 
 _BASIS_TERMS = {
     "pole": lambda k, j: ((-1) ** k * math.comb(j + k - 1, k) if j else float(k == 0), j + k),
-    "polynomial": lambda k, j: (math.comb(j, k), max(j - k, 0)),
     "infinity": lambda k, j: (math.comb(k - 1, k - j), k - j) if 1 <= j <= k else (float(j == k == 0), 0),
 }
 
@@ -232,15 +229,14 @@ def _basis_table(mu, values: np.ndarray, finite: np.ndarray, m: int, order: int)
 
     values and finite are a spectrum's points as SpectrumReport._point_array
     holds them.  Entry k of (z - mu)^(-j) at w is (-1)^k C(j+k-1, k)
-    (w - mu)^(-j-k) for j >= 1, and C(k-1, k-j) mu^(k-j) at INF; entry k of
-    z^j (mu = INF) is C(j, k) w^(j-k).
+    (w - mu)^(-j-k) for j >= 1, and C(k-1, k-j) mu^(k-j) at infinity.
     """
     out = np.empty((values.size, order + 1, m), dtype=complex)
-    coeff, exponent = _basis_terms(m, order, "polynomial" if is_inf(mu) else "pole")
+    coeff, exponent = _basis_terms(m, order, "pole")
     with np.errstate(over="ignore"):  # for a far mu, numpy's complex division overflows to 0: caught below
-        base = values[finite] if is_inf(mu) else 1.0 / (values[finite] - mu)
+        base = 1.0 / (values[finite] - mu)
     out[finite] = powers = coeff * base[:, None, None] ** exponent
-    underflow = not is_inf(mu) and (powers == 0)[:, coeff != 0].any()
+    underflow = (powers == 0)[:, coeff != 0].any()
     if not finite.all():
         coeff, exponent = _basis_terms(m, order, "infinity")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -259,8 +255,8 @@ class _CalculusPlan:
     basis jets and the pair's own q_jets, and from the pair's layout the point
     of each row (owner), the top row of each point and the rows below the
     tops; the latter pick the Hermite interpolation matrix.  The plan keeps no
-    resolvent: apply_calculus reads R = (A - mu)^(-1) (A itself for mu = INF)
-    from the pair, whose stack holds it at the default base point.
+    resolvent: apply_calculus reads R = (A - mu)^(-1) from the pair, whose
+    stack holds it at the default base point.
     The plan keeps no reference to its pair, which caches it: without that
     cycle a pair and its arrays are freed as soon as the caller drops them.
     """
@@ -284,6 +280,8 @@ def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
     plans = pair._calculus_plans
     if key not in plans:
         point = pair.calculus_point if key is None else key
+        if is_inf(point):
+            raise ValidationError("base point mu must be finite")
         if pair.report.contains(point):
             raise ValidationError("base point mu must lie in the resolvent set")
         plans[key] = _CalculusPlan(pair, point)
@@ -293,8 +291,8 @@ def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
 class Decomposition:
     """phi = (jets of s) + g * (jets of q) along the spectrum.
 
-    The rational part is s = sum of coeffs[j] (z - base_point)^(-j), or of
-    coeffs[j] z^j when base_point is INF.  _g holds g in the pair's point order.
+    The rational part is s = sum of coeffs[j] (z - base_point)^(-j).  _g holds
+    g in the pair's point order.
     """
 
     def __init__(self, pair: DefinitizablePair, coeffs: np.ndarray, g: dict, base_point: object,
@@ -304,8 +302,6 @@ class Decomposition:
     @property
     def s(self) -> RationalFunction:
         """The rational part as a normalized RationalFunction, built on demand."""
-        if is_inf(self.base_point):
-            return RationalFunction(Polynomial(self.coeffs))
         shift = Polynomial([-self.base_point, 1.0])
         num = Polynomial.zero()
         for c in self.coeffs:
@@ -321,10 +317,9 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
     the first d(w) jet entries of phi at every critical point, in the
     pole-residue basis (z - mu)^(-j), j < m, where m is the total critical
     degree; the basis jets have closed forms, so no root is found.  mu must
-    lie in the resolvent set and defaults to a point on the imaginary axis
-    outside the spectrum and the zeros of q.  mu = INF gives the polynomial
-    basis z^j and needs a bounded relation.  g is then the quotient
-    (phi - s)/q, with the limit value at each critical point.
+    be finite and lie in the resolvent set; it defaults to a point on the
+    imaginary axis outside the spectrum and the zeros of q.  g is then the
+    quotient (phi - s)/q, with the limit value at each critical point.
 
     Everything that does not depend on phi is a plan built on the first call
     for the pair and mu and cached on the pair.
@@ -351,13 +346,6 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
         raise InconsistencyError("decomposition failed to reassemble the jet function")
     return Decomposition(pair=pair, coeffs=coeffs, g=dict(zip(pair.points, g.tolist())), base_point=plan.mu,
                          _plan=plan, _g=g)
-
-
-def decompose_polynomial(pair: DefinitizablePair, phi: JetFunction) -> Decomposition:
-    """decompose with mu = INF: a polynomial rational part; needs a bounded relation."""
-    if pair.report.multiplicity_of(INF) > 0:
-        raise NotBoundedError("polynomial decomposition needs infinity in the resolvent set")
-    return decompose(pair, phi, mu=INF)
 
 
 # -- the calculus -----------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import InconsistencyError, NotBoundedError, SingularMoebiusError, ValidationError
-from .tolerances import CONTAINMENT_TOL, HERMITIAN_TOL, MOEBIUS_DET_TOL, RANK_TOL, SUBSPACE_EQ_TOL
+from .tolerances import HERMITIAN_TOL, RANK_TOL
 
 
 class _Infinity:
@@ -206,25 +206,26 @@ def _bounded_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 class Subspace:
-    """Subspace of C^n held as an orthonormal column basis."""
+    """Subspace of C^n held as an orthonormal column basis with n rows; containment and equality are ranks of sums."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("basis",)
 
-    def __init__(self, basis: np.ndarray, ambient_dim: int | None = None):
+    def __init__(self, basis: np.ndarray):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 2:
             raise ValidationError("subspace basis must be a matrix")
-        self.ambient_dim = basis.shape[0] if ambient_dim is None else int(ambient_dim)
-        if basis.shape[0] != self.ambient_dim:
-            raise ValidationError("basis rows do not match the ambient dimension")
         self.basis = basis
 
     @classmethod
-    def from_spanning(cls, vectors, ambient_dim: int | None = None) -> "Subspace":
+    def from_spanning(cls, vectors) -> "Subspace":
         mat = np.asarray(vectors, dtype=complex)
         if mat.ndim == 1:
             mat = mat.reshape(-1, 1)
-        return cls(orthonormal_columns(mat), ambient_dim if ambient_dim is not None else mat.shape[0])
+        return cls(orthonormal_columns(mat))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:
@@ -234,26 +235,22 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def contains(self, other: "Subspace") -> bool:
-        if other.dim == 0:
-            return True
-        resid = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        return frobenius(resid) <= CONTAINMENT_TOL * max(1.0, math.sqrt(other.dim))
+        """other lies in self: adding it leaves the rank of the span as it is."""
+        return self.sum(other).dim == self.dim
 
     def same_as(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            return False
-        return frobenius(self.projector() - other.projector()) <= SUBSPACE_EQ_TOL
+        return self.ambient_dim == other.ambient_dim and self.dim == other.dim and self.contains(other)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValidationError("subspace sum needs a common ambient space")
-        return Subspace.from_spanning(np.hstack([self.basis, other.basis]), self.ambient_dim)
+        return Subspace.from_spanning(np.hstack([self.basis, other.basis]))
 
     def image(self, mat: np.ndarray) -> "Subspace":
         mat = np.asarray(mat, dtype=complex)
         if mat.shape[1] != self.ambient_dim:
             raise ValidationError("matrix does not act on this space")
-        return Subspace.from_spanning(mat @ self.basis, mat.shape[0])
+        return Subspace.from_spanning(mat @ self.basis)
 
     def preimage(self, mat: np.ndarray) -> "Subspace":
         """{v : mat v in self}, the kernel of (I - P) mat."""
@@ -261,7 +258,7 @@ class Subspace:
         if mat.shape[0] != self.ambient_dim:
             raise ValidationError("matrix does not map into this space")
         resid = mat - self.basis @ (self.basis.conj().T @ mat)
-        return Subspace(null_space(resid), mat.shape[1])
+        return Subspace(null_space(resid))
 
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim})"
@@ -280,8 +277,8 @@ class MoebiusMap:
         return self.a * self.d - self.b * self.c
 
     def is_regular(self) -> bool:
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d), 1.0)
-        return abs(self.det()) > MOEBIUS_DET_TOL * scale * scale
+        """The matrix has rank 2 by the rank rule of orthonormal_columns."""
+        return orthonormal_columns(self.matrix()).shape[1] == 2
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
@@ -327,15 +324,14 @@ class MoebiusMap:
 
 
 class LinearRelation:
-    """A linear relation on C^n: a subspace of C^n x C^n."""
+    """A linear relation on C^n: a subspace of C^n x C^n, so its graph has 2n rows."""
 
     __slots__ = ("space_dim", "graph")
 
-    def __init__(self, space_dim: int, graph: Subspace):
-        space_dim = int(space_dim)
-        if graph.ambient_dim != 2 * space_dim:
-            raise ValidationError("graph must live in the doubled space")
-        self.space_dim = space_dim
+    def __init__(self, graph: Subspace):
+        if graph.ambient_dim % 2:
+            raise ValidationError("graph must live in a doubled space: an even number of rows")
+        self.space_dim = graph.ambient_dim // 2
         self.graph = graph
 
     @classmethod
@@ -346,7 +342,7 @@ class LinearRelation:
         require_finite(mat, "operator matrix")
         n = mat.shape[0]
         stacked = np.vstack([np.eye(n, dtype=complex), mat])
-        return cls(n, Subspace.from_spanning(stacked, 2 * n))
+        return cls(Subspace.from_spanning(stacked))
 
     @classmethod
     def from_graph_columns(cls, x: np.ndarray, y: np.ndarray, rank_tol: float = RANK_TOL) -> "LinearRelation":
@@ -356,7 +352,7 @@ class LinearRelation:
             raise ValidationError("graph columns need matching n x k shapes")
         require_finite(x, "graph column block X")
         require_finite(y, "graph column block Y")
-        return cls(x.shape[0], Subspace(orthonormal_columns(np.vstack([x, y]), rank_tol), 2 * x.shape[0]))
+        return cls(Subspace(orthonormal_columns(np.vstack([x, y]), rank_tol)))
 
     def graph_columns(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.space_dim
@@ -373,7 +369,7 @@ class LinearRelation:
 
     def dom(self) -> Subspace:
         x, _ = self.graph_columns()
-        return Subspace.from_spanning(x, self.space_dim)
+        return Subspace.from_spanning(x)
 
     def kernel(self, lam) -> Subspace:
         """ker(A - lam) = {x : (x; lam x) in A}; lam = INF gives mul A."""
@@ -384,8 +380,7 @@ class LinearRelation:
             stack = np.vstack([np.zeros((n, n), dtype=complex), eye])
         else:
             stack = np.vstack([eye, lam * eye])
-        pre = self.graph.preimage(stack)
-        return Subspace(pre.basis, n)
+        return self.graph.preimage(stack)
 
     def mul(self) -> Subspace:
         return self.kernel(INF)
@@ -395,7 +390,7 @@ class LinearRelation:
 
     def moebius(self, moebius: MoebiusMap) -> "LinearRelation":
         block = moebius.block_map(self.space_dim)
-        return LinearRelation(self.space_dim, self.graph.image(block))
+        return LinearRelation(self.graph.image(block))
 
     def inverse(self) -> "LinearRelation":
         return self.moebius(MoebiusMap.inversion())
@@ -411,7 +406,7 @@ class LinearRelation:
         """Linear span of the two graphs inside the doubled space."""
         if other.space_dim != self.space_dim:
             raise ValidationError("relations live on different spaces")
-        return LinearRelation(self.space_dim, self.graph.sum(other.graph))
+        return LinearRelation(self.graph.sum(other.graph))
 
     def operator_sum(self, other: "LinearRelation") -> "LinearRelation":
         """{(x; y1 + y2) : (x; y1) in self, (x; y2) in other}."""
@@ -454,7 +449,7 @@ class LinearRelation:
         )
         comp = null_space((big @ self.graph.basis).conj().T)
         flipped = np.vstack([comp[n:, :], -comp[:n, :]])
-        return LinearRelation(n, Subspace(flipped, 2 * n))
+        return LinearRelation(Subspace(flipped))
 
     def self_adjoint_residual(self, gram: np.ndarray) -> float:
         """hermitian_residual of X* G Y for the graph basis (X; Y); infinite unless proper.
@@ -479,7 +474,7 @@ class LinearRelation:
         return self.graph.contains(other.graph)
 
     def same_as(self, other: "LinearRelation") -> bool:
-        return self.space_dim == other.space_dim and self.graph.same_as(other.graph)
+        return self.graph.same_as(other.graph)
 
     def __repr__(self) -> str:
         return f"LinearRelation(n={self.space_dim}, graph_dim={self.dim})"
@@ -499,12 +494,10 @@ def diagonal_preimage(mat: np.ndarray, rel: LinearRelation) -> LinearRelation:
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[0] != rel.space_dim:
         raise ValidationError("matrix does not map into the relation's space")
-    m = mat.shape[1]
     block = np.block(
         [
             [mat, np.zeros_like(mat)],
             [np.zeros_like(mat), mat],
         ]
     )
-    pre = rel.graph.preimage(block)
-    return LinearRelation(m, Subspace(pre.basis, 2 * m))
+    return LinearRelation(rel.graph.preimage(block))

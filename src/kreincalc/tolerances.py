@@ -25,10 +25,9 @@ polynomial is given are kept as they are.
 """
 
 # -- rank and subspaces
-RANK_TOL = 1e-10  # relative cut of every rank decision (relations._sv_cutoff), on singular values and eigenvalues
-SUBSPACE_EQ_TOL = 1e-8  # subspaces are equal when their projectors differ by less
-CONTAINMENT_TOL = 1e-8  # residual threshold for subspace containment
-MOEBIUS_DET_TOL = 1e-12  # Möbius matrix singular: |det| <= this * (largest entry)^2
+# Relative cut of every rank decision (relations._sv_cutoff), on singular values and eigenvalues: so also of
+# subspace containment and equality (the rank of a sum) and of a regular Möbius matrix (rank 2).
+RANK_TOL = 1e-10
 
 # -- polynomials and rational functions
 # Root clustering radius for pole multiplicities and for the cancellation of

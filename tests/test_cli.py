@@ -544,6 +544,17 @@ class TestNonFiniteInput:
             if extra:  # the default base point works
                 assert run_on(command, fixture)[0] == 0
 
+    @pytest.mark.parametrize("command", ["calculus", "project"])
+    def test_a_base_point_at_infinity_is_a_validation_error(self, command):
+        # --mu inf 0 parses to the point at infinity, which is no base point of the rational part
+        argv = [command, "--input", str(FIXTURES / "running.json"), "--mu", "inf", "0"]
+        rc, doc = run_cli(*argv)
+        assert (rc, doc["error"]["code"]) == (2, "validation")
+        assert doc["error"]["message"] == "base point mu must be finite"
+        proc = subprocess.run([sys.executable, "-m", "kreincalc.cli", *argv], capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        assert strict_json(proc.stdout)["error"] == doc["error"]
+
     def test_a_far_base_point_whose_powers_are_not_needed_gives_a_clean_result(self):
         # 1 / (w - mu) overflows numpy's complex division to 0, but the running example needs only the constant
         with warnings.catch_warnings():

@@ -17,7 +17,6 @@ from kreincalc import (
     InconsistencyError,
     JetFunction,
     LinearRelation,
-    NotBoundedError,
     PointNotInSpectrumError,
     PoleMeetsSpectrumError,
     Polynomial,
@@ -26,7 +25,6 @@ from kreincalc import (
     ValidationError,
     apply_calculus,
     decompose,
-    decompose_polynomial,
     embed_rational,
     gram_factorize,
     indicator,
@@ -239,6 +237,20 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(pair, phi, mu=2.0)
 
+    @pytest.mark.parametrize("call", ["decompose", "apply_calculus", "spectral_projection"])
+    def test_base_point_at_infinity_is_a_validation_error(self, call):
+        # the rational part has its one pole at a finite base point: infinity, in the resolvent set of the running
+        # example, is not one, in any of its forms
+        fact = running_fact()
+        phi = JetFunction.from_points(fact.pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
+        run = {"decompose": lambda mu: decompose(fact.pair, phi, mu),
+               "apply_calculus": lambda mu: apply_calculus(fact, phi, mu),
+               "spectral_projection": lambda mu: spectral_projection(fact, [2.0], mu)}[call]
+        for mu in (INF, float("inf"), complex(float("inf"), 0.0)):
+            with pytest.raises(ValidationError, match="base point mu must be finite"):
+                run(mu)
+        run(None)  # the default base point works
+
     @pytest.mark.parametrize("offset", [5e-9, 5e-8])
     def test_base_point_near_the_spectrum_is_rejected_by_decompose(self, offset):
         # the rotation has spectrum {i, -i}; a base point within the resolvent
@@ -259,52 +271,16 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(pair, phi)
 
-    def test_polynomial_variant_needs_bounded_relation(self):
-        rng = np.random.default_rng(50)
-        planted = random_definitizable(rng, allow_mul=True)
-        while True:
-            pair = planted.verify()
-            if pair.report.multiplicity_of(INF) > 0:
-                break
-            planted = random_definitizable(rng, allow_mul=True)
-        with pytest.raises(NotBoundedError):
-            decompose_polynomial(pair, JetFunction.one(pair))
-
     def test_basis_jets_match_rational_jets(self):
         order, m = 3, 5
         points = (0.0, INF, 1.0, -0.7 + 0.3j)
-        for mu in (2.0j, -1.5 + 0.5j, INF):
-            kept = [w for w in points if not (is_inf(mu) and is_inf(w))]  # mu = INF needs a bounded relation
-            values = np.array([np.inf if is_inf(w) else w for w in kept], dtype=complex)
+        values = np.array([np.inf if is_inf(w) else w for w in points], dtype=complex)
+        for mu in (2.0j, -1.5 + 0.5j):
             table = _basis_table(mu, values, np.isfinite(values), m, order)
-            for w, got in zip(kept, table):
+            for w, got in zip(points, table):
                 for j in range(m):
-                    basis = (RationalFunction(Polynomial([0.0] * j + [1.0])) if is_inf(mu)
-                             else RationalFunction(Polynomial.one(), Polynomial.from_roots([mu] * j)))
-                    want = basis.jet_at(w, order)
+                    want = RationalFunction(Polynomial.one(), Polynomial.from_roots([mu] * j)).jet_at(w, order)
                     assert np.allclose(got[:, j], want, rtol=1e-12, atol=1e-12), (mu, w, j)
-
-    def test_base_point_at_infinity_is_the_polynomial_variant(self):
-        rng = np.random.default_rng(57)
-        for trial in range(10):
-            pair = random_definitizable(rng, allow_jordan=True).verify()
-            phi = JetFunction(pair, {
-                w: rng.normal(size=pair.degrees[w] + 1)
-                + 1j * rng.normal(size=pair.degrees[w] + 1)
-                for w in pair.points})
-            dec = decompose(pair, phi, mu=INF)
-            assert jet_max_abs(reassemble(dec) - phi) < 1e-7 * max(1.0, jet_max_abs(phi))
-            assert dec.s.den.degree == 0
-            poly = decompose_polynomial(pair, phi)
-            assert np.allclose(dec.coeffs, poly.coeffs, rtol=1e-12, atol=1e-12), trial
-            assert all(abs(dec.g[w] - poly.g[w]) <= 1e-12 * max(1.0, abs(poly.g[w])) for w in pair.points)
-
-    def test_polynomial_variant_reassembles_with_polynomial_part(self):
-        pair = running_pair()
-        phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
-        dec = decompose_polynomial(pair, phi)
-        assert dec.s.den.degree == 0
-        assert jet_max_abs(reassemble(dec) - phi) < 1e-10
 
 
 def mul3_pair():
@@ -587,14 +563,12 @@ class TestPackedLayout:
         rng, pairs = self.planted_pairs(71)
         for k, pair in enumerate(pairs):
             phi = random_jets(rng, pair)
-            bases = [None] if INF in pair.points else [None, INF]
-            for mu in bases:
-                dec = decompose(pair, phi, mu=mu)
-                coeffs, g = reference_decompose(pair, phi, dec.base_point)
-                scale = max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
-                assert np.allclose(dec.coeffs, coeffs, rtol=1e-12, atol=1e-12 * scale), (k, mu)
-                for w in pair.points:
-                    assert abs(dec.g[w] - g[w]) <= 1e-12 * max(1.0, abs(g[w])), (k, mu, w)
+            dec = decompose(pair, phi)
+            coeffs, g = reference_decompose(pair, phi, dec.base_point)
+            scale = max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
+            assert np.allclose(dec.coeffs, coeffs, rtol=1e-12, atol=1e-12 * scale), k
+            for w in pair.points:
+                assert abs(dec.g[w] - g[w]) <= 1e-12 * max(1.0, abs(g[w])), (k, w)
 
     def test_q_table_matches_jet_at(self):
         # the jets verify_definitizing took with the degrees are jet_at's bit for bit, infinity among the points
@@ -615,7 +589,6 @@ class TestPackedLayout:
         apply_calculus(fact, phi)
         spectral_projection(fact, [2.0])
         spectral_projection(fact, [2.0], mu=0.5 + 2.0j)
-        decompose_polynomial(pair, phi)
         assert len(calls) == 1
 
     def test_plan_rows(self):

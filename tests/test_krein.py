@@ -589,7 +589,7 @@ class TestGramFactorize:
     def test_q_zero_on_the_spectrum_with_widely_spread_coefficients(self, n):
         # q = prod (z - j) on A = diag(30, ..., 29 + n), G = I: q's coefficients span more than 1 / COEFF_TRIM_TOL,
         # and every one is kept.  q(A) is 0, but its power-basis value has entries of both signs up to 1e2 (n = 10)
-        # and 1e14 (n = 16): a typed error until q(A) is evaluated stably (ROADMAP item 4, step 2)
+        # and 1e14 (n = 16): a typed error until q(A) is evaluated stably (ROADMAP item 12)
         rel = LinearRelation.from_operator(np.diag(np.arange(30.0, 30 + n)))
         q = RationalFunction(Polynomial.from_roots(range(30, 30 + n)))
         with pytest.raises(NotPositiveError):

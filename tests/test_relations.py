@@ -82,6 +82,27 @@ class TestSubspace:
         again = Subspace.from_spanning(np.array([[2.0], [0.0]]))
         assert a.same_as(again)
 
+    def test_decisions_agree_with_the_rank_of_the_sum(self):
+        # containment and equality take the rank rule that built both subspaces: b lies in a exactly when adding it
+        # leaves the rank of the span as it is, so a line tilted by 1e-9 is a second direction, one tilted by
+        # 1e-12 is not, and random tilts of 1e-14 to 1e-6 fall on both sides of the cut
+        rng = np.random.default_rng(12)
+        e1, e2 = np.eye(3)[:, :1], np.eye(3)[:, 1:2]
+        draws = [(e1, e1 + 1e-9 * e2), (e1, e1 + 1e-12 * e2), (e1, 2.0 * e1), (e1, np.hstack([e1, e2]))]
+        for _ in range(60):
+            base = rng.normal(size=(5, int(rng.integers(1, 4))))
+            draws.append((base, base + 10.0 ** rng.uniform(-14.0, -6.0) * rng.normal(size=base.shape)))
+        seen = set()
+        for u, v in draws:
+            a, b = Subspace.from_spanning(u), Subspace.from_spanning(v)
+            rank = a.sum(b).dim
+            assert a.contains(b) == (rank == a.dim)
+            assert a.same_as(b) == (rank == a.dim == b.dim)
+            seen.add(a.same_as(b))
+        assert seen == {False, True}
+        a, b = Subspace.from_spanning(e1), Subspace.from_spanning(e1 + 1e-9 * e2)
+        assert not a.contains(b) and not a.same_as(b) and a.sum(b).dim == 2
+
 
 class TestMoebiusMap:
     def test_point_action_matches_matrix_action_on_projective_line(self):
@@ -241,7 +262,7 @@ class TestLinearRelation:
             assert np.allclose(basis.conj().T @ basis, np.eye(adj.dim), atol=1e-12)
             big = np.kron(np.eye(2), g)
             comp = null_space((big @ rel.graph.basis).conj().T)
-            spanned = Subspace.from_spanning(np.vstack([comp[n:], -comp[:n]]), 2 * n)
+            spanned = Subspace.from_spanning(np.vstack([comp[n:], -comp[:n]]))
             assert adj.dim == spanned.dim and adj.graph.same_as(spanned)
             # [y, u] = [x, v] for (x; y) in rel and (u; v) in the adjoint
             x, y = rel.graph_columns()

@@ -127,7 +127,7 @@ def test_calculus_matches_the_oracle_formula(bounded):
 
 # The hard-panel cases whose projections fail, by (workload, index), with the reason and the ROADMAP
 # item whose fix should make them pass; each is a strict xfail, so that fix must flip it.
-HARD_FAILING = {("hard", 8): "ROADMAP item 4: its Hermite matrix has condition number 5.9e12, and its first "
+HARD_FAILING = {("hard", 8): "ROADMAP item 5: its Hermite matrix has condition number 5.9e12, and its first "
                              "single-point projection ends in a typed 'spectral projection failed to be idempotent'"}
 HARD = planted.hard_cases()
 
