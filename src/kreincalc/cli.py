@@ -314,10 +314,7 @@ def _cmd_xi(problem: Problem, args) -> dict:
 
     pair, fact = _factorize(problem)
     func = problem.rational_function()
-    if fact.rank == 0:
-        mat = np.zeros((0, 0), dtype=complex)
-    else:
-        mat = rational_apply(func, fact.theta, spectrum(fact.theta))
+    mat = rational_apply(func, fact.theta, spectrum(fact.theta))
     out = xi(fact, mat)
     return {
         "results": {

@@ -3,7 +3,7 @@
 Three tiers matter to callers: validation problems (bad shapes, malformed
 input), mathematical precondition failures (the input is well-formed but the
 requested operation is not defined for it), and internal inconsistencies
-(a identity that is proved to hold failed numerically, which signals either a
+(an identity that is proved to hold failed numerically, which signals either a
 tolerance pathology in the input or a bug).  The command-line front end maps
 these tiers onto exit codes 2, 3 and 4.
 """

@@ -61,10 +61,9 @@ class GramSpace:
         if not hermitian_residual(gram) <= HERMITIAN_TOL:
             raise ValidationError("Gram matrix must be Hermitian")
         gram = (gram + gram.conj().T) / 2.0
-        if gram.shape[0] > 0:
-            w = np.abs(np.linalg.eigvalsh(gram))
-            if float(w.min()) <= _sv_cutoff(w, RANK_TOL):
-                raise ValidationError("Gram matrix must be invertible")
+        w = np.abs(np.linalg.eigvalsh(gram))
+        if float(w.min(initial=np.inf)) <= _sv_cutoff(w, RANK_TOL):
+            raise ValidationError("Gram matrix must be invertible")
         self.gram = gram
 
     @classmethod
@@ -242,9 +241,6 @@ class SpectralMeasure:
         return self.basis @ self.basis.conj().T
 
 
-_NO_MEASURE = SpectralMeasure(np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=int), ())
-
-
 def _resolvent_point(report: SpectrumReport) -> float:
     """A real point at distance at least 1 from the finite spectrum."""
     # Python's abs(complex) and numpy's complex abs differ in the last bit on
@@ -314,8 +310,6 @@ def spectral_measure(rel: LinearRelation) -> SpectralMeasure:
     Read off its resolvent at a real point of the resolvent set; the
     multivalued part contributes the atom at infinity.
     """
-    if rel.space_dim == 0:
-        return _NO_MEASURE
     report = spectrum(rel)
     if report.is_full_sphere:
         raise NotSelfAdjointError("relation is not self-adjoint on the Hilbert space")
@@ -390,12 +384,8 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     if not resid_factor <= FACTOR_TOL * max(1.0, frobenius(pair.q_matrix)):
         raise InconsistencyError("T T^+ failed to reproduce q(A)")
     mu = pair.resolvent_point
-    if rank == 0:
-        res = np.zeros((0, 0), dtype=complex)
-        measure = _NO_MEASURE
-    else:
-        res = _pull_back(factor, left_inverse, pair.resolvent(mu))
-        measure = _measure_from_resolvent(res, mu, pair.report)
+    res = _pull_back(factor, left_inverse, pair.resolvent(mu))
+    measure = _measure_from_resolvent(res, mu, pair.report)
     diagnostics = {
         "factor_residual": resid_factor,
         "psd_margin": float(eigvals[n - rank]) if rank else 0.0,  # the smallest kept eigenvalue

@@ -90,8 +90,7 @@ def point_sort_key(p):
 
 def _sv_cutoff(values: np.ndarray, rank_tol: float) -> float:
     """Rank cut of nonnegative values, singular values or eigenvalue moduli: rank_tol times the largest, floored at 1."""
-    top = float(values.max()) if values.size else 0.0
-    return rank_tol * max(top, 1.0)
+    return rank_tol * max(float(values.max(initial=0.0)), 1.0)
 
 
 def require_finite(values, name: str) -> None:
@@ -156,9 +155,6 @@ def orthonormal_columns(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarr
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2:
         raise ValidationError("expected a matrix of column vectors")
-    n, k = mat.shape
-    if k == 0:
-        return np.zeros((n, 0), dtype=complex)
     u, s, _ = stable_svd(mat)
     rank = int((s > _sv_cutoff(s, rank_tol)).sum())
     return u[:, :rank]
@@ -167,11 +163,6 @@ def orthonormal_columns(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarr
 def null_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel, same rank rule as orthonormal_columns."""
     mat = np.asarray(mat, dtype=complex)
-    n, k = mat.shape
-    if k == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if n == 0:
-        return np.eye(k, dtype=complex)
     _, s, vh = stable_svd(mat, full_matrices=True)
     rank = int((s > _sv_cutoff(s, RANK_TOL)).sum())
     return vh[rank:, :].conj().T

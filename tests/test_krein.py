@@ -390,6 +390,11 @@ class TestSpectralMeasure:
         with pytest.raises(NotSelfAdjointError):
             spectral_measure(rel)
 
+    def test_empty_relation_has_the_empty_measure(self):
+        measure = spectral_measure(LinearRelation.from_operator(np.zeros((0, 0))))
+        assert measure.atoms == () and measure.points == ()
+        assert measure.basis.shape == (0, 0) and measure.index.shape == (0,)
+
 
 def reference_atoms(fact):
     """Per-atom projectors V_i V_i* from eigh of the compressed resolvent, built atom by atom."""
@@ -552,10 +557,14 @@ class TestGramFactorize:
         space = GramSpace(np.diag([1.0, -1.0]))
         rel = LinearRelation.from_operator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         q = RationalFunction(Polynomial([1.0, 0.0, 1.0]))
-        fact = gram_factorize(verify_definitizing(space, rel, q))
+        pair = verify_definitizing(space, rel, q)
+        fact = gram_factorize(pair)
         assert fact.rank == 0
+        assert fact.resolvent.shape == (0, 0)
         assert fact.measure.atoms == ()
-        assert fact.diagnostics["psd_margin"] == 0.0
+        # T T^+ = 0, so the residual is ||q(A)||, and every eigenvalue of G q(A) is discarded
+        assert fact.diagnostics == {"factor_residual": np.linalg.norm(pair.q_matrix), "psd_margin": 0.0,
+                                    "discarded_eigenvalue": np.abs(pair.psd_eig[0]).max()}
 
     def test_rank_capped_by_the_critical_points(self):
         # q vanishes at every point of diag(1..8), so each point holds a

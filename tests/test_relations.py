@@ -18,7 +18,7 @@ from kreincalc import (
     diagonal_image,
     diagonal_preimage,
 )
-from kreincalc.relations import frobenius, null_space, stable_svd
+from kreincalc.relations import frobenius, null_space, orthonormal_columns, stable_svd
 
 from helpers import random_definitizable, random_gram, random_invertible, random_operator, random_relation
 
@@ -370,6 +370,14 @@ class TestStableSvd:
         self.failing_once(monkeypatch)
         with pytest.raises(ValidationError):
             stable_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_subspace_primitives_on_empty_input():
+    # numpy's SVD of an empty matrix gives empty factors, and an identity vh for a 0 x k one
+    cols = orthonormal_columns(np.zeros((3, 0)))
+    assert cols.shape == (3, 0) and cols.dtype == complex
+    assert null_space(np.zeros((3, 0))).shape == (0, 0)
+    assert np.array_equal(null_space(np.zeros((0, 2))), np.eye(2))
 
 
 def test_diagonal_image_and_preimage():
