@@ -21,12 +21,12 @@ The basis jets have closed forms, so the decomposition finds no roots, and
 s(A) is a Horner sum in R = (A - mu)^(-1).  Everything that does not depend
 on phi (the base point, the basis jets at every spectral point and the
 interpolation matrix) is a plan built once per pair and base point and cached
-on the pair; R and q's jets come from the pair.
+on the pair; R, q's jets and the layout below come from the pair.
 
 The plan and the decomposition work on packed jets: the entries 0..d(w) of
 each point's jet are consecutive rows, and the points follow the pair's
 canonical order, so a jet function is one vector of length sum (d(w) + 1),
-as JetFunction holds it; the layout is built once per pair, with its plans.
+as JetFunction holds it; this layout is the pair's, built with the pair.
 The basis jets are one matrix with a row per jet entry and a column per
 basis function, the jets of q one vector in the same rows.  Two index
 arrays pick out the top row of each point, where g is read off, and the
@@ -73,33 +73,6 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max(initial=0.0))
 
 
-class _Layout:
-    """The packed layout of a pair's jets: the jet length at each point, the point (owner) and entry of
-    each row, the first and top row of each point, the rows below the tops and each point's (start, end),
-    built by one loop over Python lists: a pair has a few dozen rows at most."""
-
-    def __init__(self, pair: DefinitizablePair):
-        lengths = [pair.degrees[w] + 1 for w in pair.points]
-        owner, entry, below, self.bounds = [], [], [], []
-        for i, d in enumerate(lengths):
-            start = len(owner)
-            below += range(start, start + d - 1)
-            owner += [i] * d
-            entry += range(d)
-            self.bounds.append((start, start + d))
-        self.lengths, self.owner, self.entry, self.below = (np.array(v, dtype=int) for v in (lengths, owner, entry, below))
-        self.starts = np.array([a for a, _ in self.bounds], dtype=int)
-        self.top = np.array([b - 1 for _, b in self.bounds], dtype=int)
-
-
-def _layout(pair: DefinitizablePair) -> _Layout:
-    """The pair's packed layout, built on first use and cached with its calculus plans."""
-    plans = pair._calculus_plans
-    if "layout" not in plans:
-        plans["layout"] = _Layout(pair)
-    return plans["layout"]
-
-
 def _require_layout(pair: DefinitizablePair, other: DefinitizablePair, message: str) -> None:
     """ValidationError unless the two pairs pack jets alike: the same points with the same jet lengths."""
     if other is not pair and (other.points != pair.points or other.degrees != pair.degrees):
@@ -127,7 +100,7 @@ class JetFunction:
     @property
     def values(self) -> MappingProxyType:
         """The jet at each spectral point, read-only: views of the packed jets, so never out of step."""
-        return MappingProxyType({w: self._jets[a:b] for w, (a, b) in zip(self.pair.points, _layout(self.pair).bounds)})
+        return MappingProxyType({w: self._jets[a:b] for w, (a, b) in zip(self.pair.points, self.pair.layout.bounds)})
 
     # -- constructors ------------------------------------------------------
 
@@ -202,7 +175,7 @@ def embed_rational(pair: DefinitizablePair, func: RationalFunction) -> JetFuncti
     pole = _pole_in_spectrum(func, pair.report)
     if pole is not None:
         raise PoleMeetsSpectrumError(f"pole {pole} meets the spectrum")
-    jets = np.array(func._jets(pair.points, _layout(pair).lengths.tolist())[1], dtype=complex)
+    jets = np.array(func._jets(pair.points, pair.layout.lengths.tolist())[1], dtype=complex)
     require_finite(jets, "jets of the function")
     return JetFunction._from_packed(pair, jets)
 
@@ -227,9 +200,9 @@ def _basis_terms(m: int, order: int, kind: str) -> tuple[np.ndarray, np.ndarray]
 def _basis_table(mu, values: np.ndarray, finite: np.ndarray, m: int, order: int) -> np.ndarray:
     """Basis jets at points: out[i, k, j] is entry k of basis function j at the point values[i].
 
-    values and finite are a spectrum's points as SpectrumReport._point_array
-    holds them.  Entry k of (z - mu)^(-j) at w is (-1)^k C(j+k-1, k)
-    (w - mu)^(-j-k) for j >= 1, and C(k-1, k-j) mu^(k-j) at infinity.
+    values and finite are a spectrum's points as SpectrumReport holds them.
+    Entry k of (z - mu)^(-j) at w is (-1)^k C(j+k-1, k) (w - mu)^(-j-k) for
+    j >= 1, and C(k-1, k-j) mu^(k-j) at infinity.
     """
     out = np.empty((values.size, order + 1, m), dtype=complex)
     coeff, exponent = _basis_terms(m, order, "pole")
@@ -249,29 +222,27 @@ def _basis_table(mu, values: np.ndarray, finite: np.ndarray, m: int, order: int)
 
 
 class _CalculusPlan:
-    """The part of the calculus on one pair that does not depend on phi.
+    """The part of the calculus on one pair and base point that does not depend on phi.
 
-    Holds the base point and, in packed rows (see the module docstring), the
-    basis jets and the pair's own q_jets, and from the pair's layout the point
-    of each row (owner), the top row of each point and the rows below the
-    tops; the latter pick the Hermite interpolation matrix.  The plan keeps no
+    Holds the base point, the total critical degree and, in the pair's packed
+    rows (see the module docstring), the basis jets; its rows below the tops of
+    the pair's layout are the Hermite interpolation matrix.  The layout and
+    q's jets are the pair's, built once per pair.  The plan keeps no
     resolvent: apply_calculus reads R = (A - mu)^(-1) from the pair, whose
     stack holds it at the default base point.
     The plan keeps no reference to its pair, which caches it: without that
     cycle a pair and its arrays are freed as soon as the caller drops them.
     """
 
-    __slots__ = ("mu", "size", "basis", "q_jets", "owner", "top", "below", "matrix")
+    __slots__ = ("mu", "size", "basis", "matrix")
 
     def __init__(self, pair: DefinitizablePair, mu):
-        layout = _layout(pair)
+        layout = pair.layout
         self.mu = mu
         self.size = m = layout.below.size  # total critical degree m
-        table = _basis_table(mu, *pair.report._point_array, m, int(layout.lengths.max(initial=1)) - 1)
+        table = _basis_table(mu, pair.report.values, pair.report.finite, m, int(layout.lengths.max(initial=1)) - 1)
         self.basis = table[layout.owner, layout.entry]
-        self.q_jets = pair.q_jets
-        self.owner, self.top, self.below = layout.owner, layout.top, layout.below
-        self.matrix = self.basis[self.below]
+        self.matrix = self.basis[layout.below]
 
 
 def _plan(pair: DefinitizablePair, mu) -> _CalculusPlan:
@@ -295,9 +266,8 @@ class Decomposition:
     g in the pair's point order.
     """
 
-    def __init__(self, pair: DefinitizablePair, coeffs: np.ndarray, g: dict, base_point: object,
-                 _plan: _CalculusPlan, _g: np.ndarray):
-        self.pair, self.coeffs, self.g, self.base_point, self._plan, self._g = pair, coeffs, g, base_point, _plan, _g
+    def __init__(self, pair: DefinitizablePair, coeffs: np.ndarray, g: dict, base_point: object, _g: np.ndarray):
+        self.pair, self.coeffs, self.g, self.base_point, self._g = pair, coeffs, g, base_point, _g
 
     @property
     def s(self) -> RationalFunction:
@@ -325,10 +295,10 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
     for the pair and mu and cached on the pair.
     """
     _require_layout(pair, phi.pair, "jet function does not belong to this pair")
-    plan = _plan(pair, mu)
+    plan, layout, q_jets = _plan(pair, mu), pair.layout, pair.q_jets
     packed = phi._jets
     scale = max(1.0, _max_abs(packed))
-    rhs = packed[plan.below]
+    rhs = packed[layout.below]
     if _max_abs(rhs) <= ROUNDOFF_TOL * scale:
         # interpolation data is pure roundoff; the exact solution is zero
         coeffs = np.zeros(plan.size, dtype=complex)
@@ -339,13 +309,13 @@ def decompose(pair: DefinitizablePair, phi: JetFunction, mu=None) -> Decompositi
             raise InconsistencyError("interpolation system is singular") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # jets near the float range overflow g, and so the residual
         s_jets = plan.basis @ coeffs
-        g = (packed[plan.top] - s_jets[plan.top]) / plan.q_jets[plan.top]
-        resid = _max_abs(s_jets + g[plan.owner] * plan.q_jets - packed)
+        g = (packed[layout.top] - s_jets[layout.top]) / q_jets[layout.top]
+        resid = _max_abs(s_jets + g[layout.owner] * q_jets - packed)
     if not resid <= IDENTITY_TOL * scale:
         require_finite(g, "the decomposition")
         raise InconsistencyError("decomposition failed to reassemble the jet function")
     return Decomposition(pair=pair, coeffs=coeffs, g=dict(zip(pair.points, g.tolist())), base_point=plan.mu,
-                         _plan=plan, _g=g)
+                         _g=g)
 
 
 # -- the calculus -----------------------------------------------------------
@@ -388,7 +358,7 @@ def indicator(pair: DefinitizablePair, delta) -> JetFunction:
         hits = pair._match(delta, POINT_MATCH_TOL)
     except ValidationError as exc:
         raise PointNotInSpectrumError(str(exc)) from exc
-    layout = _layout(pair)
+    layout = pair.layout
     packed = np.zeros(layout.owner.size, dtype=complex)
     packed[layout.starts[hits]] = 1.0
     return JetFunction._from_packed(pair, packed)
@@ -408,7 +378,10 @@ def norm_f(phi: JetFunction) -> float:
     flat, jets = 0.0, 0.0
     for w, jet in phi.values.items():
         if phi.pair.degrees[w] == 0:
-            flat = max(flat, abs(complex(jet[0])))
+            try:
+                flat = max(flat, abs(complex(jet[0])))
+            except OverflowError:  # Python's abs of a finite complex whose modulus passes the float range
+                flat = math.inf
         else:
             jets += float(np.abs(jet).max())
     require_finite(flat + jets, "the norm")

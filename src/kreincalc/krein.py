@@ -100,17 +100,43 @@ def map_adjoint(mat: np.ndarray, domain: GramSpace, codomain: GramSpace) -> np.n
     return np.linalg.solve(domain.gram, mat.conj().T @ codomain.gram)
 
 
+class _JetLayout:
+    """The packed layout of jets of the given lengths, one per point: the point (owner) and entry of each row, the
+    first and top row of each point, the rows below the tops and each point's (start, end), built by one loop
+    over Python lists: a pair has a few dozen rows at most."""
+
+    def __init__(self, lengths: list[int]):
+        owner, entry, below, self.bounds = [], [], [], []
+        for i, d in enumerate(lengths):
+            start = len(owner)
+            below += range(start, start + d - 1)
+            owner += [i] * d
+            entry += range(d)
+            self.bounds.append((start, start + d))
+        self.lengths, self.owner, self.entry, self.below = (np.array(v, dtype=int) for v in (lengths, owner, entry, below))
+        self.starts = np.array([a for a, _ in self.bounds], dtype=int)
+        self.top = np.array([b - 1 for _, b in self.bounds], dtype=int)
+
+
 class DefinitizablePair:
-    """A self-adjoint relation together with a verified definitizing function."""
+    """A self-adjoint relation together with a verified definitizing function.
+
+    Everything else the calculus reads is derived here, from report, degrees and psd_eig: the points, the packed
+    layout of jets of length degrees[w] + 1 on them, the count of eigenvalues of G q(A) above the rank cut, and
+    the two base points."""
 
     def __init__(self, space: GramSpace, relation: LinearRelation, q: RationalFunction, q_matrix: np.ndarray,
-                 report: SpectrumReport, points: tuple[object, ...], degrees: dict, q_jets: np.ndarray,
-                 diagnostics: dict, psd_eig: tuple, resolvents: ResolventStack):
+                 report: SpectrumReport, degrees: dict, q_jets: np.ndarray, diagnostics: dict, psd_eig: tuple,
+                 resolvents: ResolventStack):
         self.space, self.relation, self.q, self.q_matrix, self.report = space, relation, q, q_matrix, report
-        self.points, self.degrees = points, degrees
-        self.q_jets = q_jets  # q's Taylor jets at the points through entry degrees[w], end to end in point order
+        self.points, self.degrees = tuple(w for w, _ in report.points), degrees
+        self.layout = _JetLayout([degrees[w] + 1 for w in self.points])
+        self.q_jets = q_jets  # q's Taylor jets at the points through entry degrees[w], packed in layout
         self.diagnostics = diagnostics
         self.psd_eig = psd_eig  # eigh of the Hermitian part of G q(A): (eigenvalues, eigenvectors)
+        # the count of eigenvalues of G q(A) above the rank cut, which is floored: the noise of a vanishing q(A) is
+        # not rank
+        self.psd_rank = int((psd_eig[0] > _sv_cutoff(np.abs(psd_eig[0]), RANK_TOL)).sum())
         # the resolvents solved with q(A): at the poles of q, _resolvent_point and _calculus_point
         self.resolvents = resolvents
         self.resolvent_point = _resolvent_point(report)  # the real point mu of the factor space's resolvent
@@ -184,8 +210,8 @@ def verify_definitizing(
     psd_eig = np.linalg.eigh((hermitian_part + hermitian_part.conj().T) / 2.0)
     if not _is_psd(h_norm, q_residual, psd_eig[0], psd_tol):
         raise NotPositiveError("[q(A)x, x] takes negative values")
-    points = tuple(w for w, _ in report.points)
-    values, finite = report._point_array
+    points = [w for w, _ in report.points]
+    values, finite = report.values, report.finite
     orders, q_jets = q._jets(points)
     degrees, zero = dict(zip(points, orders)), np.array(orders) == 0
     # a point counts as real when its imaginary part is below REALNESS_TOL (relative)
@@ -198,25 +224,22 @@ def verify_definitizing(
     mates = report.match(values[finite & ~zero].conj(), POINT_MATCH_TOL)
     if (mates < 0).any() or zero[mates].any():
         raise InconsistencyError("critical spectrum is not symmetric under conjugation")
-    kept = psd_eig[0][psd_eig[0] > _sv_cutoff(np.abs(psd_eig[0]), RANK_TOL)]  # the eigenvalues above the rank cut
-    diagnostics = {
-        "self_adjoint_residual": self_adjoint_residual,
-        "hermitian_residual": q_residual,
-        "psd_margin": float(kept.min()) if kept.size else 0.0,
-    }
-    return DefinitizablePair(
+    diagnostics = {"self_adjoint_residual": self_adjoint_residual, "hermitian_residual": q_residual}
+    pair = DefinitizablePair(
         space=space,
         relation=rel,
         q=q,
         q_matrix=q_matrix,
         report=report,
-        points=points,
         degrees=degrees,
         q_jets=np.array(q_jets, dtype=complex),
         diagnostics=diagnostics,
         psd_eig=tuple(psd_eig),
         resolvents=resolvents,
     )
+    # the smallest eigenvalue above the rank cut, the last psd_rank of the ascending eigenvalues
+    diagnostics["psd_margin"] = float(psd_eig[0][-pair.psd_rank]) if pair.psd_rank else 0.0
+    return pair
 
 
 class SpectralMeasure:
@@ -245,8 +268,7 @@ def _resolvent_point(report: SpectrumReport) -> float:
     """A real point at distance at least 1 from the finite spectrum."""
     # Python's abs(complex) and numpy's complex abs differ in the last bit on
     # about a third of inputs; mu feeds every result, so the moduli stay scalar
-    values, finite = report._point_array
-    return 1.0 + max(map(abs, values[finite].tolist()), default=0.0)
+    return 1.0 + max(map(abs, report.values[report.finite].tolist()), default=0.0)
 
 
 def _calculus_point(report: SpectrumReport, q: RationalFunction, mu: float) -> complex:
@@ -370,9 +392,8 @@ def gram_factorize(pair: DefinitizablePair) -> Factorization:
     g = pair.space.gram
     n = pair.space.dim
     eigvals, eigvecs = pair.psd_eig  # ascending
-    critical = [m for (_, m), d in zip(pair.report.points, pair.degrees.values()) if d > 0]  # same point order
-    # the cut is floored: the noise of a vanishing q(A) is not rank
-    rank = min(int((eigvals > _sv_cutoff(np.abs(eigvals), RANK_TOL)).sum()), n - len(critical))
+    critical = [m for w, m in pair.report.points if pair.degrees[w] > 0]
+    rank = min(pair.psd_rank, n - len(critical))
     if rank < n - sum(critical):
         raise InconsistencyError(f"rank {rank} of q(A) is below the structural bound {n - sum(critical)}")
     roots = np.sqrt(eigvals[n - rank:])

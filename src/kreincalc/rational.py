@@ -95,9 +95,14 @@ def _clears(value: complex, mags: list, r: float, rho: float) -> bool:
     moduli mags and value = p(w), with no shift: each |jet_k| rho^(k - deg) is at most rho^-deg sum_j |c_j|
     (|w| + rho)^j, and abs(value) rho^-deg, the first bit for bit, is finite and above twice the cut of that
     bound, a normal float, which no rounding of the entries can undo (below the normal range a product can round
-    to a lower magnitude)."""
+    to a lower magnitude).  Where Python's abs of value raises, its modulus passes the float range and nothing is
+    proved."""
     scale = rho ** (1 - len(mags))
-    return sys.float_info.min <= 2.0 * COEFF_TRIM_TOL * (_horner(mags, r + rho) * scale) < abs(value) * scale < math.inf
+    try:
+        size = abs(value) * scale
+    except OverflowError:
+        return False
+    return sys.float_info.min <= 2.0 * COEFF_TRIM_TOL * (_horner(mags, r + rho) * scale) < size < math.inf
 
 
 def _series_divide(num, den, length: int) -> list:

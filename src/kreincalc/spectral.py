@@ -17,7 +17,6 @@ infinity comes from the nu and from rank decisions on M^{-1} X.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from itertools import chain, count, groupby
 
@@ -52,26 +51,21 @@ _PENCIL_PROBES = (0.7310 + 0.5811j, -1.2903 + 0.4117j, 2.1107 - 1.7313j)
 
 
 class SpectrumReport:
-    """Spectrum as (point, multiplicity) pairs, or the full extended plane."""
+    """Spectrum as (point, multiplicity) pairs, or the full extended plane.
+
+    values holds the points as a complex array, inf at the point infinity, and finite is the mask of the finite
+    ones; both are built with the report.
+    """
 
     def __init__(self, space_dim: int, points: tuple[tuple[object, int], ...], is_full_sphere: bool = False):
         self.space_dim, self.points, self.is_full_sphere = space_dim, points, is_full_sphere
-
-    @functools.cached_property
-    def _point_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """The points as a complex array, inf at the point infinity, and the mask of the finite ones."""
-        finite = np.array([not is_inf(p) for p, _ in self.points], dtype=bool)
-        values = np.array([complex(p) if f else np.inf for (p, _), f in zip(self.points, finite)], dtype=complex)
-        return values, finite
-
-    @functools.cached_property
-    def _point_list(self) -> tuple[list[complex], list[int], list[float], int]:
-        """_point_array's values as Python complex numbers, the indices of the finite ones sorted by real
-        part, those real parts, and the index of the point infinity (-1: none)."""
-        values, finite = self._point_array
-        values = values.tolist()
+        self.finite = finite = np.array([not is_inf(p) for p, _ in points], dtype=bool)
+        self.values = np.array([complex(p) if f else np.inf for (p, _), f in zip(points, finite)], dtype=complex)
+        # for match: the values as Python complex numbers, the indices of the finite ones sorted by real part,
+        # those real parts, and the index of the point infinity (-1: none)
+        values = self.values.tolist()
         order = sorted(np.flatnonzero(finite).tolist(), key=lambda i: values[i].real)
-        return values, order, [values[i].real for i in order], -1 if finite.all() else int(finite.argmin())
+        self._point_list = values, order, [values[i].real for i in order], -1 if finite.all() else int(finite.argmin())
 
     def match(self, labels, tol: float) -> np.ndarray:
         """Index into points of each label, -1 where no point lies within tol.

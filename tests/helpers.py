@@ -23,6 +23,7 @@ from kreincalc import (
     chordal_distance,
     verify_definitizing,
 )
+from kreincalc.jetcalc import _plan
 from kreincalc.tolerances import COEFF_TRIM_TOL
 
 
@@ -30,8 +31,8 @@ def replace_pair(pair, **changes):
     """A new DefinitizablePair built from pair's constructor arguments, changes replacing some of them.
 
     It goes through the constructor, so a name that is not an argument raises TypeError, and nothing that pair
-    derived is carried over: the copy computes its own resolvent_point and calculus_point from its own report
-    and q, and starts with no calculus plans."""
+    derived is carried over: the copy computes its own points, layout, psd_rank, resolvent_point and
+    calculus_point from its own report, degrees, psd_eig and q, and starts with no calculus plans."""
     args = {name: getattr(pair, name) for name in inspect.signature(DefinitizablePair).parameters}
     return DefinitizablePair(**{**args, **changes})
 
@@ -274,10 +275,11 @@ def jet_max_abs(phi):
 
 
 def reassemble(dec):
-    """The jets s + g q of a decomposition, in the packed arithmetic of its calculus plan."""
-    plan = dec._plan
-    g = np.array([dec.g[w] for w in dec.pair.points], dtype=complex)
-    return JetFunction._from_packed(dec.pair, plan.basis @ dec.coeffs + g[plan.owner] * plan.q_jets)
+    """The jets s + g q of a decomposition, in the packed arithmetic of the calculus plan at its base point."""
+    pair = dec.pair
+    g = np.array([dec.g[w] for w in pair.points], dtype=complex)
+    return JetFunction._from_packed(pair, _plan(pair, dec.base_point).basis @ dec.coeffs
+                                    + g[pair.layout.owner] * pair.q_jets)
 
 
 def random_rational(rng, avoid=(), deg_num=None, deg_den=None, min_gap=0.3):

@@ -605,6 +605,46 @@ class TestNonFiniteInput:
                               capture_output=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (2, b"")
 
+    @staticmethod
+    def run_quietly(*argv):
+        """rc and report of main under RuntimeWarnings as errors, and of python -m kreincalc.cli, plain and under
+        -X dev -W error::RuntimeWarning: the same in all three, and nothing on stderr."""
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, doc = run_cli(*argv)
+        assert err.getvalue() == ""
+        for flags in ([], ["-X", "dev", "-W", "error::RuntimeWarning"]):
+            proc = subprocess.run([sys.executable, *flags, "-m", "kreincalc.cli", *argv], capture_output=True,
+                                  timeout=120)
+            assert (proc.returncode, proc.stderr) == (rc, b"")
+            assert strict_json(proc.stdout) == doc
+        return rc, doc
+
+    def test_a_function_value_whose_modulus_overflows(self, tmp_path):
+        # f = 1.1e303 (1 + i) z at the point 118000 has finite parts, but Python's abs of f passes the float range:
+        # the bound that skips q's full Taylor shift proves nothing there, and the shift runs
+        problem = tmp_path / "huge_value.json"
+        problem.write_text(json.dumps({"relation": {"operator": [[1, 0], [0, 118000]]}, "gram": [[1, 0], [0, -1]],
+                                       "q": {"num": [2, -1]},
+                                       "function": {"rational": {"num": [0, [1.1e303, 1.1e303]]}}}))
+        rc, doc = self.run_quietly("calculus", "--input", str(problem))
+        if rc == 0:  # diag(f(1), f(118000)), real and imaginary parts alike
+            want = np.zeros((2, 2, 2))
+            want[[0, 1], [0, 1]] = 1.1e303 * np.array([[1.0, 1.0], [118000.0, 118000.0]])
+            assert np.allclose(np.array(doc["results"]["matrix"], dtype=float), want, rtol=1e-9, atol=0.0)
+        else:
+            assert (rc, doc["error"]["code"]) == (2, "validation")
+
+    def test_a_jet_value_whose_modulus_overflows_is_a_validation_error(self, tmp_path):
+        # |1.3e308 + 1.3e308 i| passes the float range at the point 1, where q does not vanish
+        base = json.loads((FIXTURES / "running.json").read_text())
+        base["function"] = {"jets": {"[1, 0]": [[1.3e308, 1.3e308]], "[2, 0]": [1, 0]}}
+        problem = tmp_path / "huge_jet.json"
+        problem.write_text(json.dumps(base))
+        rc, doc = self.run_quietly("norm-f", "--input", str(problem))
+        assert (rc, doc["error"]) == (2, {"code": "validation", "message": "the norm must be finite"})
+
     def test_finite_jets_whose_decomposition_overflows_are_a_validation_error(self, tmp_path):
         # on the running example s = -1e308 matches the jet at 2, so g at 1 is 2e308
         base = json.loads((FIXTURES / "running.json").read_text())

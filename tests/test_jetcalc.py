@@ -406,7 +406,7 @@ class TestApplyCalculus:
             replace_pair(pair, calculus_point=0j)  # derived from the pair, not a constructor argument
         # the spectral point 2 moved to 20: a copy must not keep the base point of the old report
         points = tuple(20.0 + 0j if abs(w - 2.0) < 1e-9 else w for w in pair.points)
-        copy = replace_pair(pair, report=SpectrumReport(2, tuple(zip(points, (1, 1)))), points=points,
+        copy = replace_pair(pair, report=SpectrumReport(2, tuple(zip(points, (1, 1)))),
                             degrees=dict(zip(points, pair.degrees.values())))
         assert copy.resolvent_point == _resolvent_point(copy.report) != pair.resolvent_point
         assert copy.calculus_point == _calculus_point(copy.report, copy.q, copy.resolvent_point) != pair.calculus_point
@@ -507,6 +507,14 @@ class TestNormF:
         with pytest.raises(ValidationError, match="the norm must be finite"):
             norm_f(phi)
 
+    def test_a_value_whose_modulus_overflows_is_a_validation_error(self):
+        # each part is finite, but |1.3e308 + 1.3e308 i| passes the float range, where Python's abs raises; at the
+        # critical point 2 numpy's modulus reads inf
+        pair = running_pair()
+        for jets in ({1.0: [1.3e308 + 1.3e308j], 2.0: [1.0, 0.0]}, {1.0: [1.0], 2.0: [1.3e308 + 1.3e308j, 0.0]}):
+            with pytest.raises(ValidationError, match="the norm must be finite"):
+                norm_f(JetFunction.from_points(pair, jets))
+
     def test_submultiplicative_on_samples(self):
         rng = np.random.default_rng(56)
         planted = random_definitizable(rng, allow_jordan=True)
@@ -576,7 +584,6 @@ class TestPackedLayout:
         for k, pair in enumerate(pairs):
             want = np.concatenate([pair.q.jet_at(w, pair.degrees[w]) for w in pair.points])
             assert np.array_equal(pair.q_jets, want), k
-            assert _plan(pair, None).q_jets is pair.q_jets
 
     def test_no_jets_of_q_after_verification(self, monkeypatch):
         calls, jets = [], RationalFunction._jets
@@ -593,20 +600,19 @@ class TestPackedLayout:
 
     def test_plan_rows(self):
         pair = running_pair()
-        plan = _plan(pair, None)
+        plan, layout = _plan(pair, None), pair.layout
         # rows: point 1 entry 0, point 2 entries 0 and 1
-        assert plan.top.tolist() == [0, 2]
-        assert plan.below.tolist() == [1]
-        assert plan.owner.tolist() == [0, 1, 1]
-        assert np.allclose(plan.q_jets, [1.0, 0.0, -1.0])
+        assert layout.top.tolist() == [0, 2]
+        assert layout.below.tolist() == [1]
+        assert layout.owner.tolist() == [0, 1, 1]
+        assert np.allclose(pair.q_jets, [1.0, 0.0, -1.0])
         assert np.allclose(plan.matrix, plan.basis[[1]])
 
     def test_corrupted_q_jet_fails_to_reassemble(self):
         pair = running_pair()
         phi = JetFunction.from_points(pair, {1.0: [3.0], 2.0: [1.0, -2.0]})
-        plan = _plan(pair, None)
         # q(2) = 0 below the top entry at the critical point 2; g(2) = 2 there
-        plan.q_jets[plan.below[0]] += 1.0
+        pair.q_jets[pair.layout.below[0]] += 1.0
         with pytest.raises(InconsistencyError, match="failed to reassemble"):
             decompose(pair, phi)
 
@@ -665,7 +671,7 @@ class TestRewrittenHelpers:
         empty = verify_definitizing(GramSpace(np.zeros((0, 0))), LinearRelation.from_operator(np.zeros((0, 0))),
                                     RationalFunction(Polynomial([1.0])))
         for pair in (mul, critical, empty):
-            layout = jetcalc._Layout(pair)
+            layout = pair.layout
             lengths = np.array([pair.degrees[w] + 1 for w in pair.points], dtype=int)
             ends = np.cumsum(lengths)
             starts = ends - lengths

@@ -205,6 +205,27 @@ class TestVerifyDefinitizing:
         with pytest.raises(InconsistencyError):
             verify_definitizing(space, rel, q)
 
+    def test_a_copied_pair_derives_its_points_layout_and_rank(self):
+        space, rel, q = running_example()
+        pair = verify_definitizing(space, rel, q)
+        assert pair.psd_rank == 1 and pair.diagnostics["psd_margin"] == pair.psd_eig[0][-1]
+        with pytest.raises(TypeError):
+            replace_pair(pair, points=pair.points)  # derived from the report, not a constructor argument
+        # the same points in the other order: the copy packs its jets in that order
+        flipped = SpectrumReport(2, pair.report.points[::-1])
+        copy = replace_pair(pair, report=flipped)
+        assert copy.points == pair.points[::-1] == tuple(w for w, _ in flipped.points)
+        layout = copy.layout
+        assert layout.lengths.tolist() == [2, 1] and layout.bounds == [(0, 2), (2, 3)]
+        assert (layout.owner.tolist(), layout.entry.tolist()) == ([0, 0, 1], [0, 1, 0])
+        assert (layout.starts.tolist(), layout.top.tolist(), layout.below.tolist()) == ([0, 2], [1, 2], [0])
+        assert copy.psd_rank == pair.psd_rank
+        # the rank count is read off the copy's own eigenvalues, and gram_factorize reads it
+        for eigvals, rank in (([1e-20, 1.0], 1), ([0.5, 1.0], 2), ([0.0, 0.0], 0)):
+            assert replace_pair(pair, psd_eig=(np.array(eigvals), pair.psd_eig[1])).psd_rank == rank
+        with pytest.raises(InconsistencyError, match="rank 0 of q"):
+            gram_factorize(replace_pair(pair, psd_eig=(np.zeros(2), pair.psd_eig[1])))
+
     def test_degenerate_pair_accepts(self):
         # q(A) = 0 identically
         space = GramSpace(np.diag([1.0, -1.0]))
@@ -279,7 +300,8 @@ class TestPointMatcher:
         space, rel, q = running_example()
         # exact points 1 and 2, so that 1.5 + 0.3i is equally far from both
         exact = SpectrumReport(2, ((1.0 + 0j, 1), (2.0 + 0j, 1)))
-        pair = replace_pair(verify_definitizing(space, rel, q), report=exact, points=(1.0 + 0j, 2.0 + 0j))
+        pair = verify_definitizing(space, rel, q)
+        pair = replace_pair(pair, report=exact, degrees=dict(zip((1.0 + 0j, 2.0 + 0j), pair.degrees.values())))
         assert pair._match([1.5, 1.5 + 0.3j, 2.0, 1.0], 1.0).tolist() == [0, 0, 1, 0]
         assert pair.resolve(1.5 - 0.3j, tol=1.0) == 1.0
 
@@ -321,7 +343,7 @@ class TestPointMatcher:
         for pair in (verify_definitizing(space, rel, q), multivalued_pair()):
             moved = tuple((p if p is INF else p + 1e-3, m) for p, m in pair.report.points)
             report = SpectrumReport(pair.report.space_dim, moved)
-            shifted = replace_pair(pair, report=report, points=tuple(p for p, _ in moved))
+            shifted = replace_pair(pair, report=report, degrees=dict(zip((p for p, _ in moved), pair.degrees.values())))
             with pytest.raises(InconsistencyError, match="matches no spectral point"):
                 gram_factorize(shifted)
 

@@ -701,6 +701,14 @@ class TestFullShiftReference:
                     orders += _jets_agree(q, [w, -w, 1.0]) + _jets_agree(q, [w, -w, 1.0], [1, 1, 1])
         assert {0, 1} <= set(orders)
 
+    def test_a_value_whose_modulus_passes_the_float_range(self):
+        # q(w) at the second point has finite parts, but Python's abs of it raises: the bound proves nothing there,
+        # and the full shift gives the value
+        q = RationalFunction([-1.5399265260594922e+303, 1.5399265260594922e+303])
+        points = [1, 72050.4704722428 + 112211.95927849087j, 1]
+        for lengths in (None, [1, 1, 1]):
+            assert _jets_agree(q, points, lengths) == [1, 0, 1]
+
 
 class TestPartialFractionsErrors:
     def test_overlapping_pole_clusters(self):
